@@ -62,8 +62,10 @@ pub const RULES: &[RuleInfo] = &[
         scope: "the serialization paths: crates/model/src/io.rs, \
                 crates/distributed/src/engine.rs (snapshot writer), \
                 crates/service/src/proto.rs, crates/service/src/server.rs, \
-                crates/service/src/router.rs, and crates/service/src/framing.rs \
-                (binary frames carry verbatim reply text)",
+                crates/service/src/router.rs, crates/service/src/framing.rs \
+                (binary frames carry verbatim reply text), crates/service/src/wal.rs, \
+                and crates/service/src/oplog.rs (the record codec WAL frames and \
+                the composite `ops` section share)",
         example: "// haste-lint: allow(D3) — error-message formatting, never parsed back",
     },
     RuleInfo {

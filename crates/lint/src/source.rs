@@ -199,6 +199,7 @@ const D3_FILES: &[&str] = &[
     "crates/service/src/router.rs",
     "crates/service/src/framing.rs",
     "crates/service/src/wal.rs",
+    "crates/service/src/oplog.rs",
 ];
 
 fn in_d3_scope(path: &str) -> bool {
@@ -571,14 +572,18 @@ mod tests {
     #[test]
     fn d3_and_p1_cover_the_wal_module() {
         // WAL records round-trip through the same shortest-roundtrip
-        // float Display as the wire protocol, and the append path runs
-        // inside request handling: recovery bit-identity rests on both
-        // scopes covering the durability layer.
+        // float Display as the wire protocol (the record codec lives in
+        // the operation-log module), and the append path runs inside
+        // request handling: recovery bit-identity rests on both scopes
+        // covering the durability layer.
         let src = "let s = format!(\"{:?}\", x).unwrap();\n";
-        assert_eq!(
-            rules_of(&scan_source("crates/service/src/wal.rs", src)),
-            ["D3", "P1"]
-        );
+        for path in ["crates/service/src/wal.rs", "crates/service/src/oplog.rs"] {
+            assert_eq!(
+                rules_of(&scan_source(path, src)),
+                ["D3", "P1"],
+                "for {path}"
+            );
+        }
     }
 
     #[test]

@@ -33,7 +33,18 @@
 //! deadlines; the affected cell degrades (`ERR unavailable` on its
 //! submissions) while the rest of the fleet keeps the lockstep, and the
 //! supervisor restarts the child and replays its snapshot baseline plus
-//! journaled operations — bit-identically, by the same determinism.
+//! the operations its cell answered since — bit-identically, by the same
+//! determinism.
+//!
+//! One operation log: the router pushes every record it applies to a
+//! tenant (accepted and refused submissions, ticks, splits and merges,
+//! quota changes) onto one per-tenant log, and each recovery path reads
+//! a view of it — `RESHARD` replays its accepted submissions and ticks, a
+//! restarted shard child the records its cell answered, and the
+//! write-ahead log ([`wal`]) appends the records as they are pushed. One
+//! codec, [`OpRecord`]'s `Display` and [`OpRecord::parse`], writes and
+//! reads every record line, in WAL frames and in the composite
+//! snapshot's `ops` section alike.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +52,7 @@
 mod client;
 mod framing;
 pub mod loadgen;
+mod oplog;
 pub mod proto;
 mod router;
 mod server;
@@ -50,9 +62,9 @@ mod telemetry;
 pub mod wal;
 
 pub use client::{Client, ClientError, ShardInfo, Topology};
+pub use oplog::OpRecord;
 pub use router::{
-    parse_composite, render_composite, serve_router, CompositeSnapshot, HistOp, RouterConfig,
-    RouterHandle,
+    parse_composite, render_composite, serve_router, CompositeSnapshot, RouterConfig, RouterHandle,
 };
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use shard::{LoadInfo, Shard, ShardError, ShardHealth, ShardStatus, UtilityParts};

@@ -10,8 +10,8 @@
 //! session's tenant; `SHARDS?` and `EXPORT?` span all tenants.
 //!
 //! **Multi-tenancy.** Each tenant owns a full routing universe: its own
-//! partition, shard fleet, routing map, accepted-operation history, and
-//! (optionally) a per-slot admission quota. `TENANT <id> [<quota>]`
+//! partition, shard fleet, routing map, operation log, and (optionally)
+//! a per-slot admission quota. `TENANT <id> [<quota>]`
 //! binds a connection's session to a tenant; `LOAD` creates the tenant
 //! on first use (spawning its fleet in process mode), and every other
 //! stateful verb on a never-created tenant fails with
@@ -24,7 +24,8 @@
 //! <b>` change the session tenant's topology *live*: the new partition
 //! is validated (halo invariants, charger reach), replacement shards for
 //! the affected cell(s) are built off to the side — baseline sub-scenario
-//! load plus a replay of the tenant's accepted-operation history — and
+//! load plus a replay of the accepted submissions and ticks in the
+//! tenant's operation log — and
 //! the routing map swaps atomically under the router mutex, bumping its
 //! version. Unaffected shards are untouched. Because replay repeats
 //! exactly the accepted submissions and ticks in arrival order, and
@@ -48,12 +49,14 @@
 //! per-request deadline, or injected fault marks its shard *down*; the
 //! router keeps serving. Submissions routed to a down cell fail with
 //! `ERR unavailable <cell> ...`; `TICK` advances the healthy shards in
-//! lockstep and journals the slots a down shard misses. At the start of
-//! each tick step the supervisor restarts down children and replays
-//! their last baseline (the loaded sub-scenario or last committed
-//! `SNAPSHOT` section) plus the journal of acked operations — engine
-//! determinism makes the rebuilt state bit-identical, so a recovered
-//! cell rejoins the lockstep exactly where the router believes it is.
+//! lockstep, and its tick record lands on the operation log whether a
+//! shard missed the slot or not. At the start of each tick step the
+//! supervisor restarts down children and replays their last baseline
+//! (the loaded sub-scenario, last committed `SNAPSHOT` section, or
+//! post-reshard state) plus the log records their cell answered since —
+//! engine determinism makes the rebuilt state bit-identical, so a
+//! recovered cell rejoins the lockstep exactly where the router believes
+//! it is.
 //! `SHARDS?` reports each shard as `up`, `restarting`, or `degraded`
 //! (recovered after ≥1 restart); `METRICS?` totals restarts, replayed
 //! operations, and currently-down shards.
@@ -85,6 +88,13 @@
 //! Resharding runs under the same mutex, so a migration is always a
 //! between-ticks cut too. The composite document restores
 //! bit-identically, into the tenant it names.
+//!
+//! **One operation log.** Every record the router applies to a tenant —
+//! accepted and refused submissions, ticks, completed splits and merges,
+//! quota changes — is pushed, in lock order, onto the tenant's
+//! [`OpLog`]. Reshard replay, shard-child recovery, the write-ahead log
+//! and the composite `ops` section are views of it (see
+//! [`crate::oplog`]).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -105,6 +115,7 @@ use parking_lot::Mutex;
 
 use crate::client::Client;
 use crate::framing::{self, BatchAck};
+use crate::oplog::{OpLog, OpRecord};
 use crate::proto::{ErrCode, Reply, Request};
 use crate::server::{
     batch_backstop, catching, hello_reply, parts_payload, read_line_polling, read_payload,
@@ -115,7 +126,7 @@ use crate::supervisor::{
     resolve_shardd, Launcher, ProcessShardConfig, RemoteShard, ShardSlot, SlotError,
 };
 use crate::telemetry::{self, SupervisorCounters, Telemetry, TenantCounters, WalTelemetry};
-use crate::wal::{self, TenantWal, WalConfig, WalRecord, WalSync};
+use crate::wal::{self, TenantWal, WalConfig, WalSync};
 
 /// Magic first line of a composite router snapshot.
 const COMPOSITE_MAGIC: &str = "# haste-router snapshot v3";
@@ -188,28 +199,12 @@ impl Default for RouterConfig {
     }
 }
 
-/// One entry of a tenant's accepted-operation history: exactly the
-/// state-changing operations the router acked since `LOAD`, in arrival
-/// order. Replaying this history into a freshly loaded cell rebuilds its
-/// engine bit-identically (engine determinism + localized replanning),
-/// which is how live migration reconstructs the children of a split or
-/// the union cell of a merge. Rejected submissions are *not* recorded:
-/// they changed no state, and a child cell's pending set is a subset of
-/// its parent's at every prefix, so replaying only acceptances can never
-/// hit an admission bound the original run did not.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HistOp {
-    /// An accepted live submission (`SUBMIT` or one `OP_BATCH` record).
-    Submit(TaskSpec),
-    /// One lockstep tick.
-    Tick,
-}
-
 /// Everything one tenant owns: its shard fleet, partition, versioned
-/// routing map, accepted-operation history, global arrival bookkeeping,
-/// and admission quota. Arrival order and the staged-release plan store
-/// device *positions* — owners are derived from the current partition on
-/// demand, so they survive cell renumbering across resharding.
+/// routing map, operation log, global arrival bookkeeping, admission
+/// quota, and (on a durable router) write-ahead log. Arrival order and
+/// the staged-release plan store device *positions* — owners are derived
+/// from the current partition on demand, so they survive cell
+/// renumbering across resharding.
 struct TenantCore {
     shards: Vec<ShardSlot>,
     /// Built at `LOAD`/`RESTORE` (the halo is the scenario's radius).
@@ -218,8 +213,8 @@ struct TenantCore {
     map: RoutingMap,
     /// The loaded scenario, kept verbatim: reshard baselines re-split it.
     scenario: Option<Scenario>,
-    /// Accepted-operation history since `LOAD` (see [`HistOp`]).
-    ops: Vec<HistOp>,
+    /// Every record applied since `LOAD` (see [`crate::oplog`]).
+    log: OpLog,
     /// Device position of every materialized task, in global arrival
     /// order. Shard-local task ids follow by per-shard counting.
     order: Vec<Vec2>,
@@ -241,25 +236,29 @@ struct TenantCore {
     cell_submits: Vec<u64>,
     /// Tenant-labeled counters (reshards, quota rejections).
     counters: TenantCounters,
+    /// The write-ahead log on a durable router, once the tenant has
+    /// state (`LOAD`/`RESTORE` create it; recovery re-opens it).
+    wal: Option<WalHandle>,
 }
 
 impl TenantCore {
-    fn new(shards: Vec<ShardSlot>, quota: Option<u64>, counters: TenantCounters) -> TenantCore {
+    fn new(shards: Vec<ShardSlot>, counters: TenantCounters) -> TenantCore {
         let cells = shards.len();
         TenantCore {
             shards,
             partition: None,
             map: RoutingMap::identity(cells.max(1)),
             scenario: None,
-            ops: Vec::new(),
+            log: OpLog::default(),
             order: Vec::new(),
             plan: VecDeque::new(),
             slots: 0,
             clock: 0,
-            quota,
+            quota: None,
             quota_used: 0,
             cell_submits: vec![0; cells],
             counters,
+            wal: None,
         }
     }
 
@@ -280,6 +279,12 @@ impl TenantCore {
     fn open(&self) -> bool {
         self.clock < self.slots
     }
+
+    /// Whether the tenant's write-ahead log is in the fail-stop state
+    /// (see [`WalHandle`]).
+    fn poisoned(&self) -> bool {
+        matches!(self.wal, Some(WalHandle::Poisoned))
+    }
 }
 
 /// One durable tenant's log handle. `Poisoned` is the fail-stop state: a
@@ -296,18 +301,10 @@ enum WalHandle {
     Poisoned,
 }
 
-/// Mutable router state: every tenant's universe, under one mutex.
-struct RouterCore {
-    /// Tenant id → tenant state. `BTreeMap` so cross-tenant fan-outs
-    /// (`SHARDS?`, `EXPORT?`) iterate in a stable order.
-    tenants: BTreeMap<String, TenantCore>,
-    /// Tenant id → open write-ahead log. Populated only on a durable
-    /// router ([`RouterConfig::wal`]), and only for tenants with state
-    /// (`LOAD`/`RESTORE` create the entry; recovery re-opens it). Lives
-    /// beside `tenants` under the same mutex so the log order is exactly
-    /// the apply order.
-    wals: BTreeMap<String, WalHandle>,
-}
+/// Mutable router state, under one mutex: tenant id → tenant state.
+/// `BTreeMap` so cross-tenant fan-outs (`SHARDS?`, `EXPORT?`) iterate in
+/// a stable order.
+type RouterCore = BTreeMap<String, TenantCore>;
 
 /// The durability runtime of one router: the `--wal-dir` configuration
 /// plus the pre-resolved `haste_wal_*` hot-path histograms.
@@ -460,7 +457,6 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
         DEFAULT_TENANT.to_string(),
         TenantCore::new(
             shards,
-            None,
             TenantCounters::for_tenant(router_telemetry.registry(), DEFAULT_TENANT),
         ),
     );
@@ -489,10 +485,7 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
         }
     };
     let shared = Arc::new(RouterShared {
-        core: Mutex::new(RouterCore {
-            tenants,
-            wals: BTreeMap::new(),
-        }),
+        core: Mutex::new(tenants),
         config: config.clone(),
         shutdown: AtomicBool::new(false),
         telemetry: router_telemetry,
@@ -688,12 +681,12 @@ fn serve_framed<R: BufRead, W: Write>(
 /// Executes a batched submission on the router: one lock acquisition,
 /// then per record the exact `SUBMIT` path — finiteness check, quota
 /// gate, cell routing, shard admission, and a push onto the tenant's
-/// arrival order and operation history. Holding the lock across the
-/// whole frame means the batch occupies a contiguous run of the arrival
-/// order, but any interleaving with other connections' submissions would
-/// be equally valid: within a slot the recorded order *is* the
-/// determinism contract, exactly as for text submits racing on separate
-/// connections.
+/// arrival order and operation log — and one write-ahead append for the
+/// whole frame. Holding the lock across the frame means the batch
+/// occupies a contiguous run of the arrival order, but any interleaving
+/// with other connections' submissions would be equally valid: within a
+/// slot the recorded order *is* the determinism contract, exactly as for
+/// text submits racing on separate connections.
 fn execute_batch(
     specs: &[TaskSpec],
     shared: &RouterShared,
@@ -702,75 +695,31 @@ fn execute_batch(
     let start = telemetry::clock_start();
     let tenant_id = session.borrow().tenant.clone();
     let mut core = shared.core.lock();
-    let mut records: Vec<WalRecord> = Vec::new();
-    let mut acks: Vec<BatchAck> = if wal_poisoned(&core, &tenant_id) {
-        let (code, message) = wal_poisoned_parts(&tenant_id);
-        specs
-            .iter()
-            .map(|_| BatchAck::Err {
-                code: code.as_str().to_string(),
-                message: message.clone(),
-            })
-            .collect()
-    } else {
-        match core.tenants.get_mut(&tenant_id) {
-            None => {
-                let (code, message) = unknown_tenant_parts(&tenant_id);
-                specs
-                    .iter()
-                    .map(|_| BatchAck::Err {
-                        code: code.as_str().to_string(),
-                        message: message.clone(),
-                    })
-                    .collect()
-            }
-            Some(tenant) => specs
+    let acks = match writable_tenant(&mut core, &tenant_id) {
+        Err(reply) => refuse_batch(specs, reply),
+        Ok(tenant) => {
+            let acks = specs
                 .iter()
                 .map(|spec| {
-                    if !(spec.device_pos.x.is_finite()
-                        && spec.device_pos.y.is_finite()
-                        && spec.device_facing.radians().is_finite())
-                    {
-                        // Never reached the tenant: nothing to log.
-                        BatchAck::rejected(ErrCode::BadTask, "non-finite position/facing")
-                    } else {
-                        // haste-lint: allow(L2) — lockstep contract: `core` serializes shard traffic so global arrival order stays bit-identical; the child request is deadline-bounded
-                        match submit_routed(tenant, &tenant_id, *spec, shared) {
-                            Ok((global, release, _shard)) => {
-                                records.push(WalRecord::Submit(*spec));
-                                BatchAck::Ok {
-                                    task: global as u64,
-                                    release: release as u64,
-                                }
-                            }
-                            Err((code, message)) => {
-                                records.push(WalRecord::Reject {
-                                    code: code.as_str().to_string(),
-                                    spec: *spec,
-                                });
-                                BatchAck::Err {
-                                    code: code.as_str().to_string(),
-                                    message,
-                                }
-                            }
-                        }
+                    // haste-lint: allow(L2) — lockstep contract: `core` serializes shard traffic so global arrival order stays bit-identical; the child request is deadline-bounded
+                    match submit_routed(tenant, &tenant_id, *spec, shared) {
+                        Ok((global, release, _shard)) => BatchAck::Ok {
+                            task: global as u64,
+                            release: release as u64,
+                        },
+                        Err((code, message)) => BatchAck::rejected(code, message),
                     }
                 })
-                .collect(),
+                .collect();
+            if wal_flush(tenant, shared, &tenant_id) {
+                acks
+            } else {
+                // The whole frame's durability failed: no record may be
+                // acked as applied, because none would survive recovery.
+                refuse_batch(specs, wal_poisoned_reply(&tenant_id))
+            }
         }
     };
-    if !wal_append(&mut core, shared, &tenant_id, &records) {
-        // The whole frame's durability failed: no record may be acked as
-        // applied, because none of them would survive recovery.
-        let (code, message) = wal_poisoned_parts(&tenant_id);
-        acks = specs
-            .iter()
-            .map(|_| BatchAck::Err {
-                code: code.as_str().to_string(),
-                message: message.clone(),
-            })
-            .collect();
-    }
     let rejected = acks
         .iter()
         .filter(|ack| matches!(ack, BatchAck::Err { .. }))
@@ -779,6 +728,18 @@ fn execute_batch(
         .telemetry
         .observe_batch(specs.len(), rejected, telemetry::elapsed_us(start));
     acks
+}
+
+/// The same refusal for every record of a batch.
+fn refuse_batch(specs: &[TaskSpec], reply: Reply) -> Vec<BatchAck> {
+    let (code, message) = match reply {
+        Reply::Err(code, message) => (code, message),
+        _ => (ErrCode::Internal, "batch refused".to_string()),
+    };
+    specs
+        .iter()
+        .map(|_| BatchAck::rejected(code, message.clone()))
+        .collect()
 }
 
 /// Parses and executes one request under the panic backstop (see the
@@ -835,23 +796,17 @@ fn slot_err_parts(e: SlotError) -> (ErrCode, String) {
     }
 }
 
-/// The code/message pair of the never-created-tenant error.
-fn unknown_tenant_parts(id: &str) -> (ErrCode, String) {
-    (
+/// `ERR unknown-tenant` as a reply.
+fn unknown_tenant(id: &str) -> Reply {
+    Reply::Err(
         ErrCode::UnknownTenant,
         format!("tenant `{id}` does not exist (LOAD creates it)"),
     )
 }
 
-/// `ERR unknown-tenant` as a reply.
-fn unknown_tenant(id: &str) -> Reply {
-    let (code, message) = unknown_tenant_parts(id);
-    Reply::Err(code, message)
-}
-
 /// The session's tenant, or `ERR unknown-tenant`.
 fn tenant_mut<'a>(core: &'a mut RouterCore, id: &str) -> Result<&'a mut TenantCore, Reply> {
-    match core.tenants.get_mut(id) {
+    match core.get_mut(id) {
         Some(tenant) => Ok(tenant),
         None => Err(unknown_tenant(id)),
     }
@@ -859,10 +814,20 @@ fn tenant_mut<'a>(core: &'a mut RouterCore, id: &str) -> Result<&'a mut TenantCo
 
 /// Shared-reference variant of [`tenant_mut`].
 fn tenant_ref<'a>(core: &'a RouterCore, id: &str) -> Result<&'a TenantCore, Reply> {
-    match core.tenants.get(id) {
+    match core.get(id) {
         Some(tenant) => Ok(tenant),
         None => Err(unknown_tenant(id)),
     }
+}
+
+/// The session's tenant for a mutation: [`tenant_mut`], refused with the
+/// fail-stop reply while its write-ahead log is poisoned.
+fn writable_tenant<'a>(core: &'a mut RouterCore, id: &str) -> Result<&'a mut TenantCore, Reply> {
+    let tenant = tenant_mut(core, id)?;
+    if tenant.poisoned() {
+        return Err(wal_poisoned_reply(id));
+    }
+    Ok(tenant)
 }
 
 /// Builds one empty shard slot for cell index `cell`: in-process, or a
@@ -889,38 +854,33 @@ fn fresh_slot(shared: &RouterShared, cell: usize) -> Result<ShardSlot, Reply> {
 
 /// Creates tenant `id` with an empty fleet on the configured grid if it
 /// does not exist yet (the `LOAD` path; `TENANT` only selects).
-fn ensure_tenant(
-    core: &mut RouterCore,
+fn ensure_tenant<'a>(
+    core: &'a mut RouterCore,
     shared: &RouterShared,
     id: &str,
     quota: Option<u64>,
-) -> Result<(), Reply> {
-    if let Some(tenant) = core.tenants.get_mut(id) {
-        if quota.is_some() {
-            tenant.quota = quota;
+) -> Result<&'a mut TenantCore, Reply> {
+    if !core.contains_key(id) {
+        let count = shared.config.cells.0 * shared.config.cells.1;
+        let mut shards = Vec::with_capacity(count);
+        for cell in 0..count {
+            shards.push(fresh_slot(shared, cell)?);
         }
-        return Ok(());
+        let counters = TenantCounters::for_tenant(shared.telemetry.registry(), id);
+        core.insert(id.to_string(), TenantCore::new(shards, counters));
+        TenantCounters::set_shards(shared.telemetry.registry(), id, count);
     }
-    let count = shared.config.cells.0 * shared.config.cells.1;
-    let mut shards = Vec::with_capacity(count);
-    for cell in 0..count {
-        shards.push(fresh_slot(shared, cell)?);
+    let tenant = tenant_mut(core, id)?;
+    if quota.is_some() {
+        tenant.quota = quota;
     }
-    core.tenants.insert(
-        id.to_string(),
-        TenantCore::new(
-            shards,
-            quota,
-            TenantCounters::for_tenant(shared.telemetry.registry(), id),
-        ),
-    );
-    TenantCounters::set_shards(shared.telemetry.registry(), id, count);
-    Ok(())
+    Ok(tenant)
 }
 
-/// The shared `SUBMIT` path (text and batch): quota gate, cell routing
-/// through the tenant's routing map, shard admission, then the
-/// bookkeeping pushes — arrival order (position), operation history,
+/// The shared `SUBMIT` path (text, batch and WAL replay): finiteness
+/// check, quota gate, cell routing through the tenant's routing map,
+/// shard admission, then the bookkeeping — the outcome's record on the
+/// operation log, and for an acceptance the arrival order (position),
 /// quota usage, and the per-cell submission gauge that feeds the
 /// elastic-split trigger.
 fn submit_routed(
@@ -929,31 +889,39 @@ fn submit_routed(
     spec: TaskSpec,
     shared: &RouterShared,
 ) -> Result<(usize, usize, usize), (ErrCode, String)> {
+    let finite = spec.device_pos.x.is_finite()
+        && spec.device_pos.y.is_finite()
+        && spec.device_facing.radians().is_finite();
+    if !finite {
+        // Refused at the front door: never reached the tenant, nothing
+        // to log.
+        return Err((ErrCode::BadTask, "non-finite position/facing".to_string()));
+    }
     let Some(partition) = tenant.partition.as_ref() else {
         return Err(shard_err_parts(crate::shard::ShardError::NoScenario));
     };
-    if let Some(quota) = tenant.quota {
-        if tenant.quota_used >= quota {
+    let cell = partition.cell_of(spec.device_pos);
+    let shard_index = tenant.map.shard_of(cell) as usize;
+    let outcome = match tenant.quota {
+        Some(quota) if tenant.quota_used >= quota => {
             tenant.counters.quota_rejected.inc();
-            return Err((
+            Err((
                 ErrCode::Quota,
                 format!(
                     "tenant `{tenant_id}` exhausted its quota of {quota} submissions this slot"
                 ),
-            ));
+            ))
         }
-    }
-    let cell = partition.cell_of(spec.device_pos);
-    let shard_index = tenant.map.shard_of(cell) as usize;
-    let outcome = match tenant.shards.get(shard_index) {
-        Some(shard) => shard.submit(spec),
-        None => Err(SlotError::Shard(crate::shard::ShardError::NoScenario)),
+        _ => match tenant.shards.get(shard_index) {
+            Some(shard) => shard.submit(spec).map_err(slot_err_parts),
+            None => Err(shard_err_parts(crate::shard::ShardError::NoScenario)),
+        },
     };
     match outcome {
         Ok((_local, release)) => {
+            tenant.log.push(OpRecord::Submit(spec));
             let global = tenant.order.len();
             tenant.order.push(spec.device_pos);
-            tenant.ops.push(HistOp::Submit(spec));
             tenant.quota_used += 1;
             if let Some(count) = tenant.cell_submits.get_mut(cell) {
                 *count += 1;
@@ -963,13 +931,11 @@ fn submit_routed(
             }
             Ok((global, release, shard_index))
         }
-        Err(e) => Err(slot_err_parts(e)),
+        Err((code, message)) => {
+            tenant.log.push(OpRecord::Reject { code, spec });
+            Err((code, message))
+        }
     }
-}
-
-/// Whether a tenant's log is in the fail-stop state (see [`WalHandle`]).
-fn wal_poisoned(core: &RouterCore, tenant_id: &str) -> bool {
-    matches!(core.wals.get(tenant_id), Some(WalHandle::Poisoned))
 }
 
 /// The reply every mutation on a poisoned tenant gets.
@@ -979,40 +945,28 @@ fn wal_poisoned_reply(tenant_id: &str) -> Reply {
     ))
 }
 
-/// The error-code/message pair of [`wal_poisoned_reply`], for batch acks.
-fn wal_poisoned_parts(tenant_id: &str) -> (ErrCode, String) {
-    match wal_poisoned_reply(tenant_id) {
-        Reply::Err(code, message) => (code, message),
-        _ => (ErrCode::Internal, "write-ahead log failed".to_string()),
-    }
-}
-
-/// Logs already-applied operations to a durable tenant's WAL, fsyncing
-/// per the configured policy (`always`, or `every-tick` when the batch
-/// carries a slot close). Returns `true` when the operations are as
-/// durable as the policy promises — including the vacuous cases (no WAL
-/// configured, tenant has no log yet). On a write or sync failure the
-/// tenant's log poisons (fail-stop; see [`WalHandle`]) and the caller
-/// must reply `ERR internal` *instead of* the success ack, because an
+/// Appends the records the tenant's operation log gained since the last
+/// append to its write-ahead log, in one write, fsyncing per the
+/// configured policy (`always`, or `every-tick` when the records carry a
+/// slot close). Returns `true` when the operations are as durable as the
+/// policy promises — including the vacuous cases (no WAL configured,
+/// tenant has no log yet). On a write or sync failure the tenant's log
+/// poisons (fail-stop; see [`WalHandle`]) and the caller must reply
+/// `ERR internal` *instead of* the success ack, because an
 /// acked-but-unlogged mutation would survive in memory but not in
 /// recovery.
-fn wal_append(
-    core: &mut RouterCore,
-    shared: &RouterShared,
-    tenant_id: &str,
-    records: &[WalRecord],
-) -> bool {
-    let Some(runtime) = shared.wal.as_ref() else {
+fn wal_flush(tenant: &mut TenantCore, shared: &RouterShared, tenant_id: &str) -> bool {
+    let records = tenant.log.unlogged();
+    let (Some(runtime), Some(WalHandle::Open(tenant_wal))) = (shared.wal.as_ref(), &mut tenant.wal)
+    else {
+        // No WAL configured, no log yet (tenant not loaded — nothing
+        // durable to protect), or poisoned (the arm already refused the
+        // mutation up front).
         return true;
     };
     if records.is_empty() {
         return true;
     }
-    let Some(WalHandle::Open(tenant_wal)) = core.wals.get_mut(tenant_id) else {
-        // No log yet (tenant not loaded — nothing durable to protect) or
-        // poisoned (the arm already refused the mutation up front).
-        return true;
-    };
     let start = telemetry::clock_start();
     let appended = tenant_wal.append(records);
     runtime
@@ -1022,9 +976,7 @@ fn wal_append(
     let synced = appended.and_then(|()| {
         let must_sync = match runtime.config.sync {
             WalSync::Always => true,
-            WalSync::EveryTick => records
-                .iter()
-                .any(|record| matches!(record, WalRecord::Tick)),
+            WalSync::EveryTick => records.contains(&OpRecord::Tick),
         };
         if must_sync {
             let start = telemetry::clock_start();
@@ -1042,7 +994,7 @@ fn wal_append(
         Ok(()) => true,
         Err(e) => {
             eprintln!("haste-router: wal append for tenant `{tenant_id}` failed ({e}); the tenant is now read-only");
-            core.wals.insert(tenant_id.to_string(), WalHandle::Poisoned);
+            tenant.wal = Some(WalHandle::Poisoned);
             false
         }
     }
@@ -1054,60 +1006,52 @@ fn wal_append(
 /// post-load operations and recovery always has a scenario to start
 /// from. A failure poisons the tenant (the state was already installed
 /// but cannot be made durable) and returns the fail-stop reply.
-fn wal_install(core: &mut RouterCore, shared: &RouterShared, tenant_id: &str) -> Result<(), Reply> {
+fn wal_install(
+    tenant: &mut TenantCore,
+    shared: &RouterShared,
+    tenant_id: &str,
+) -> Result<(), Reply> {
     let Some(runtime) = shared.wal.as_ref() else {
         return Ok(());
     };
     match TenantWal::create(&runtime.config.dir, tenant_id) {
         Ok(tenant_wal) => {
-            core.wals
-                .insert(tenant_id.to_string(), WalHandle::Open(tenant_wal));
-            wal_checkpoint(core, shared, tenant_id)
+            tenant.wal = Some(WalHandle::Open(tenant_wal));
+            checkpoint(tenant, shared, tenant_id).map(drop)
         }
         Err(e) => {
             eprintln!(
                 "haste-router: creating the wal for tenant `{tenant_id}` failed ({e}); the tenant is now read-only"
             );
-            core.wals.insert(tenant_id.to_string(), WalHandle::Poisoned);
+            tenant.wal = Some(WalHandle::Poisoned);
             Err(wal_poisoned_reply(tenant_id))
         }
     }
 }
 
-/// Checkpoints a durable tenant: the composite consistent-cut document —
-/// rendered by the exact code path the operator-facing `SNAPSHOT` verb
-/// uses — is installed atomically and the log truncates behind it. A
-/// composite failure (a down shard) propagates untouched; a file failure
-/// poisons the tenant.
-fn wal_checkpoint(
-    core: &mut RouterCore,
+/// Renders the tenant's composite consistent cut — the `SNAPSHOT` reply —
+/// and, on a durable tenant, installs those very bytes as its checkpoint
+/// and counts it, so the `.ckpt` file and an operator's copy can never
+/// drift. The one checkpoint path of `SNAPSHOT`, `LOAD`/`RESTORE` and the
+/// automatic trigger. A composite failure (a down shard) propagates with
+/// nothing written; a file failure poisons the tenant.
+fn checkpoint(
+    tenant: &mut TenantCore,
     shared: &RouterShared,
     tenant_id: &str,
-) -> Result<(), Reply> {
-    if shared.wal.is_none() {
-        return Ok(());
-    }
-    let Some(tenant) = core.tenants.get(tenant_id) else {
-        return Ok(());
-    };
+) -> Result<String, Reply> {
     let text = composite_snapshot(tenant, tenant_id)?;
-    let quota = tenant.quota;
-    let Some(WalHandle::Open(tenant_wal)) = core.wals.get_mut(tenant_id) else {
-        return Ok(());
-    };
-    match tenant_wal.checkpoint(&text, quota) {
-        Ok(()) => {
-            WalTelemetry::count_checkpoint(shared.telemetry.registry(), tenant_id);
-            Ok(())
-        }
-        Err(e) => {
+    if let Some(WalHandle::Open(tenant_wal)) = &mut tenant.wal {
+        if let Err(e) = tenant_wal.checkpoint(&text, tenant.quota) {
             eprintln!(
                 "haste-router: checkpointing tenant `{tenant_id}` failed ({e}); the tenant is now read-only"
             );
-            core.wals.insert(tenant_id.to_string(), WalHandle::Poisoned);
-            Err(wal_poisoned_reply(tenant_id))
+            tenant.wal = Some(WalHandle::Poisoned);
+            return Err(wal_poisoned_reply(tenant_id));
         }
+        WalTelemetry::count_checkpoint(shared.telemetry.registry(), tenant_id);
     }
+    Ok(text)
 }
 
 /// The automatic checkpoint trigger, attempted at slot close: once a
@@ -1115,40 +1059,18 @@ fn wal_checkpoint(
 /// records, take a checkpoint. Best effort — a composite failure (e.g. a
 /// shard is down mid-restart) skips this attempt and the threshold
 /// re-arms at the next tick; only file failures poison (via
-/// [`wal_checkpoint`]).
-fn maybe_wal_checkpoint(core: &mut RouterCore, shared: &RouterShared, tenant_id: &str) {
-    let Some(runtime) = shared.wal.as_ref() else {
-        return;
-    };
-    if runtime.config.checkpoint_every == 0 {
-        return;
-    }
+/// [`checkpoint`]).
+fn maybe_checkpoint(tenant: &mut TenantCore, shared: &RouterShared, tenant_id: &str) {
+    let every = shared
+        .wal
+        .as_ref()
+        .map_or(0, |runtime| runtime.config.checkpoint_every);
     let due = matches!(
-        core.wals.get(tenant_id),
-        Some(WalHandle::Open(tenant_wal))
-            if tenant_wal.ops_since_checkpoint >= runtime.config.checkpoint_every
+        &tenant.wal,
+        Some(WalHandle::Open(tenant_wal)) if every > 0 && tenant_wal.ops_since_checkpoint >= every
     );
-    if !due {
-        return;
-    }
-    let Some(tenant) = core.tenants.get(tenant_id) else {
-        return;
-    };
-    let Ok(text) = composite_snapshot(tenant, tenant_id) else {
-        return;
-    };
-    let quota = tenant.quota;
-    let Some(WalHandle::Open(tenant_wal)) = core.wals.get_mut(tenant_id) else {
-        return;
-    };
-    match tenant_wal.checkpoint(&text, quota) {
-        Ok(()) => WalTelemetry::count_checkpoint(shared.telemetry.registry(), tenant_id),
-        Err(e) => {
-            eprintln!(
-                "haste-router: checkpointing tenant `{tenant_id}` failed ({e}); the tenant is now read-only"
-            );
-            core.wals.insert(tenant_id.to_string(), WalHandle::Poisoned);
-        }
+    if due {
+        let _ = checkpoint(tenant, shared, tenant_id);
     }
 }
 
@@ -1168,36 +1090,31 @@ fn reply_error_text(reply: &Reply) -> String {
 /// the admission decision is durable; orphaned markers belong to
 /// checkpoints that never finished installing).
 fn apply_wal_record(
-    core: &mut RouterCore,
+    tenant: &mut TenantCore,
     shared: &RouterShared,
     tenant_id: &str,
-    record: &WalRecord,
+    record: &OpRecord,
 ) -> Result<(), String> {
-    let Some(tenant) = core.tenants.get_mut(tenant_id) else {
-        return Err("tenant vanished mid-recovery".to_string());
-    };
     match record {
-        WalRecord::Reject { .. } | WalRecord::Checkpoint { .. } => Ok(()),
-        WalRecord::Quota(q) => {
+        OpRecord::Reject { .. } | OpRecord::Checkpoint { .. } => Ok(()),
+        OpRecord::Quota(q) => {
             tenant.quota = Some(*q);
             Ok(())
         }
-        WalRecord::Submit(spec) => match submit_routed(tenant, tenant_id, *spec, shared) {
+        OpRecord::Submit(spec) => match submit_routed(tenant, tenant_id, *spec, shared) {
             Ok(_) => Ok(()),
             Err((code, message)) => Err(format!(
                 "logged-accepted submit re-rejected: {} {message}",
                 code.as_str()
             )),
         },
-        WalRecord::Tick => tick_lockstep(tenant, 1, &shared.telemetry)
+        OpRecord::Tick => tick_lockstep(tenant, 1, &shared.telemetry)
             .map(|_| ())
             .map_err(|reply| reply_error_text(&reply)),
-        WalRecord::ReshardSplit(cell) => {
-            reshard(tenant, tenant_id, ReshardOp::Split(*cell), shared)
-                .map(|_| ())
-                .map_err(|reply| reply_error_text(&reply))
-        }
-        WalRecord::ReshardMerge(a, b) => {
+        OpRecord::ReshardSplit(cell) => reshard(tenant, tenant_id, ReshardOp::Split(*cell), shared)
+            .map(|_| ())
+            .map_err(|reply| reply_error_text(&reply)),
+        OpRecord::ReshardMerge(a, b) => {
             reshard(tenant, tenant_id, ReshardOp::Merge(*a, *b), shared)
                 .map(|_| ())
                 .map_err(|reply| reply_error_text(&reply))
@@ -1239,7 +1156,7 @@ fn recover_from_wal(shared: &Arc<RouterShared>) -> std::io::Result<()> {
                 "haste-router: skipping recovery of `{}`: its checkpoint names tenant `{}`",
                 entry.tenant, restored.tenant
             );
-            core.tenants.remove(&restored.tenant);
+            core.remove(&restored.tenant);
             continue;
         }
         if let Some(reason) = &entry.truncated {
@@ -1248,20 +1165,19 @@ fn recover_from_wal(shared: &Arc<RouterShared>) -> std::io::Result<()> {
                 entry.tenant
             );
         }
-        let mut replay_failed = false;
-        for record in &entry.tail {
+        let Some(tenant) = core.get_mut(&entry.tenant) else {
+            continue;
+        };
+        let replayed = entry.tail.iter().try_for_each(|record| {
             // haste-lint: allow(L2) — startup-only replay before the accept thread exists; child requests are deadline-bounded
-            if let Err(reason) = apply_wal_record(&mut core, shared, &entry.tenant, record) {
-                eprintln!(
-                    "haste-router: skipping recovery of tenant `{}`: log replay failed: {reason}",
-                    entry.tenant
-                );
-                core.tenants.remove(&entry.tenant);
-                replay_failed = true;
-                break;
-            }
-        }
-        if replay_failed {
+            apply_wal_record(tenant, shared, &entry.tenant, record)
+        });
+        if let Err(reason) = replayed {
+            eprintln!(
+                "haste-router: skipping recovery of tenant `{}`: log replay failed: {reason}",
+                entry.tenant
+            );
+            core.remove(&entry.tenant);
             continue;
         }
         // haste-lint: allow(L2) — startup-only local file I/O before the accept thread exists
@@ -1271,8 +1187,9 @@ fn recover_from_wal(shared: &Arc<RouterShared>) -> std::io::Result<()> {
             entry.valid_len,
             entry.tail.len(),
         )?;
-        core.wals
-            .insert(entry.tenant.clone(), WalHandle::Open(tenant_wal));
+        // The replayed records came from the file: none is appended again.
+        tenant.log.unlogged();
+        tenant.wal = Some(WalHandle::Open(tenant_wal));
         WalTelemetry::count_recovery(
             shared.telemetry.registry(),
             &entry.tenant,
@@ -1289,7 +1206,7 @@ fn recover_from_wal(shared: &Arc<RouterShared>) -> std::io::Result<()> {
     // on a fresh router. If its recovery was skipped above (and removed
     // the half-restored entry), put back an empty fleet so the startup
     // contract holds.
-    if !core.tenants.contains_key(DEFAULT_TENANT) {
+    if !core.contains_key(DEFAULT_TENANT) {
         // haste-lint: allow(L2) — startup-only rebuild before the accept thread exists; child spawns are deadline-bounded
         if let Err(reply) = ensure_tenant(&mut core, shared, DEFAULT_TENANT, None) {
             eprintln!(
@@ -1314,7 +1231,6 @@ fn execute<R: BufRead>(
         Request::Hello(version) => {
             let core = shared.core.lock();
             let shards = core
-                .tenants
                 .get(&session.borrow().tenant)
                 .map(|tenant| tenant.shards.len())
                 .unwrap_or(config.cells.0 * config.cells.1);
@@ -1322,40 +1238,35 @@ fn execute<R: BufRead>(
         }
         Request::Tenant { id, quota } => {
             let mut core = shared.core.lock();
-            if quota.is_some() && wal_poisoned(&core, &id) {
+            if quota.is_some() && core.get(&id).is_some_and(TenantCore::poisoned) {
                 return Ok((wal_poisoned_reply(&id), false));
             }
             let mut session = session.borrow_mut();
             session.tenant = id.clone();
-            match core.tenants.get_mut(&id) {
+            let shown = match core.get_mut(&id) {
                 Some(tenant) => {
                     // The tenant exists: a quota applies immediately, and
                     // any quota parked from an earlier `TENANT` is moot.
-                    let logged = match quota {
-                        Some(q) => {
-                            tenant.quota = quota;
-                            wal_append(&mut core, shared, &id, &[WalRecord::Quota(q)])
-                        }
-                        None => true,
-                    };
+                    if let Some(q) = quota {
+                        tenant.quota = quota;
+                        tenant.log.push(OpRecord::Quota(q));
+                    }
                     session.pending_quota = None;
-                    if !logged {
+                    if !wal_flush(tenant, shared, &id) {
                         return Ok((wal_poisoned_reply(&id), false));
                     }
-                    match core.tenants[&id].quota {
-                        Some(q) => Reply::Ok(format!("tenant={id} quota={q}")),
-                        None => Reply::Ok(format!("tenant={id}")),
-                    }
+                    tenant.quota
                 }
                 None => {
                     // Selecting never creates: the quota waits for the
                     // `LOAD` that will create this tenant.
                     session.pending_quota = quota;
-                    match quota {
-                        Some(q) => Reply::Ok(format!("tenant={id} quota={q}")),
-                        None => Reply::Ok(format!("tenant={id}")),
-                    }
+                    quota
                 }
+            };
+            match shown {
+                Some(q) => Reply::Ok(format!("tenant={id} quota={q}")),
+                None => Reply::Ok(format!("tenant={id}")),
             }
         }
         Request::Load(count) => {
@@ -1370,17 +1281,13 @@ fn execute<R: BufRead>(
                 (session.tenant.clone(), session.pending_quota.take())
             };
             let mut core = shared.core.lock();
-            if wal_poisoned(&core, &tenant_id) {
+            if core.get(&tenant_id).is_some_and(TenantCore::poisoned) {
                 return Ok((wal_poisoned_reply(&tenant_id), false));
             }
             // haste-lint: allow(L2) — spawning the tenant's fleet is deadline-bounded per child; `core` must be held so no request observes a half-created tenant
             match ensure_tenant(&mut core, shared, &tenant_id, pending_quota) {
                 Err(reply) => reply,
-                Ok(()) => {
-                    let tenant = match tenant_mut(&mut core, &tenant_id) {
-                        Ok(tenant) => tenant,
-                        Err(reply) => return Ok((reply, false)),
-                    };
+                Ok(tenant) => {
                     // haste-lint: allow(L2) — per-cell LOADs are deadline-bounded; `core` must be held so no request observes a half-partitioned scenario
                     let reply = load_scenario_text(tenant, &tenant_id, config, shared, &payload);
                     if matches!(reply, Reply::Ok(_)) {
@@ -1388,7 +1295,7 @@ fn execute<R: BufRead>(
                         // checkpoint, so the log tail only ever carries
                         // post-load operations.
                         // haste-lint: allow(L2) — durability point: the checkpoint must land before LOAD is acked; `core` must be held so no request observes a non-durable loaded tenant
-                        if let Err(reply) = wal_install(&mut core, shared, &tenant_id) {
+                        if let Err(reply) = wal_install(tenant, shared, &tenant_id) {
                             return Ok((reply, false));
                         }
                     }
@@ -1404,47 +1311,29 @@ fn execute<R: BufRead>(
             energy,
             weight,
         } => {
-            if !(x.is_finite() && y.is_finite() && facing.is_finite()) {
-                Reply::Err(ErrCode::BadTask, "non-finite position/facing".to_string())
-            } else {
-                let tenant_id = session.borrow().tenant.clone();
-                let mut core = shared.core.lock();
-                if wal_poisoned(&core, &tenant_id) {
-                    wal_poisoned_reply(&tenant_id)
-                } else {
-                    match tenant_mut(&mut core, &tenant_id) {
-                        Err(reply) => reply,
-                        Ok(tenant) => {
-                            let spec = TaskSpec {
-                                device_pos: Vec2::new(x, y),
-                                device_facing: Angle::from_radians(facing),
-                                end_slot,
-                                required_energy: energy,
-                                weight,
-                            };
-                            // haste-lint: allow(L2) — lockstep contract: `core` serializes shard traffic so global arrival order stays bit-identical; the child request is deadline-bounded
-                            let routed = submit_routed(tenant, &tenant_id, spec, shared);
-                            let (reply, record) = match routed {
-                                Ok((global, release, shard)) => (
-                                    Reply::Ok(format!(
-                                        "task={global} release={release} shard={shard}"
-                                    )),
-                                    WalRecord::Submit(spec),
-                                ),
-                                Err((code, message)) => {
-                                    let record = WalRecord::Reject {
-                                        code: code.as_str().to_string(),
-                                        spec,
-                                    };
-                                    (Reply::Err(code, message), record)
-                                }
-                            };
-                            if wal_append(&mut core, shared, &tenant_id, &[record]) {
-                                reply
-                            } else {
-                                wal_poisoned_reply(&tenant_id)
-                            }
+            let spec = TaskSpec {
+                device_pos: Vec2::new(x, y),
+                device_facing: Angle::from_radians(facing),
+                end_slot,
+                required_energy: energy,
+                weight,
+            };
+            let tenant_id = session.borrow().tenant.clone();
+            let mut core = shared.core.lock();
+            match writable_tenant(&mut core, &tenant_id) {
+                Err(reply) => reply,
+                Ok(tenant) => {
+                    // haste-lint: allow(L2) — lockstep contract: `core` serializes shard traffic so global arrival order stays bit-identical; the child request is deadline-bounded
+                    let reply = match submit_routed(tenant, &tenant_id, spec, shared) {
+                        Ok((global, release, shard)) => {
+                            Reply::Ok(format!("task={global} release={release} shard={shard}"))
                         }
+                        Err((code, message)) => Reply::Err(code, message),
+                    };
+                    if wal_flush(tenant, shared, &tenant_id) {
+                        reply
+                    } else {
+                        wal_poisoned_reply(&tenant_id)
                     }
                 }
             }
@@ -1452,48 +1341,35 @@ fn execute<R: BufRead>(
         Request::Tick(n) => {
             let tenant_id = session.borrow().tenant.clone();
             let mut core = shared.core.lock();
-            if wal_poisoned(&core, &tenant_id) {
-                wal_poisoned_reply(&tenant_id)
-            } else {
-                match tenant_mut(&mut core, &tenant_id) {
-                    Err(reply) => reply,
-                    Ok(tenant) => {
-                        if tenant.partition.is_none() {
-                            shard_err(crate::shard::ShardError::NoScenario)
-                        } else {
-                            // The load trigger fires between slots: a cell
-                            // whose closing slot ran hot is split before the
-                            // clock moves (best effort).
-                            // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut under `core`; each child call is deadline-bounded
-                            let split = maybe_auto_split(tenant, &tenant_id, shared);
-                            let before = tenant.clock;
-                            // haste-lint: allow(L2) — the lockstep pipelines deadline-bounded TICKs across cells under `core`; interleaving another request mid-round would fork the clock
-                            let outcome = tick_lockstep(tenant, n, &shared.telemetry);
-                            // Log what actually happened — an auto-split
-                            // and every slot that closed — even when a
-                            // later step of a multi-slot TICK failed:
-                            // the clock moved for the completed steps.
-                            let closed = tenant.clock - before;
-                            let mut records = Vec::with_capacity(closed + 1);
-                            if let Some(cell) = split {
-                                records.push(WalRecord::ReshardSplit(cell));
+            match writable_tenant(&mut core, &tenant_id) {
+                Err(reply) => reply,
+                Ok(tenant) if tenant.partition.is_none() => {
+                    shard_err(crate::shard::ShardError::NoScenario)
+                }
+                Ok(tenant) => {
+                    // The load trigger fires between slots: a cell whose
+                    // closing slot ran hot is split before the clock
+                    // moves (best effort).
+                    // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut under `core`; each child call is deadline-bounded
+                    maybe_auto_split(tenant, &tenant_id, shared);
+                    // haste-lint: allow(L2) — the lockstep pipelines deadline-bounded TICKs across cells under `core`; interleaving another request mid-round would fork the clock
+                    let outcome = tick_lockstep(tenant, n, &shared.telemetry);
+                    // Log what actually happened — an auto-split and every
+                    // slot that closed — even when a later step of a
+                    // multi-slot TICK failed: the clock moved for the
+                    // completed steps.
+                    if !wal_flush(tenant, shared, &tenant_id) {
+                        wal_poisoned_reply(&tenant_id)
+                    } else {
+                        match outcome {
+                            Ok((slot, open)) => {
+                                // The slot closed cleanly — the moment the
+                                // automatic checkpoint threshold is checked.
+                                // haste-lint: allow(L2) — durability point: the automatic checkpoint must land before the TICK ack; per-cell snapshots are deadline-bounded
+                                maybe_checkpoint(tenant, shared, &tenant_id);
+                                Reply::Ok(format!("slot={slot} open={}", u8::from(open)))
                             }
-                            records.extend(std::iter::repeat_n(WalRecord::Tick, closed));
-                            if !wal_append(&mut core, shared, &tenant_id, &records) {
-                                wal_poisoned_reply(&tenant_id)
-                            } else {
-                                match outcome {
-                                    Ok((slot, open)) => {
-                                        // The slot closed cleanly — the
-                                        // moment the automatic checkpoint
-                                        // threshold is checked.
-                                        // haste-lint: allow(L2) — durability point: the automatic checkpoint must land before the TICK ack; per-cell snapshots are deadline-bounded
-                                        maybe_wal_checkpoint(&mut core, shared, &tenant_id);
-                                        Reply::Ok(format!("slot={slot} open={}", u8::from(open)))
-                                    }
-                                    Err(reply) => reply,
-                                }
-                            }
+                            Err(reply) => reply,
                         }
                     }
                 }
@@ -1592,7 +1468,7 @@ fn execute<R: BufRead>(
             let mut merged = ShardStatus::default();
             let mut down = 0u64;
             let mut saw_status = false;
-            for tenant in core.tenants.values() {
+            for tenant in core.values() {
                 for shard in &tenant.shards {
                     // haste-lint: allow(L2) — deadline-bounded STATUS? per cell; a down shard answers from its cache instead of blocking the scrape
                     if let Ok((status, health, _restarts, _replay)) = shard.status_view() {
@@ -1613,7 +1489,7 @@ fn execute<R: BufRead>(
             // series, rename them into the shard-scoped families, and
             // merge bucket-wise. A down or unparsable child contributes
             // nothing this scrape; counters resume after its rejoin.
-            for tenant in core.tenants.values() {
+            for tenant in core.values() {
                 for shard in &tenant.shards {
                     // haste-lint: allow(L2) — deadline-bounded EXPORT? per cell; a down child contributes nothing this scrape rather than wedging it
                     if let Some(Ok(document)) = shard.export_document() {
@@ -1684,40 +1560,12 @@ fn execute<R: BufRead>(
         Request::Snapshot => {
             let tenant_id = session.borrow().tenant.clone();
             let mut core = shared.core.lock();
-            let rendered = match tenant_ref(&core, &tenant_id) {
-                Err(reply) => Err(reply),
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        Err(shard_err(crate::shard::ShardError::NoScenario))
-                    } else {
-                        // haste-lint: allow(L2) — per-cell SNAP?s are deadline-bounded; `core` held so the composite is one consistent clock cut
-                        composite_snapshot(tenant, &tenant_id).map(|text| (text, tenant.quota))
-                    }
-                }
-            };
-            match rendered {
+            match tenant_mut(&mut core, &tenant_id) {
                 Err(reply) => reply,
-                Ok((text, quota)) => {
-                    // An operator SNAPSHOT doubles as a durability
-                    // checkpoint, written from the very bytes of this
-                    // reply — the `.ckpt` file and the operator's copy
-                    // can never drift.
-                    if let Some(WalHandle::Open(tenant_wal)) = core.wals.get_mut(&tenant_id) {
-                        match tenant_wal.checkpoint(&text, quota) {
-                            Ok(()) => WalTelemetry::count_checkpoint(
-                                shared.telemetry.registry(),
-                                &tenant_id,
-                            ),
-                            Err(e) => {
-                                eprintln!(
-                                    "haste-router: checkpointing tenant `{tenant_id}` failed ({e}); the tenant is now read-only"
-                                );
-                                core.wals.insert(tenant_id.clone(), WalHandle::Poisoned);
-                                return Ok((wal_poisoned_reply(&tenant_id), false));
-                            }
-                        }
-                    }
-                    Reply::Data(text)
+                // An operator SNAPSHOT doubles as a durability checkpoint.
+                Ok(tenant) => {
+                    // haste-lint: allow(L2) — per-cell SNAP?s are deadline-bounded; `core` held so the composite is one consistent clock cut
+                    checkpoint(tenant, shared, &tenant_id).map_or_else(|e| e, Reply::Data)
                 }
             }
         }
@@ -1732,59 +1580,33 @@ fn execute<R: BufRead>(
             // haste-lint: allow(L2) — per-cell RESTOREs are deadline-bounded; `core` held so no request observes a half-restored composite
             restore_composite(&mut core, shared, &payload)
         }
-        Request::ReshardSplit(cell) => {
-            let tenant_id = session.borrow().tenant.clone();
-            let mut core = shared.core.lock();
-            if wal_poisoned(&core, &tenant_id) {
-                wal_poisoned_reply(&tenant_id)
-            } else {
-                match tenant_mut(&mut core, &tenant_id) {
-                    Err(reply) => reply,
-                    Ok(tenant) => {
-                        // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut: children are rebuilt and swapped in under `core`, each child call deadline-bounded
-                        match reshard(tenant, &tenant_id, ReshardOp::Split(cell), shared) {
-                            Ok((cells, version)) => {
-                                let record = WalRecord::ReshardSplit(cell);
-                                if wal_append(&mut core, shared, &tenant_id, &[record]) {
-                                    Reply::Ok(format!("cells={cells} map={version}"))
-                                } else {
-                                    wal_poisoned_reply(&tenant_id)
-                                }
-                            }
-                            Err(reply) => reply,
-                        }
-                    }
-                }
-            }
-        }
-        Request::ReshardMerge(a, b) => {
-            let tenant_id = session.borrow().tenant.clone();
-            let mut core = shared.core.lock();
-            if wal_poisoned(&core, &tenant_id) {
-                wal_poisoned_reply(&tenant_id)
-            } else {
-                match tenant_mut(&mut core, &tenant_id) {
-                    Err(reply) => reply,
-                    Ok(tenant) => {
-                        // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut: children are rebuilt and swapped in under `core`, each child call deadline-bounded
-                        match reshard(tenant, &tenant_id, ReshardOp::Merge(a, b), shared) {
-                            Ok((cells, version)) => {
-                                let record = WalRecord::ReshardMerge(a, b);
-                                if wal_append(&mut core, shared, &tenant_id, &[record]) {
-                                    Reply::Ok(format!("cells={cells} map={version}"))
-                                } else {
-                                    wal_poisoned_reply(&tenant_id)
-                                }
-                            }
-                            Err(reply) => reply,
-                        }
-                    }
-                }
-            }
-        }
+        Request::ReshardSplit(cell) => reshard_request(shared, session, ReshardOp::Split(cell)),
+        Request::ReshardMerge(a, b) => reshard_request(shared, session, ReshardOp::Merge(a, b)),
         Request::Bye => return Ok((Reply::Ok("bye".to_string()), true)),
     };
     Ok((reply, false))
+}
+
+/// `RESHARD SPLIT`/`MERGE` on the session's tenant: the live migration,
+/// then its record's durability point.
+fn reshard_request(shared: &RouterShared, session: &RefCell<Session>, op: ReshardOp) -> Reply {
+    let tenant_id = session.borrow().tenant.clone();
+    let mut core = shared.core.lock();
+    let tenant = match writable_tenant(&mut core, &tenant_id) {
+        Ok(tenant) => tenant,
+        Err(reply) => return reply,
+    };
+    // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut: children are rebuilt and swapped in under `core`, each child call deadline-bounded
+    match reshard(tenant, &tenant_id, op, shared) {
+        Ok((cells, version)) => {
+            if wal_flush(tenant, shared, &tenant_id) {
+                Reply::Ok(format!("cells={cells} map={version}"))
+            } else {
+                wal_poisoned_reply(&tenant_id)
+            }
+        }
+        Err(reply) => reply,
+    }
 }
 
 /// Fleet-wide counter totals backing the `METRICS?` payload: the merged
@@ -1831,7 +1653,7 @@ fn fleet_totals(tenant: &TenantCore) -> Result<FleetTotals, Reply> {
 fn shards_payload(core: &RouterCore) -> Reply {
     let mut payload = String::new();
     let mut any = false;
-    for (tenant_id, tenant) in &core.tenants {
+    for (tenant_id, tenant) in core {
         let Some(partition) = tenant.partition.as_ref() else {
             continue;
         };
@@ -1925,7 +1747,7 @@ fn load_scenario_text(
     tenant.plan = plan;
     tenant.slots = scenario.grid.num_slots;
     tenant.clock = 0;
-    tenant.ops = Vec::new();
+    tenant.log = OpLog::default();
     tenant.map = RoutingMap::identity(tenant.shards.len());
     tenant.quota_used = 0;
     tenant.cell_submits = vec![0; tenant.shards.len()];
@@ -1946,11 +1768,12 @@ fn load_scenario_text(
 /// Advances one tenant's lockstep one slot at a time, releasing staged
 /// arrivals into the global order as their slots open. Down shards do
 /// not stall the fleet: each step first gives them a rejoin (restart +
-/// replay to the tenant clock), then ticks every shard, *pipelined*; a
-/// shard that is still down has the missed slot journaled so its
-/// eventual replay catches up, and fault directives for the newly opened
-/// slot mature last. Closing a slot resets the quota usage and the
-/// per-cell submission counts (they measure the closing slot only).
+/// replay to the tenant clock), then ticks every shard, *pipelined*; the
+/// step's tick record lands on the operation log either way, so a shard
+/// that is still down replays the missed slot when it rejoins, and fault
+/// directives for the newly opened slot mature last. Closing a slot
+/// resets the quota usage and the per-cell submission counts (they
+/// measure the closing slot only).
 ///
 /// **Pipelined negotiation.** The per-shard `tick1` calls of one step run
 /// concurrently on scoped `haste-parallel` threads: every [`ShardSlot`]
@@ -1977,8 +1800,12 @@ fn tick_lockstep(
         if !tenant.open() {
             break;
         }
-        for shard in &tenant.shards {
-            shard.rejoin(tenant.clock);
+        if let Some(partition) = &tenant.partition {
+            for (index, shard) in tenant.shards.iter().enumerate() {
+                shard.rejoin(tenant.clock, &tenant.log, |pos| {
+                    tenant.map.shard_of(partition.cell_of(pos)) as usize == index
+                });
+            }
         }
         let step_start = telemetry::clock_start();
         let outcomes = haste_parallel::par_map(&tenant.shards, tenant.shards.len(), |_, shard| {
@@ -1989,8 +1816,7 @@ fn tick_lockstep(
         // The join above is the consistent-cut barrier: a shard's wait is
         // the gap between its own replan finishing and the whole step.
         let step_us = telemetry::elapsed_us(step_start);
-        for (index, (shard, (outcome, replan_us))) in tenant.shards.iter().zip(outcomes).enumerate()
-        {
+        for (index, (outcome, replan_us)) in outcomes.into_iter().enumerate() {
             let cell_label = index.to_string();
             let registry = router_telemetry.registry();
             registry
@@ -2008,12 +1834,13 @@ fn tick_lockstep(
                         )));
                     }
                 }
-                Err(SlotError::Unavailable { .. }) => shard.note_missed_tick(),
+                // A down shard replays the missed slot from the log.
+                Err(SlotError::Unavailable { .. }) => {}
                 Err(e) => return Err(slot_err(e)),
             }
         }
         tenant.clock += 1;
-        tenant.ops.push(HistOp::Tick);
+        tenant.log.push(OpRecord::Tick);
         tenant.drain_plan(tenant.clock);
         tenant.quota_used = 0;
         for count in &mut tenant.cell_submits {
@@ -2030,20 +1857,17 @@ fn tick_lockstep(
 /// [`RouterConfig::split_threshold`] submissions during the closing slot,
 /// split the first such cell. Best effort — an unsplittable hot cell
 /// (too thin, a charger too close to the midline) keeps its load and the
-/// trigger re-arms next slot. Returns the cell that was actually split,
-/// if any, so the caller can journal the topology change: recovery
-/// replays the *logged* split rather than re-running this heuristic
-/// (whose per-slot submission counters don't survive a restart).
-fn maybe_auto_split(
-    tenant: &mut TenantCore,
-    tenant_id: &str,
-    shared: &RouterShared,
-) -> Option<usize> {
-    let threshold = shared.config.split_threshold?;
-    let hot = tenant.cell_submits.iter().position(|&n| n > threshold)?;
-    reshard(tenant, tenant_id, ReshardOp::Split(hot), shared)
-        .ok()
-        .map(|_| hot)
+/// trigger re-arms next slot. A completed split lands on the operation
+/// log like a `RESHARD SPLIT`: recovery replays the *logged* split
+/// rather than re-running this heuristic (whose per-slot submission
+/// counters don't survive a restart).
+fn maybe_auto_split(tenant: &mut TenantCore, tenant_id: &str, shared: &RouterShared) {
+    let Some(threshold) = shared.config.split_threshold else {
+        return;
+    };
+    if let Some(hot) = tenant.cell_submits.iter().position(|&n| n > threshold) {
+        let _ = reshard(tenant, tenant_id, ReshardOp::Split(hot), shared);
+    }
 }
 
 /// A live topology change.
@@ -2060,17 +1884,20 @@ enum ReshardOp {
 /// Phase 1 builds the replacement shard(s) *off to the side*: the new
 /// partition re-splits the loaded scenario into per-cell baselines, the
 /// affected cell(s) get fresh shards loaded with their baselines, and the
-/// tenant's accepted-operation history replays into them in arrival
-/// order (ticks tick every rebuilt child; submissions route by the *new*
-/// partition and land only in rebuilt cells). Accepted-only replay never
-/// re-rejects: a child cell's pending set is a subset of its parent's at
-/// every prefix. Any failure aborts with the live topology untouched
-/// (dropped spawned children are killed by their supervisor guard).
+/// accepted view of the tenant's operation log replays into them in
+/// arrival order (ticks tick every rebuilt child; submissions route by
+/// the *new* partition and land only in rebuilt cells). Accepted-only
+/// replay never re-rejects: a child cell's pending set is a subset of its
+/// parent's at every prefix. A rebuilt child process then takes its
+/// state as its restart baseline. Any failure aborts with the live
+/// topology untouched (dropped spawned children are killed by their
+/// supervisor guard).
 ///
 /// Phase 2 swaps atomically: surviving shards are renumbered around the
-/// rebuilt ones, the routing map bumps its version, and the per-cell
-/// submission counters reset to the new width. DESIGN.md §13 argues why
-/// the global utility is bit-identical across the swap.
+/// rebuilt ones, the routing map bumps its version, the per-cell
+/// submission counters reset to the new width, and the operation log
+/// records the change. DESIGN.md §13 argues why the global utility is
+/// bit-identical across the swap.
 fn reshard(
     tenant: &mut TenantCore,
     tenant_id: &str,
@@ -2157,25 +1984,27 @@ fn reshard(
         };
         child.load_scenario(baseline).map_err(slot_err)?;
     }
-    // Replay the accepted-operation history in arrival order. Ticks
+    // Replay the accepted view of the log in arrival order. Ticks
     // advance every rebuilt child; submissions route by the *new*
     // partition and only matter if they land in a rebuilt cell.
-    for histop in &tenant.ops {
-        match histop {
-            HistOp::Tick => {
+    for op in tenant.log.accepted() {
+        match op {
+            OpRecord::Tick => {
                 for (_, child) in &children {
                     child.tick1().map_err(slot_err)?;
                 }
             }
-            HistOp::Submit(spec) => {
+            OpRecord::Submit(spec) => {
                 let cell = new_partition.cell_of(spec.device_pos);
                 if let Some((_, child)) = children.iter().find(|(j, _)| *j == cell) {
                     child.submit(*spec).map_err(slot_err)?;
                 }
             }
+            _ => {}
         }
     }
-    // The rebuilt children must have landed exactly on the tenant clock.
+    // The rebuilt children must have landed exactly on the tenant clock;
+    // each restarts from this state, not from a view of the log.
     for (j, child) in &children {
         let (slot, _open) = child.clock().map_err(slot_err)?;
         if slot != tenant.clock {
@@ -2184,6 +2013,7 @@ fn reshard(
                 tenant.clock
             )));
         }
+        child.rebase(tenant.log.len()).map_err(slot_err)?;
     }
     // Phase 2: the atomic swap. Everything fallible already happened.
     let mut old: Vec<Option<ShardSlot>> = tenant.shards.drain(..).map(Some).collect();
@@ -2206,6 +2036,10 @@ fn reshard(
     tenant.partition = Some(new_partition);
     tenant.map = tenant.map.renumbered(new_count);
     tenant.cell_submits = vec![0; new_count];
+    tenant.log.push(match op {
+        ReshardOp::Split(cell) => OpRecord::ReshardSplit(cell),
+        ReshardOp::Merge(a, b) => OpRecord::ReshardMerge(a, b),
+    });
     tenant.counters.reshards.inc();
     TenantCounters::set_shards(shared.telemetry.registry(), tenant_id, new_count);
     Ok((new_count, tenant.map.version()))
@@ -2289,13 +2123,13 @@ fn internal(reason: &str) -> Reply {
 
 /// Serializes one tenant's consistent cut: tenancy, routing-map version,
 /// partition geometry (base grid + explicit cell rects, so post-reshard
-/// tilings round-trip), the loaded scenario, the accepted-operation
-/// history, and every shard's embedded engine snapshot. Every shard must
-/// be up and sitting on the tenant clock (a down shard's state is
-/// mid-replay by definition, so `SNAPSHOT` in degraded mode fails with
-/// `ERR unavailable`). Once the document is assembled, each section is
-/// committed as its shard's new replay baseline — never before, so a
-/// failed snapshot moves no baseline.
+/// tilings round-trip), the loaded scenario, the accepted view of the
+/// operation log, and every shard's embedded engine snapshot. Every
+/// shard must be up and sitting on the tenant clock (a down shard's
+/// state is mid-replay by definition, so `SNAPSHOT` in degraded mode
+/// fails with `ERR unavailable`). Once the document is assembled, each
+/// section is committed as its shard's new replay baseline — never
+/// before, so a failed snapshot moves no baseline.
 fn composite_snapshot(tenant: &TenantCore, tenant_id: &str) -> Result<String, Reply> {
     let (Some(partition), Some(scenario)) = (tenant.partition.as_ref(), tenant.scenario.as_ref())
     else {
@@ -2316,6 +2150,8 @@ fn composite_snapshot(tenant: &TenantCore, tenant_id: &str) -> Result<String, Re
         sections.push(shard.snapshot().map_err(slot_err)?);
     }
     let origin = partition.origin();
+    let mut ops = Vec::with_capacity(tenant.log.len());
+    ops.extend(tenant.log.accepted());
     let composite = CompositeSnapshot {
         tenant: tenant_id.to_string(),
         map_version: tenant.map.version(),
@@ -2325,7 +2161,7 @@ fn composite_snapshot(tenant: &TenantCore, tenant_id: &str) -> Result<String, Re
         halo: partition.halo(),
         cells: partition.cells().to_vec(),
         scenario: model_io::write_scenario(scenario),
-        ops: tenant.ops.clone(),
+        ops,
         shards: sections.clone(),
         order: tenant
             .order
@@ -2335,9 +2171,9 @@ fn composite_snapshot(tenant: &TenantCore, tenant_id: &str) -> Result<String, Re
     };
     let text = render_composite(&composite);
     // Commit: the cut is complete, so each section becomes its shard's
-    // replay baseline and the journals empty (bounding replay depth).
+    // replay baseline at the log's end (bounding replay depth).
     for (shard, section) in tenant.shards.iter().zip(sections) {
-        shard.checkpoint(&section);
+        shard.checkpoint(&section, tenant.log.len());
     }
     Ok(text)
 }
@@ -2365,8 +2201,9 @@ pub struct CompositeSnapshot {
     pub cells: Vec<CellRect>,
     /// The loaded scenario, in canonical `write_scenario` text.
     pub scenario: String,
-    /// The accepted-operation history since `LOAD`, in arrival order.
-    pub ops: Vec<HistOp>,
+    /// The accepted submissions and ticks since `LOAD`, in arrival
+    /// order: only [`OpRecord::Submit`] and [`OpRecord::Tick`].
+    pub ops: Vec<OpRecord>,
     /// Each shard's embedded engine snapshot document.
     pub shards: Vec<String>,
     /// Owning shard of each materialized task, in global arrival order —
@@ -2410,18 +2247,8 @@ pub fn render_composite(composite: &CompositeSnapshot) -> String {
     }
     text.push_str(&format!("ops {}\n", composite.ops.len()));
     for op in &composite.ops {
-        match op {
-            HistOp::Tick => text.push_str("tick\n"),
-            HistOp::Submit(spec) => text.push_str(&format!(
-                "submit {} {} {} {} {} {}\n",
-                spec.device_pos.x,
-                spec.device_pos.y,
-                spec.device_facing.radians(),
-                spec.end_slot,
-                spec.required_energy,
-                spec.weight
-            )),
-        }
+        text.push_str(&op.to_string());
+        text.push('\n');
     }
     for (index, snapshot) in composite.shards.iter().enumerate() {
         text.push_str(&format!("shard {index} {}\n", snapshot.lines().count()));
@@ -2449,7 +2276,7 @@ fn valid_tenant_id(id: &str) -> bool {
 /// shared by `LOAD` (empty history), `RESTORE`, and [`parse_composite`].
 fn rebuild_bookkeeping(
     scenario: &Scenario,
-    ops: &[HistOp],
+    ops: &[OpRecord],
 ) -> (Vec<Vec2>, VecDeque<(usize, Vec2)>, usize) {
     let mut order: Vec<Vec2> = scenario
         .tasks
@@ -2470,7 +2297,7 @@ fn rebuild_bookkeeping(
     let mut clock = 0usize;
     for op in ops {
         match op {
-            HistOp::Tick => {
+            OpRecord::Tick => {
                 clock += 1;
                 while let Some(&(slot, pos)) = plan.front() {
                     if slot > clock {
@@ -2480,7 +2307,8 @@ fn rebuild_bookkeeping(
                     plan.pop_front();
                 }
             }
-            HistOp::Submit(spec) => order.push(spec.device_pos),
+            OpRecord::Submit(spec) => order.push(spec.device_pos),
+            _ => {}
         }
     }
     (order, plan, clock)
@@ -2488,7 +2316,9 @@ fn rebuild_bookkeeping(
 
 /// Parses a composite router snapshot document (format v3), re-deriving
 /// the arrival-order owners from the scenario, the operation history,
-/// and the cell rects.
+/// and the cell rects. `ops` lines go through the operation log's one
+/// record parser, so they are exactly the `submit`/`tick` lines a WAL
+/// replays.
 pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
     let mut lines = text.lines();
     if lines.next() != Some(COMPOSITE_MAGIC) {
@@ -2590,31 +2420,9 @@ pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
         .map_err(|e| format!("bad embedded scenario: {e}"))?;
     let ops = counted_section(&mut lines, "ops")?
         .iter()
-        .map(|line| -> Result<HistOp, String> {
-            match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-                ["tick"] => Ok(HistOp::Tick),
-                ["submit", x, y, facing, end, energy, weight] => {
-                    let parse = |s: &str| -> Result<f64, String> {
-                        let value = s
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad op line `{line}`"))?;
-                        if !value.is_finite() {
-                            return Err(format!("non-finite value in op line `{line}`"));
-                        }
-                        Ok(value)
-                    };
-                    Ok(HistOp::Submit(TaskSpec {
-                        device_pos: Vec2::new(parse(x)?, parse(y)?),
-                        device_facing: Angle::from_radians(parse(facing)?),
-                        end_slot: end
-                            .parse::<usize>()
-                            .map_err(|_| format!("bad op line `{line}`"))?,
-                        required_energy: parse(energy)?,
-                        weight: parse(weight)?,
-                    }))
-                }
-                _ => Err(format!("bad op line `{line}`")),
-            }
+        .map(|line| match OpRecord::parse(line) {
+            Some(op @ (OpRecord::Submit(_) | OpRecord::Tick)) => Ok(op),
+            _ => Err(format!("bad op line `{line}`")),
         })
         .collect::<Result<Vec<_>, _>>()?;
     let num_shards = cells.len();
@@ -2705,8 +2513,10 @@ fn restore_composite(core: &mut RouterCore, shared: &RouterShared, payload: &str
     // starts over from a checkpoint of the restored state (this also
     // clears a poisoned log — the operator just handed us a full
     // replacement for whatever the failed log could not persist).
-    if let Err(reply) = wal_install(core, shared, &restored.tenant) {
-        return reply;
+    if let Some(tenant) = core.get_mut(&restored.tenant) {
+        if let Err(reply) = wal_install(tenant, shared, &restored.tenant) {
+            return reply;
+        }
     }
     Reply::Ok(format!(
         "slot={} open={}",
@@ -2812,7 +2622,6 @@ fn restore_composite_state(
     // is replaced, so a spawn failure aborts cleanly.
     let count = composite.shards.len();
     let matches_fleet = core
-        .tenants
         .get(&composite.tenant)
         .map(|tenant| tenant.shards.len() == count)
         .unwrap_or(false);
@@ -2824,21 +2633,20 @@ fn restore_composite_state(
                 Err(reply) => return Err(reply),
             }
         }
-        match core.tenants.get_mut(&composite.tenant) {
+        match core.get_mut(&composite.tenant) {
             Some(tenant) => tenant.shards = fresh,
             None => {
-                core.tenants.insert(
+                core.insert(
                     composite.tenant.clone(),
                     TenantCore::new(
                         fresh,
-                        None,
                         TenantCounters::for_tenant(shared.telemetry.registry(), &composite.tenant),
                     ),
                 );
             }
         }
     }
-    let Some(tenant) = core.tenants.get_mut(&composite.tenant) else {
+    let Some(tenant) = core.get_mut(&composite.tenant) else {
         return Err(internal("the restored tenant vanished mid-request"));
     };
     // Phase 2: the whole cut validated — commit it everywhere.
@@ -2848,7 +2656,7 @@ fn restore_composite_state(
         .zip(engines)
         .zip(composite.shards.iter())
     {
-        shard.install_restored(engine, snapshot);
+        shard.install_restored(engine, snapshot, composite.ops.len());
     }
     for (index, shard) in tenant.shards.iter().enumerate() {
         shard.set_cell(index);
@@ -2856,7 +2664,7 @@ fn restore_composite_state(
     tenant.partition = Some(partition);
     tenant.map = RoutingMap::at_version(composite.map_version, count);
     tenant.scenario = Some(scenario);
-    tenant.ops = composite.ops;
+    tenant.log = OpLog::new(composite.ops);
     tenant.order = order;
     tenant.plan = plan;
     tenant.slots = slots;

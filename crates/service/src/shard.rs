@@ -45,8 +45,9 @@ pub enum ShardHealth {
     /// Child process down or replaying; SUBMITs to its cell fail with
     /// `ERR unavailable` until it rejoins.
     Restarting,
-    /// Serving after at least one restart (state rebuilt from
-    /// snapshot + journal replay).
+    /// Serving after at least one restart (state rebuilt from its
+    /// baseline plus a replay of the operation-log records its cell
+    /// answered).
     Degraded,
 }
 

@@ -22,13 +22,17 @@
 //! (timeout, reset, EOF, refused reconnect) kills the child outright and
 //! marks the shard down. Recovery rebuilds the child from its last
 //! **baseline** (the `LOAD` scenario, or the engine snapshot of the last
-//! committed `SNAPSHOT`) plus the **journal** of operations the router has
-//! *acked* since: submits that got a structured reply, and one `TICK` per
-//! closed slot (including slots closed while the shard was down). Because
-//! the engine is bit-deterministic, replaying exactly the acked sequence
-//! reconstructs exactly the state the router believes the shard has — the
-//! in-flight request that triggered the failure is not in the journal, so
-//! it is dropped on both sides, and its submitter saw an error.
+//! committed `SNAPSHOT`) plus the records after the baseline's cursor in
+//! the tenant's operation log that this cell's child answered
+//! (`OpLog::answered`): submits that got a structured reply, and one
+//! `TICK` per closed slot (including slots closed while the shard was
+//! down). Because the engine is bit-deterministic, replaying exactly that
+//! sequence reconstructs exactly the state the router believes the shard
+//! has — the in-flight request that triggered the failure was logged as
+//! `unavailable`, so it is dropped on both sides, and its submitter saw
+//! an error. A child that a reshard rebuilt was fed the accepted records
+//! only, so its post-rebuild state becomes its baseline
+//! (`ShardSlot::rebase`).
 //!
 //! **Concurrency.** Every [`RemoteShard`] method takes `&self` and
 //! serializes through the shard's own mutex, so the router's pipelined
@@ -37,7 +41,7 @@
 //! deadline, and nothing is shared across children but the launcher
 //! configuration. The consistent-cut argument lives at the call site
 //! ([`crate::serve_router`]'s tick) — the supervisor's only contract here
-//! is that a shard's journal and connection are never touched by two
+//! is that a shard's baseline and connection are never touched by two
 //! requests at once.
 
 use std::collections::BTreeSet;
@@ -48,10 +52,12 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::Duration;
 
 use haste_distributed::{OnlineConfig, TaskSpec};
+use haste_geometry::Vec2;
 use haste_model::{Scenario, Schedule, TaskId};
 use parking_lot::Mutex;
 
 use crate::client::{Client, ClientError};
+use crate::oplog::{OpLog, OpRecord};
 use crate::proto::ErrCode;
 use crate::shard::{Shard, ShardError, ShardHealth, ShardStatus, UtilityParts};
 use crate::telemetry::SupervisorCounters;
@@ -71,7 +77,8 @@ pub struct ProcessShardConfig {
     pub shardd: Option<PathBuf>,
     /// Per-request deadline on supervisor → child calls; `None` uses
     /// [`DEFAULT_SHARD_DEADLINE`]. A request exceeding it counts as a
-    /// crash: the child is killed and restarted from baseline + journal.
+    /// crash: the child is killed and restarted from its baseline plus
+    /// the operation-log records its cell answered since.
     pub deadline: Option<Duration>,
     /// Deterministic fault-injection schedule, for chaos testing.
     pub fault_plan: Option<FaultPlan>,
@@ -534,22 +541,14 @@ fn remote_err(code: &str, message: String) -> SlotError {
     }
 }
 
-/// The baseline a restarted child is rebuilt from, before journal replay.
+/// The baseline a restarted child is rebuilt from, before it replays the
+/// operation-log records after the baseline's cursor.
 enum Baseline {
     /// The cell's sub-scenario, as loaded (no snapshot committed yet).
     Scenario(Box<Scenario>),
-    /// The cell's engine snapshot from the last committed `SNAPSHOT`.
+    /// The cell's engine snapshot from the last committed `SNAPSHOT`,
+    /// `RESTORE`, or reshard rebuild.
     Snapshot(String),
-}
-
-/// One acked operation to replay after the baseline.
-enum JournalOp {
-    /// A submission the child gave a structured reply for (admitted *or*
-    /// rejected — rejections are replayed so admission counters and
-    /// backpressure state reproduce exactly).
-    Submit(TaskSpec),
-    /// One closed slot — acked, or missed while the shard was down.
-    Tick,
 }
 
 /// Supervised state of one out-of-process shard.
@@ -566,7 +565,9 @@ struct RemoteInner {
     restarts: u64,
     replayed: u64,
     baseline: Option<Baseline>,
-    journal: Vec<JournalOp>,
+    /// Length of the tenant's operation log when `baseline` was taken:
+    /// a rejoin replays the records from here on.
+    cursor: usize,
     /// Last observed status, served while the shard is down.
     cached: ShardStatus,
     /// Per-cell fault counters in the router's metric registry.
@@ -574,8 +575,8 @@ struct RemoteInner {
 }
 
 /// One out-of-process shard: a supervised child daemon plus the baseline
-/// and journal that make its death recoverable. All methods are `&self`
-/// (interior mutex), mirroring [`Shard`].
+/// and log cursor that make its death recoverable. All methods are
+/// `&self` (interior mutex), mirroring [`Shard`].
 pub(crate) struct RemoteShard {
     /// The cell this shard currently owns. Atomic because elastic
     /// resharding renumbers cells while other connections may be
@@ -607,7 +608,7 @@ impl RemoteShard {
                     restarts: 0,
                     replayed: 0,
                     baseline: None,
-                    journal: Vec::new(),
+                    cursor: 0,
                     cached: ShardStatus::default(),
                     counters,
                 }),
@@ -642,64 +643,19 @@ impl RemoteShard {
         inner.pending = remaining;
     }
 
-    /// Routes one submission to the child. Both outcomes with a
-    /// structured reply are journaled (see [`JournalOp::Submit`]); a
-    /// transport failure kills the child and drops the spec on both sides.
+    /// Routes one submission to the child. A transport failure kills the
+    /// child; the router logs the submission as `unavailable`, so it is
+    /// dropped on both sides.
     pub(crate) fn submit(&self, spec: TaskSpec) -> Result<(TaskId, usize), SlotError> {
-        let mut locked = self.inner.lock();
-        let inner = &mut *locked;
-        self.guard(inner)?;
-        // haste-lint: allow(L2) — reconnect is bounded by the child deadline (armed before the greeting); the cell mutex must stay held so reconnect/request/journal stay atomic
-        self.ensure_conn(inner)?;
-        let outcome = match inner.conn.as_mut() {
-            // haste-lint: allow(L2) — deadline-bounded child request; serializing this cell's request/journal sequence is the mutex's purpose
-            Some(conn) => conn.submit(&spec),
-            None => return Err(self.fail(inner, "no connection".to_string())),
-        };
-        match outcome {
-            Ok(ok) => {
-                inner.journal.push(JournalOp::Submit(spec));
-                Ok(ok)
-            }
-            Err(ClientError::Server { code, message }) => {
-                inner.journal.push(JournalOp::Submit(spec));
-                Err(remote_err(&code, message))
-            }
-            Err(e) => Err(self.crash(inner, "SUBMIT", &e)),
-        }
+        self.call("SUBMIT", |conn| conn.submit(&spec))
     }
 
-    /// Closes one slot on the child; journals the tick on success.
-    ///
-    /// The pipelined lockstep calls this concurrently across *different*
-    /// shards (one in-flight request per child, each under its own
-    /// deadline); the per-shard mutex below is what keeps any single
-    /// child's request/journal sequence serial.
+    /// Closes one slot on the child. The pipelined lockstep calls this
+    /// concurrently across *different* shards (one in-flight request per
+    /// child, each under its own deadline); the per-shard mutex keeps any
+    /// single child's requests serial.
     pub(crate) fn tick1(&self) -> Result<(usize, bool), SlotError> {
-        let mut locked = self.inner.lock();
-        let inner = &mut *locked;
-        self.guard(inner)?;
-        // haste-lint: allow(L2) — reconnect is bounded by the child deadline; the lockstep holds one cell mutex per in-flight tick, never two
-        self.ensure_conn(inner)?;
-        let outcome = match inner.conn.as_mut() {
-            // haste-lint: allow(L2) — deadline-bounded TICK; the per-shard mutex is what keeps this child's request/journal sequence serial (see doc above)
-            Some(conn) => conn.tick(1),
-            None => return Err(self.fail(inner, "no connection".to_string())),
-        };
-        match outcome {
-            Ok(ok) => {
-                inner.journal.push(JournalOp::Tick);
-                Ok(ok)
-            }
-            Err(ClientError::Server { code, message }) => Err(remote_err(&code, message)),
-            Err(e) => Err(self.crash(inner, "TICK", &e)),
-        }
-    }
-
-    /// Records a slot the router closed while this shard was down, so the
-    /// rejoin replay advances the restarted child to the router's clock.
-    pub(crate) fn note_missed_tick(&self) {
-        self.inner.lock().journal.push(JournalOp::Tick);
+        self.call("TICK", |conn| conn.tick(1))
     }
 
     /// The child's clock, per [`Shard::clock`].
@@ -728,70 +684,56 @@ impl RemoteShard {
         self.call("EXPORT?", |conn| conn.export())
     }
 
-    /// Sets the load baseline and pushes the sub-scenario to the child.
-    /// A transport failure leaves the shard down with the baseline in
-    /// place: the first `TICK`'s rejoin pass loads it into a fresh child.
+    /// Sets the load baseline (log cursor 0: `LOAD` starts the tenant's
+    /// log afresh) and pushes the sub-scenario to the child. A transport
+    /// failure leaves the shard down with the baseline in place: the
+    /// first `TICK`'s rejoin pass loads it into a fresh child.
     pub(crate) fn load_scenario(&self, cell: &Scenario) -> Result<(), SlotError> {
-        let mut locked = self.inner.lock();
-        let inner = &mut *locked;
+        let mut inner = self.inner.lock();
         inner.baseline = Some(Baseline::Scenario(Box::new(cell.clone())));
-        inner.journal.clear();
-        self.guard(inner)?;
-        // haste-lint: allow(L2) — deadline-bounded reconnect; baseline swap and child load must commit under one guard
-        self.ensure_conn(inner)?;
-        let outcome = match inner.conn.as_mut() {
-            // haste-lint: allow(L2) — deadline-bounded LOAD; a concurrent request between baseline swap and load would observe a half-reset cell
-            Some(conn) => conn.load(cell),
-            None => return Err(self.fail(inner, "no connection".to_string())),
-        };
-        match outcome {
-            Ok(()) => Ok(()),
-            Err(ClientError::Server { code, message }) => Err(remote_err(&code, message)),
-            Err(e) => Err(self.crash(inner, "LOAD", &e)),
-        }
+        inner.cursor = 0;
+        // haste-lint: allow(L2) — deadline-bounded LOAD; a concurrent request between baseline swap and load would observe a half-reset cell
+        self.request(&mut inner, "LOAD", |conn| conn.load(cell))
     }
 
-    /// Sets the snapshot baseline and pushes it to the child. Any failure
-    /// — transport *or* a structured rejection of a snapshot the router
-    /// already validated — kills the child: the baseline is committed, so
-    /// the rejoin pass rebuilds from it and no divergence can survive.
-    pub(crate) fn restore_snapshot(&self, text: &str) {
-        let mut locked = self.inner.lock();
-        let inner = &mut *locked;
+    /// Sets the snapshot baseline at log cursor `cursor` and pushes it to
+    /// the child. Any failure — transport *or* a structured rejection of
+    /// a snapshot the router already validated — kills the child: the
+    /// baseline is committed, so the rejoin pass rebuilds from it and no
+    /// divergence can survive.
+    pub(crate) fn restore_snapshot(&self, text: &str, cursor: usize) {
+        let mut inner = self.inner.lock();
         inner.baseline = Some(Baseline::Snapshot(text.to_string()));
-        inner.journal.clear();
-        // haste-lint: allow(L2) — deadline-bounded reconnect; baseline swap and child restore must commit under one guard
-        if self.guard(inner).is_err() || self.ensure_conn(inner).is_err() {
-            return;
-        }
-        let outcome = match inner.conn.as_mut() {
-            // haste-lint: allow(L2) — deadline-bounded RESTORE; divergence control requires no request lands between baseline swap and restore
-            Some(conn) => conn.restore(text).map(|_| ()),
-            None => {
-                let _ = self.fail(inner, "no connection".to_string());
-                return;
-            }
-        };
-        if let Err(e) = outcome {
-            let _ = self.crash(inner, "RESTORE", &e);
+        inner.cursor = cursor;
+        // haste-lint: allow(L2) — deadline-bounded RESTORE; divergence control requires no request lands between baseline swap and restore
+        let restored = self.request(&mut inner, "RESTORE", |conn| conn.restore(text));
+        if let Err(SlotError::Remote { code, message }) = restored {
+            let _ = self.fail(&mut inner, format!("RESTORE: {} {message}", code.as_str()));
         }
     }
 
-    /// Commits a checkpoint: the shard's engine snapshot from a completed
-    /// composite `SNAPSHOT` becomes the new baseline and the journal
-    /// empties (bounding future replay depth). Only called once *every*
-    /// shard produced its section — a partially assembled composite must
-    /// not move any baseline.
-    pub(crate) fn checkpoint(&self, snapshot: String) {
+    /// Commits a checkpoint: the shard's engine snapshot becomes the new
+    /// baseline at log cursor `cursor`, bounding future replay depth.
+    /// Only called once *every* shard produced its section of a composite
+    /// `SNAPSHOT` — a partially assembled composite must not move any
+    /// baseline.
+    pub(crate) fn checkpoint(&self, snapshot: String, cursor: usize) {
         let mut inner = self.inner.lock();
         inner.baseline = Some(Baseline::Snapshot(snapshot));
-        inner.journal.clear();
+        inner.cursor = cursor;
     }
 
-    /// Restarts a down shard and replays baseline + journal. Returns
-    /// whether the shard is up afterwards; on failure it stays down and
-    /// the next rejoin pass retries.
-    pub(crate) fn rejoin(&self, target_clock: usize) -> bool {
+    /// Restarts a down shard and replays its baseline plus the records of
+    /// `log` after its cursor that its cell answered (`owns` tests a
+    /// position against the cell). Returns whether the shard is up
+    /// afterwards; on failure it stays down and the next rejoin pass
+    /// retries.
+    pub(crate) fn rejoin(
+        &self,
+        target_clock: usize,
+        log: &OpLog,
+        owns: impl Fn(Vec2) -> bool,
+    ) -> bool {
         let mut locked = self.inner.lock();
         let inner = &mut *locked;
         if inner.down.is_none() {
@@ -807,18 +749,14 @@ impl RemoteShard {
                 return false;
             }
         };
+        let ops: Vec<&OpRecord> = log.answered(inner.cursor, owns).collect();
         // haste-lint: allow(L2) — every replayed request runs under the fresh child's deadline; the cell must stay owned until the rebuilt state is verified
-        match replay_into(
-            &mut conn,
-            inner.baseline.as_ref(),
-            &inner.journal,
-            target_clock,
-        ) {
+        match replay_into(&mut conn, inner.baseline.as_ref(), &ops, target_clock) {
             Ok(()) => {
                 inner.restarts += 1;
-                inner.replayed += inner.journal.len() as u64;
+                inner.replayed += ops.len() as u64;
                 inner.counters.restarts.inc();
-                inner.counters.replays.add(inner.journal.len() as u64);
+                inner.counters.replays.add(ops.len() as u64);
                 inner.child = Some(child);
                 inner.conn = Some(conn);
                 inner.down = None;
@@ -837,7 +775,7 @@ impl RemoteShard {
     pub(crate) fn status_view(&self) -> (ShardStatus, ShardHealth, u64, u64) {
         let mut locked = self.inner.lock();
         let inner = &mut *locked;
-        // haste-lint: allow(L2) — deadline-bounded reconnect; status must not interleave with a journaled request on the same cell
+        // haste-lint: allow(L2) — deadline-bounded reconnect; status must not interleave with another request on the same cell
         if inner.down.is_none() && self.guard(inner).is_ok() && self.ensure_conn(inner).is_ok() {
             let fetched = match inner.conn.as_mut() {
                 // haste-lint: allow(L2) — deadline-bounded STATUS?; a timeout downgrades to cached state instead of wedging METRICS?
@@ -933,16 +871,25 @@ impl RemoteShard {
         }
     }
 
-    /// One non-journaled request through the guard/reconnect/fail path.
+    /// One request through the guard/reconnect/fail path.
     fn call<T>(
         &self,
         what: &str,
         request: impl FnOnce(&mut Client) -> Result<T, ClientError>,
     ) -> Result<T, SlotError> {
-        let mut locked = self.inner.lock();
-        let inner = &mut *locked;
+        let mut inner = self.inner.lock();
+        // haste-lint: allow(L2) — deadline-bounded request; the guard/reconnect/fail sequence must be atomic per cell
+        self.request(&mut inner, what, request)
+    }
+
+    /// [`RemoteShard::call`] under a lock the caller already holds.
+    fn request<T>(
+        &self,
+        inner: &mut RemoteInner,
+        what: &str,
+        request: impl FnOnce(&mut Client) -> Result<T, ClientError>,
+    ) -> Result<T, SlotError> {
         self.guard(inner)?;
-        // haste-lint: allow(L2) — deadline-bounded reconnect; the guard/reconnect/fail sequence must be atomic per cell
         self.ensure_conn(inner)?;
         let outcome = match inner.conn.as_mut() {
             Some(conn) => request(conn),
@@ -956,12 +903,12 @@ impl RemoteShard {
     }
 }
 
-/// Rebuilds a fresh child from baseline + journal and verifies it landed
-/// on the router's clock.
+/// Rebuilds a fresh child from its baseline plus the replayed records
+/// and verifies it landed on the router's clock.
 fn replay_into(
     conn: &mut Client,
     baseline: Option<&Baseline>,
-    journal: &[JournalOp],
+    ops: &[&OpRecord],
     target_clock: usize,
 ) -> Result<(), String> {
     match baseline {
@@ -976,18 +923,19 @@ fn replay_into(
                 .map_err(|e| format!("baseline RESTORE: {e}"))?;
         }
     }
-    for op in journal {
+    for op in ops {
         match op {
-            JournalOp::Submit(spec) => match conn.submit(spec) {
+            OpRecord::Submit(spec) | OpRecord::Reject { spec, .. } => match conn.submit(spec) {
                 Ok(_) => {}
-                // A journaled rejection replays as the same deterministic
-                // rejection; only transport failures abort the replay.
+                // A replayed refusal is refused again, deterministically;
+                // only transport failures abort the replay.
                 Err(ClientError::Server { .. }) => {}
-                Err(e) => return Err(format!("journal SUBMIT: {e}")),
+                Err(e) => return Err(format!("replayed SUBMIT: {e}")),
             },
-            JournalOp::Tick => {
-                conn.tick(1).map_err(|e| format!("journal TICK: {e}"))?;
+            OpRecord::Tick => {
+                conn.tick(1).map_err(|e| format!("replayed TICK: {e}"))?;
             }
+            _ => {}
         }
     }
     let (clock, _open) = conn
@@ -1105,22 +1053,40 @@ impl ShardSlot {
 
     /// Installs one validated restore target (the commit half of the
     /// router's two-phase `RESTORE`): the engine for a local shard, the
-    /// snapshot text for a remote one.
-    pub(crate) fn install_restored(&self, engine: haste_distributed::OnlineEngine, text: &str) {
+    /// snapshot text — a baseline at log cursor `cursor` — for a remote
+    /// one.
+    pub(crate) fn install_restored(
+        &self,
+        engine: haste_distributed::OnlineEngine,
+        text: &str,
+        cursor: usize,
+    ) {
         match self {
             ShardSlot::Local(shard) => {
                 shard.install(engine);
             }
-            ShardSlot::Remote(shard) => shard.restore_snapshot(text),
+            ShardSlot::Remote(shard) => shard.restore_snapshot(text, cursor),
         }
     }
 
-    /// Commits a checkpoint after a completed composite `SNAPSHOT`
-    /// (no-op for in-process shards, which need no replay).
-    pub(crate) fn checkpoint(&self, snapshot: &str) {
+    /// Commits a checkpoint at log cursor `cursor` after a completed
+    /// composite `SNAPSHOT` (no-op for in-process shards, which need no
+    /// replay).
+    pub(crate) fn checkpoint(&self, snapshot: &str, cursor: usize) {
         if let ShardSlot::Remote(shard) = self {
-            shard.checkpoint(snapshot.to_string());
+            shard.checkpoint(snapshot.to_string(), cursor);
         }
+    }
+
+    /// Makes a child's current state its baseline at log cursor
+    /// `cursor` — for a child a reshard just rebuilt: it was fed only the
+    /// accepted records, which no per-cell view of the log reproduces
+    /// (no-op for in-process shards).
+    pub(crate) fn rebase(&self, cursor: usize) -> Result<(), SlotError> {
+        if let ShardSlot::Remote(shard) = self {
+            shard.checkpoint(shard.snapshot()?, cursor);
+        }
+        Ok(())
     }
 
     pub(crate) fn status_view(&self) -> Result<(ShardStatus, ShardHealth, u64, u64), SlotError> {
@@ -1152,16 +1118,9 @@ impl ShardSlot {
     }
 
     /// Restarts a down remote shard (no-op when up or in-process).
-    pub(crate) fn rejoin(&self, target_clock: usize) {
+    pub(crate) fn rejoin(&self, target_clock: usize, log: &OpLog, owns: impl Fn(Vec2) -> bool) {
         if let ShardSlot::Remote(shard) = self {
-            shard.rejoin(target_clock);
-        }
-    }
-
-    /// Journals a slot closed while the shard was down (remote only).
-    pub(crate) fn note_missed_tick(&self) {
-        if let ShardSlot::Remote(shard) = self {
-            shard.note_missed_tick();
+            shard.rejoin(target_clock, log, owns);
         }
     }
 

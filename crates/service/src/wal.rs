@@ -2,10 +2,14 @@
 //! write-ahead log plus checkpoint files, written under
 //! `routerd --wal-dir DIR`.
 //!
-//! Every client-visible mutation of a tenant appends one record — an
-//! accepted or rejected `SUBMIT` (batch records individually), a `TICK`
-//! slot close, a `RESHARD` split/merge, a `TENANT` quota change — in the
-//! exact order the router applied it (the router lock serializes both).
+//! The log is the durable sink of the tenant's operation log (the
+//! router's `OpLog`): each request appends, in one write, the records
+//! it pushed there — an accepted or rejected `SUBMIT` (batch records
+//! individually), a `TICK` slot close, a `RESHARD` split/merge, a
+//! `TENANT` quota change — in the exact order the router applied them
+//! (the router lock serializes both), written by the one record codec
+//! (`OpRecord`'s `Display` and [`OpRecord::parse`]) that the composite
+//! `ops` section uses too.
 //! `LOAD` and `RESTORE` do not append; they write a **checkpoint**: the
 //! tenant's composite v3 snapshot document (the same
 //! [`crate::render_composite`] bytes the operator-facing `SNAPSHOT` verb
@@ -32,8 +36,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use haste_distributed::TaskSpec;
-use haste_geometry::{Angle, Vec2};
+use crate::oplog::OpRecord;
+
+/// The WAL's name for an [`OpRecord`]: each log frame's payload is one
+/// record line.
+pub use crate::oplog::OpRecord as WalRecord;
 
 /// First bytes of every log file; a file that does not start with this
 /// header is treated as having no valid records at all.
@@ -104,116 +111,6 @@ impl WalConfig {
     }
 }
 
-/// One logged operation. Render/parse round-trip exactly: floats use
-/// shortest-roundtrip formatting, the same determinism anchor as the
-/// wire protocol and the snapshot formats.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
-    /// An accepted submission, with the spec as admitted.
-    Submit(TaskSpec),
-    /// A rejected submission: the stable error-code token and the spec.
-    /// Rejections never mutated engine state, so recovery skips them;
-    /// they are logged so the admission decision itself is durable.
-    Reject {
-        /// Stable error code of the rejection (see [`crate::proto::ErrCode`]).
-        code: String,
-        /// The refused submission.
-        spec: TaskSpec,
-    },
-    /// One closed slot.
-    Tick,
-    /// A completed live split of one cell.
-    ReshardSplit(usize),
-    /// A completed live merge of two cells.
-    ReshardMerge(usize, usize),
-    /// The tenant's per-slot admission quota was set to this value.
-    Quota(u64),
-    /// A checkpoint marker: the CRC-32 and byte length of a checkpoint
-    /// document about to be installed. Appended and fsynced *before* the
-    /// checkpoint file's atomic rename, so a crash anywhere between the
-    /// rename and the log truncation cannot replay a stale tail: recovery
-    /// replays only records after the last marker matching the on-disk
-    /// checkpoint, and a marker matching nothing (the rename never
-    /// happened) replays as a no-op.
-    Checkpoint {
-        /// [`crc32`] of the checkpoint document's bytes.
-        crc: u32,
-        /// Byte length of the checkpoint document.
-        len: usize,
-    },
-}
-
-impl WalRecord {
-    /// The operation line this record serializes to.
-    pub fn render(&self) -> String {
-        match self {
-            WalRecord::Submit(spec) => format!("submit {}", spec_fields(spec)),
-            WalRecord::Reject { code, spec } => {
-                format!("reject {code} {}", spec_fields(spec))
-            }
-            WalRecord::Tick => "tick".to_string(),
-            WalRecord::ReshardSplit(cell) => format!("reshard split {cell}"),
-            WalRecord::ReshardMerge(a, b) => format!("reshard merge {a} {b}"),
-            WalRecord::Quota(q) => format!("quota {q}"),
-            WalRecord::Checkpoint { crc, len } => format!("checkpoint {crc} {len}"),
-        }
-    }
-
-    /// Parses one operation line; `None` on anything malformed.
-    pub fn parse(line: &str) -> Option<WalRecord> {
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        match fields.as_slice() {
-            ["submit", rest @ ..] => Some(WalRecord::Submit(parse_spec(rest)?)),
-            ["reject", code, rest @ ..] => {
-                if code.is_empty() {
-                    return None;
-                }
-                Some(WalRecord::Reject {
-                    code: (*code).to_string(),
-                    spec: parse_spec(rest)?,
-                })
-            }
-            ["tick"] => Some(WalRecord::Tick),
-            ["reshard", "split", cell] => Some(WalRecord::ReshardSplit(cell.parse().ok()?)),
-            ["reshard", "merge", a, b] => {
-                Some(WalRecord::ReshardMerge(a.parse().ok()?, b.parse().ok()?))
-            }
-            ["quota", q] => Some(WalRecord::Quota(q.parse().ok()?)),
-            ["checkpoint", crc, len] => Some(WalRecord::Checkpoint {
-                crc: crc.parse().ok()?,
-                len: len.parse().ok()?,
-            }),
-            _ => None,
-        }
-    }
-}
-
-/// The six submission fields in wire `SUBMIT` order.
-fn spec_fields(spec: &TaskSpec) -> String {
-    format!(
-        "{} {} {} {} {} {}",
-        spec.device_pos.x,
-        spec.device_pos.y,
-        spec.device_facing.radians(),
-        spec.end_slot,
-        spec.required_energy,
-        spec.weight
-    )
-}
-
-fn parse_spec(fields: &[&str]) -> Option<TaskSpec> {
-    match fields {
-        [x, y, facing, end, energy, weight] => Some(TaskSpec {
-            device_pos: Vec2::new(x.parse().ok()?, y.parse().ok()?),
-            device_facing: Angle::from_radians(facing.parse().ok()?),
-            end_slot: end.parse().ok()?,
-            required_energy: energy.parse().ok()?,
-            weight: weight.parse().ok()?,
-        }),
-        _ => None,
-    }
-}
-
 // ----------------------------------------------------------------------
 // CRC32 (IEEE 802.3, the zlib/PNG polynomial), hand-rolled: the
 // workspace builds fully offline.
@@ -267,7 +164,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 #[derive(Debug)]
 pub struct WalScan {
     /// Records of the valid prefix, in append order.
-    pub records: Vec<WalRecord>,
+    pub records: Vec<OpRecord>,
     /// Byte length of the valid prefix. Equal to the input length when
     /// the whole log is valid; `0` when even the header is wrong.
     pub valid_len: usize,
@@ -316,7 +213,7 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
         let Ok(line) = std::str::from_utf8(payload) else {
             break Some(format!("non-UTF-8 payload at byte {offset}"));
         };
-        let Some(record) = WalRecord::parse(line.trim_end()) else {
+        let Some(record) = OpRecord::parse(line.trim_end()) else {
             break Some(format!(
                 "unparsable record `{}` at byte {offset}",
                 line.trim_end()
@@ -426,10 +323,10 @@ impl TenantWal {
     /// Appends records without fsyncing (the caller decides the sync
     /// point from the [`WalSync`] policy). One `write_all` per call, so
     /// a batch tears at most once.
-    pub fn append(&mut self, records: &[WalRecord]) -> io::Result<()> {
+    pub fn append(&mut self, records: &[OpRecord]) -> io::Result<()> {
         let mut bytes = Vec::new();
         for record in records {
-            bytes.extend_from_slice(&frame(record.render().as_bytes()));
+            bytes.extend_from_slice(&frame(record.to_string().as_bytes()));
         }
         self.file.write_all(&bytes)?;
         self.ops_since_checkpoint += records.len();
@@ -448,7 +345,7 @@ impl TenantWal {
     /// not carry. Recovery from the resulting pair replays nothing.
     ///
     /// Crash-safe in three ordered steps, each durable before the next
-    /// starts: (1) a [`WalRecord::Checkpoint`] marker naming the document
+    /// starts: (1) a [`OpRecord::Checkpoint`] marker naming the document
     /// by CRC and length is appended and fsynced, (2) the document is
     /// written to a temp file, fsynced, atomically renamed over the
     /// `.ckpt` path, and the directory fsynced, (3) the log truncates and
@@ -457,7 +354,7 @@ impl TenantWal {
     /// before it; a crash before (2) leaves the old checkpoint, and the
     /// marker (matching nothing) replays as a no-op.
     pub fn checkpoint(&mut self, composite: &str, quota: Option<u64>) -> io::Result<()> {
-        self.append(&[WalRecord::Checkpoint {
+        self.append(&[OpRecord::Checkpoint {
             crc: crc32(composite.as_bytes()),
             len: composite.len(),
         }])?;
@@ -478,7 +375,7 @@ impl TenantWal {
         self.file.seek(io::SeekFrom::Start(0))?;
         let mut reseed = WAL_MAGIC.to_vec();
         if let Some(q) = quota {
-            reseed.extend_from_slice(&frame(WalRecord::Quota(q).render().as_bytes()));
+            reseed.extend_from_slice(&frame(OpRecord::Quota(q).to_string().as_bytes()));
         }
         self.file.write_all(&reseed)?;
         self.ops_since_checkpoint = 0;
@@ -494,11 +391,11 @@ pub struct RecoveredTenant {
     /// The checkpoint's composite snapshot document.
     pub checkpoint: String,
     /// The valid log records appended after that checkpoint: everything
-    /// past the last [`WalRecord::Checkpoint`] marker matching the
+    /// past the last [`OpRecord::Checkpoint`] marker matching the
     /// checkpoint document, or the whole valid prefix if no marker
     /// matches (the log was already truncated, or the crash landed
     /// before the checkpoint's rename).
-    pub tail: Vec<WalRecord>,
+    pub tail: Vec<OpRecord>,
     /// Byte length of the valid log prefix (the file is truncated to
     /// this before appends resume).
     pub valid_len: usize,
@@ -551,7 +448,7 @@ pub fn recover_dir(dir: &Path) -> io::Result<Vec<RecoveredTenant>> {
         // actually begins.
         let ckpt_crc = crc32(checkpoint.as_bytes());
         let cut = scan.records.iter().rposition(
-            |record| matches!(record, WalRecord::Checkpoint { crc, len } if *crc == ckpt_crc && *len == checkpoint.len()),
+            |record| matches!(record, OpRecord::Checkpoint { crc, len } if *crc == ckpt_crc && *len == checkpoint.len()),
         );
         let tail = match cut {
             Some(marker) => scan.records.get(marker + 1..).unwrap_or(&[]).to_vec(),
@@ -571,6 +468,9 @@ pub fn recover_dir(dir: &Path) -> io::Result<Vec<RecoveredTenant>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::ErrCode;
+    use haste_distributed::TaskSpec;
+    use haste_geometry::{Angle, Vec2};
 
     fn spec(x: f64) -> TaskSpec {
         TaskSpec {
@@ -587,7 +487,7 @@ mod tests {
             WalRecord::Quota(12),
             WalRecord::Submit(spec(30.75)),
             WalRecord::Reject {
-                code: "overload".to_string(),
+                code: ErrCode::Overload,
                 spec: spec(130.5),
             },
             WalRecord::Tick,
@@ -612,8 +512,8 @@ mod tests {
     #[test]
     fn records_roundtrip_through_render_and_parse() {
         for record in sample_records() {
-            let line = record.render();
-            assert_eq!(WalRecord::parse(&line), Some(record.clone()), "{line}");
+            let line = record.to_string();
+            assert_eq!(WalRecord::parse(&line), Some(record), "{line}");
         }
         // Shortest-roundtrip floats survive exactly, including awkward ones.
         let awkward = WalRecord::Submit(TaskSpec {
@@ -623,7 +523,16 @@ mod tests {
             required_energy: f64::MIN_POSITIVE,
             weight: 1.0 / 3.0,
         });
-        assert_eq!(WalRecord::parse(&awkward.render()), Some(awkward));
+        assert_eq!(WalRecord::parse(&awkward.to_string()), Some(awkward));
+        // A refusal records the spec as sent, non-finite fields included.
+        let refused = WalRecord::Reject {
+            code: ErrCode::BadTask,
+            spec: TaskSpec {
+                required_energy: f64::INFINITY,
+                ..spec(1.0)
+            },
+        };
+        assert_eq!(WalRecord::parse(&refused.to_string()), Some(refused));
     }
 
     #[test]
@@ -636,6 +545,14 @@ mod tests {
             "submit a 2 3 4 5 6",
             "reject",
             "reject overload 1 2 3 4 5",
+            "reject no-such-code 1 2 3 4 5 6",
+            // Admission never accepts a non-finite field, so neither
+            // does the parser: a replayed submit is one the front door
+            // and `RESTORE` would take.
+            "submit 40 50 NaN 11 1000 1",
+            "submit inf 50 0 11 1000 1",
+            "submit 40 50 0 11 NaN 1",
+            "submit 40 50 0 11 1000 -inf",
             "tick 2",
             "reshard",
             "reshard split",
@@ -667,7 +584,7 @@ mod tests {
     fn log_image(records: &[WalRecord]) -> Vec<u8> {
         let mut bytes = WAL_MAGIC.to_vec();
         for record in records {
-            bytes.extend_from_slice(&frame(record.render().as_bytes()));
+            bytes.extend_from_slice(&frame(record.to_string().as_bytes()));
         }
         bytes
     }
@@ -690,7 +607,7 @@ mod tests {
         let mut boundaries = vec![WAL_MAGIC.len()];
         let mut offset = WAL_MAGIC.len();
         for record in &records {
-            offset += 8 + record.render().len();
+            offset += 8 + record.to_string().len();
             boundaries.push(offset);
         }
         assert_eq!(offset, bytes.len());
@@ -739,7 +656,7 @@ mod tests {
                 let mut offset = WAL_MAGIC.len();
                 let mut frame_index = records.len();
                 for (index, record) in records.iter().enumerate() {
-                    let end = offset + 8 + record.render().len();
+                    let end = offset + 8 + record.to_string().len();
                     if bit / 8 < end {
                         frame_index = index;
                         break;
@@ -767,9 +684,9 @@ mod tests {
         let clean_len = bytes.len();
         // A half record followed by a whole valid one: the torn frame
         // ends the valid prefix, the valid-looking tail never counts.
-        let torn = frame(WalRecord::Tick.render().as_bytes());
+        let torn = frame(WalRecord::Tick.to_string().as_bytes());
         bytes.extend_from_slice(&torn[..5]);
-        bytes.extend_from_slice(&frame(WalRecord::Quota(3).render().as_bytes()));
+        bytes.extend_from_slice(&frame(WalRecord::Quota(3).to_string().as_bytes()));
         let scan = scan_wal(&bytes);
         assert_eq!(scan.records, records[..3]);
         assert_eq!(scan.valid_len, clean_len);
@@ -780,7 +697,7 @@ mod tests {
         let mut bytes = log_image(&records[..2]);
         let clean_len = bytes.len();
         bytes.extend_from_slice(&frame(b"definitely not an op"));
-        bytes.extend_from_slice(&frame(WalRecord::Tick.render().as_bytes()));
+        bytes.extend_from_slice(&frame(WalRecord::Tick.to_string().as_bytes()));
         let scan = scan_wal(&bytes);
         assert_eq!(scan.records, records[..2]);
         assert_eq!(scan.valid_len, clean_len);

@@ -366,3 +366,41 @@ fn snapshot_replies_and_checkpoints_share_one_render_path() {
     client.bye().unwrap();
     router.shutdown();
 }
+
+#[test]
+fn a_logged_non_finite_submit_truncates_and_the_tenant_survives_restarts() {
+    let dir = scratch("nonfinite");
+    let router = serve_router(durable_config(&dir)).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.load(&partitionable_scenario(67)).unwrap();
+    drive_span(&mut client, &submission_trace(68, 16), 0, 6);
+    let fingerprint = |client: &mut Client| {
+        let (utility, relaxed) = client.utility().unwrap();
+        (
+            client.clock().unwrap(),
+            utility.to_bits(),
+            relaxed.to_bits(),
+        )
+    };
+    let before = fingerprint(&mut client);
+    client.bye().unwrap();
+    router.shutdown();
+
+    // A CRC-valid frame whose `submit` the front door and `RESTORE` both
+    // refuse (a NaN facing) is corruption, not a record: recovery cuts
+    // the log there. Each restart then checkpoints, so the second boot
+    // recovers from a document the first one wrote.
+    let path = dir.join("default.wal");
+    let mut log = std::fs::read(&path).unwrap();
+    log.extend_from_slice(&frame(b"submit 40 50 NaN 11 1000 1"));
+    std::fs::write(&path, &log).unwrap();
+
+    for restart in 1..=2 {
+        let router = serve_router(durable_config(&dir)).unwrap();
+        let mut client = Client::connect(router.addr()).unwrap();
+        assert_eq!(fingerprint(&mut client), before, "restart {restart}");
+        client.snapshot().unwrap();
+        client.bye().unwrap();
+        router.shutdown();
+    }
+}

@@ -3,18 +3,21 @@
 //! bit-identical to an undisturbed reference — over real TCP, for
 //! in-process and out-of-process shards, through the loadgen chaos
 //! harness and through a hand-driven two-tenant session with a live
-//! `RESHARD` straddling the kill.
+//! `RESHARD` straddling the kill. Also a killed shard child whose cell a
+//! live `RESHARD` renumbered: its replay of the operation log must
+//! reproduce its engine exactly, refusals included.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 use haste_distributed::{OnlineConfig, TaskSpec};
 use haste_geometry::{Angle, Vec2};
 use haste_model::{Charger, ChargingParams, Scenario, Task, TimeGrid};
 use haste_service::loadgen::{run, LoadgenConfig};
 use haste_service::wal::WalConfig;
-use haste_service::{serve_router, Client, FaultPlan, RouterConfig};
+use haste_service::{serve_router, Client, FaultPlan, ProcessShardConfig, RouterConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -432,4 +435,106 @@ fn two_tenants_and_a_live_reshard_survive_kill_nine() {
     beta.bye().unwrap();
     child.kill().unwrap();
     child.wait().unwrap();
+}
+
+// ----------------------------------------------------------------------
+// A shard child killed after a live RESHARD renumbered its cell
+// ----------------------------------------------------------------------
+
+/// Submits each spec of `trace` in its slot, with a live `SPLIT 0` once
+/// slot 4 opens, and returns each submission's refusal code (`None` when
+/// accepted).
+fn drive_with_refusals(client: &mut Client, trace: &[(usize, TaskSpec)]) -> Vec<Option<String>> {
+    let mut outcomes = Vec::with_capacity(trace.len());
+    let mut next = 0;
+    for slot in 0..SLOTS {
+        if slot == 4 {
+            assert_eq!(client.reshard_split(0).unwrap(), (3, 2));
+        }
+        while next < trace.len() && trace[next].0 == slot {
+            outcomes.push(match client.submit(&trace[next].1) {
+                Ok(_) => None,
+                Err(e) => Some(e.code().expect("a structured refusal").to_string()),
+            });
+            next += 1;
+        }
+        client.tick(1).unwrap();
+    }
+    outcomes
+}
+
+#[test]
+fn a_renumbered_shard_child_replays_its_engine_refusals_after_a_kill() {
+    let scenario = splittable_scenario(91);
+    let trace = splittable_trace(92, 72);
+    let east = |index: usize| trace[index].1.device_pos.x >= 100.0;
+    // One submission per shard and slot before `ERR overload`, and a
+    // tenant quota of two accepted submissions per slot.
+    let config = |process: Option<ProcessShardConfig>| RouterConfig {
+        cells: (2, 1),
+        field: (200.0, 100.0),
+        max_pending: 1,
+        process,
+        ..RouterConfig::default()
+    };
+    let run = |config: RouterConfig, trace: &[(usize, TaskSpec)]| {
+        let router = serve_router(config).unwrap();
+        let mut client = Client::connect(router.addr()).unwrap();
+        client.tenant("default", Some(2)).unwrap();
+        client.load(&scenario).unwrap();
+        let outcomes = drive_with_refusals(&mut client, trace);
+        let shards = client.shards().unwrap();
+        let snapshot = client.snapshot().unwrap();
+        client.bye().unwrap();
+        router.shutdown();
+        (outcomes, shards, snapshot)
+    };
+
+    // Cell 1's child, index 2 after the split, is killed when slot 7
+    // opens and rebuilt from its LOAD baseline at the next TICK.
+    let (outcomes, shards, fault_final) = run(
+        config(Some(ProcessShardConfig {
+            shardd: Some(PathBuf::from(env!("CARGO_BIN_EXE_haste-shardd"))),
+            deadline: Some(Duration::from_secs(60)),
+            fault_plan: Some(FaultPlan::parse("kill 1 @7\n").unwrap()),
+        })),
+        &trace,
+    );
+    assert_eq!(shards.len(), 3);
+    assert_eq!(
+        shards[2].restarts, 1,
+        "the kill must hit the renumbered survivor"
+    );
+    assert!(shards[2].replay > 0);
+    let refused = |code: &str, slots: std::ops::Range<usize>| {
+        (0..trace.len())
+            .filter(|&i| east(i) && slots.contains(&trace[i].0))
+            .filter(|&i| outcomes[i].as_deref() == Some(code))
+            .count()
+    };
+    // The survivor's log view holds engine refusals from before and after
+    // the renumbering, and refusals its engine never saw.
+    assert!(
+        refused("overload", 0..4) > 0,
+        "no overload before the split"
+    );
+    assert!(refused("overload", 4..7) > 0, "no overload after the split");
+    assert!(refused("quota", 0..7) > 0, "no quota refusal for cell 1");
+    assert!(
+        refused("unavailable", 7..8) > 0,
+        "no submission hit the down cell"
+    );
+
+    // Reference: in-process, no faults, and the bounced submissions were
+    // never made. Every other outcome, and the final composite document
+    // byte for byte (engine sections carry the admission counters), must
+    // agree.
+    let kept: Vec<usize> = (0..trace.len())
+        .filter(|&i| outcomes[i].as_deref() != Some("unavailable"))
+        .collect();
+    let reference_trace: Vec<(usize, TaskSpec)> = kept.iter().map(|&i| trace[i]).collect();
+    let (ref_outcomes, _, ref_final) = run(config(None), &reference_trace);
+    let kept_outcomes: Vec<Option<String>> = kept.iter().map(|&i| outcomes[i].clone()).collect();
+    assert_eq!(ref_outcomes, kept_outcomes);
+    assert_eq!(fault_final, ref_final);
 }
