@@ -1,7 +1,7 @@
 //! Drives the scheduling daemon with concurrent Poisson task arrivals and
-//! prints throughput and submit-to-ack latency percentiles, plus the
-//! daemon's solver metrics. Self-hosts a daemon by default; point it at a
-//! running one with `--addr`.
+//! prints throughput and submit-to-ack latency percentiles. Self-hosts a
+//! daemon by default; point it at a running one with `--addr`. It is a
+//! smoke and correctness harness; `perfbench/` is the measurement tool.
 //!
 //! ```text
 //! cargo run --release -p haste-bench --bin loadgen -- \
@@ -9,9 +9,9 @@
 //!     [--chargers 8] [--field 200] [--slots 64] [--seed 1] \
 //!     [--max-pending 4096] [--cells CXxCY] [--no-verify] \
 //!     [--out-of-process] [--shardd PATH] [--deadline-ms N] \
-//!     [--fault-plan FILE] [--binary] [--batch N] [--json FILE] \
+//!     [--fault-plan FILE] [--binary] [--batch N] \
 //!     [--profile uniform|diurnal[:PERIOD]|hotspot[:CELL:FACTOR]] \
-//!     [--reshard-split SLOT:CELL] [--open-loop RATE] \
+//!     [--reshard-split SLOT:CELL] \
 //!     [--metrics-addr HOST:PORT] [--check-export] \
 //!     [--wal-dir DIR] [--routerd PATH]
 //! ```
@@ -19,9 +19,6 @@
 //! `--binary` negotiates protocol v3 binary framing on the worker
 //! connections (the run fails if the endpoint only speaks text);
 //! `--batch N` submits N tasks per `OP_BATCH` frame (one vectored ack).
-//! `--json FILE` additionally writes the report as a JSON document — the
-//! shape committed as `BENCH_*.json` at the repo root, so before/after
-//! perf comparisons survive re-anchors.
 //!
 //! `--profile diurnal[:PERIOD]` draws arrival slots from the seeded
 //! double-peaked diurnal curve (PERIOD slots per synthetic day, default
@@ -30,11 +27,6 @@
 //! FACTOR× the arrivals on partition cell CELL (default `0:8`; needs
 //! `--cells`). `--reshard-split SLOT:CELL` scripts a live
 //! `RESHARD SPLIT CELL` right after the SLOT-th tick, mid-run.
-//! `--open-loop RATE` paces raw submissions at RATE/s without waiting
-//! for acks; latency percentiles then come from the server-side
-//! `EXPORT?` histogram, rejections are the saturation signal rather
-//! than a failure, and the flag is refused without `--json` (the
-//! machine-readable report is the whole point of an open-loop run).
 //! `--metrics-addr` gives the self-hosted router a plain-HTTP scrape
 //! listener; `--check-export` fetches the exposition after the run
 //! (over that listener when set, else `EXPORT?`), checks it parses, and
@@ -70,7 +62,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = LoadgenConfig::default();
     let mut strict = true;
-    let mut json_path: Option<String> = None;
     // Resolved after the loop: a bare `diurnal` defaults its period to
     // the final --slots value regardless of flag order.
     let mut profile_arg: Option<String> = None;
@@ -168,10 +159,6 @@ fn main() {
                 };
                 i += 1;
             }
-            "--open-loop" => {
-                config.open_loop = Some(parse(&value(&args, i, "--open-loop")));
-                i += 1;
-            }
             "--metrics-addr" => {
                 config.metrics_addr = Some(value(&args, i, "--metrics-addr"));
                 i += 1;
@@ -183,10 +170,6 @@ fn main() {
             }
             "--routerd" => {
                 config.routerd = Some(std::path::PathBuf::from(value(&args, i, "--routerd")));
-                i += 1;
-            }
-            "--json" => {
-                json_path = Some(value(&args, i, "--json"));
                 i += 1;
             }
             "--no-verify" => config.verify_replay = false,
@@ -202,34 +185,18 @@ fn main() {
     if let Some(text) = &profile_arg {
         config.profile = parse_profile(text, config.slots);
     }
-    if config.open_loop.is_some() && json_path.is_none() {
-        eprintln!(
-            "--open-loop needs --json: the machine-readable report is what an open-loop \
-             run produces"
-        );
-        std::process::exit(2);
-    }
 
     let report = loadgen::run(&config).unwrap_or_else(|e| {
         eprintln!("loadgen failed: {e}");
         std::process::exit(1);
     });
     println!("{report}");
-    if let Some(path) = &json_path {
-        let doc = report_json(&config, &report);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("--json: cannot write `{path}`: {e}");
-            std::process::exit(1);
-        }
-    }
 
     if strict {
         // Under fault injection, submissions bounced by a down shard are
-        // expected degraded-mode behaviour and accounted separately. An
-        // open-loop run saturates admission on purpose, so rejections
-        // are its measurement, not a failure.
+        // expected degraded-mode behaviour and accounted separately.
         let accounted = report.accepted + report.unavailable;
-        if config.open_loop.is_none() && accounted != report.submitted {
+        if accounted != report.submitted {
             eprintln!(
                 "FAIL: {} of {} submissions were not accepted",
                 report.submitted - accounted,
@@ -271,90 +238,6 @@ fn main() {
             }
         }
     }
-}
-
-/// Renders the report as a flat JSON object — hand-rolled because the
-/// workspace builds fully offline (no serde). Floats use Rust's default
-/// shortest-roundtrip `Display`, so the document is bit-faithful to the
-/// run it records.
-fn report_json(config: &LoadgenConfig, report: &loadgen::LoadgenReport) -> String {
-    let wire = if config.binary { "binary" } else { "text" };
-    let cells = match config.cells {
-        Some((cx, cy)) => format!("\"{cx}x{cy}\""),
-        None => "null".to_string(),
-    };
-    let replay_utility = report
-        .replay_utility
-        .map_or("null".to_string(), |u| u.to_string());
-    let replay_matches = report
-        .replay_matches
-        .map_or("null".to_string(), |m| m.to_string());
-    let shards = report.shards.map_or("null".to_string(), |n| n.to_string());
-    let profile = match config.profile {
-        ArrivalProfile::Uniform => "\"uniform\"".to_string(),
-        ArrivalProfile::Diurnal { period } => format!("\"diurnal:{period}\""),
-        ArrivalProfile::Hotspot { cell, factor } => format!("\"hotspot:{cell}:{factor}\""),
-    };
-    let open_loop = config
-        .open_loop
-        .map_or("null".to_string(), |rate| rate.to_string());
-    let peak = report
-        .peak_overload_rate
-        .map_or("null".to_string(), |r| r.to_string());
-    let trough = report
-        .trough_overload_rate
-        .map_or("null".to_string(), |r| r.to_string());
-    let export_consistent = report
-        .export_consistent
-        .map_or("null".to_string(), |ok| ok.to_string());
-    let latency_source = if report.server_side_latency {
-        "\"server\""
-    } else {
-        "\"client\""
-    };
-    let fields: Vec<String> = vec![
-        format!("\"wire\": \"{wire}\""),
-        format!("\"profile\": {profile}"),
-        format!("\"open_loop\": {open_loop}"),
-        format!("\"latency_source\": {latency_source}"),
-        format!("\"batch\": {}", config.batch.max(1)),
-        format!("\"connections\": {}", config.connections),
-        format!("\"submissions\": {}", config.submissions),
-        format!("\"chargers\": {}", config.chargers),
-        format!("\"field\": {}", config.field),
-        format!("\"slots\": {}", config.slots),
-        format!("\"seed\": {}", config.seed),
-        format!("\"cells\": {cells}"),
-        format!("\"out_of_process\": {}", config.out_of_process),
-        format!(
-            "\"reshard_split\": {}",
-            config
-                .reshard_split
-                .map_or("null".to_string(), |(slot, cell)| format!(
-                    "\"{slot}:{cell}\""
-                ))
-        ),
-        format!("\"submitted\": {}", report.submitted),
-        format!("\"accepted\": {}", report.accepted),
-        format!("\"rejected\": {}", report.rejected),
-        format!("\"unavailable\": {}", report.unavailable),
-        format!("\"p50_us\": {}", report.p50_us),
-        format!("\"p99_us\": {}", report.p99_us),
-        format!("\"max_us\": {}", report.max_us),
-        format!("\"elapsed_s\": {}", report.elapsed_s),
-        format!("\"throughput\": {}", report.throughput),
-        format!("\"submit_elapsed_s\": {}", report.submit_elapsed_s),
-        format!("\"submit_throughput\": {}", report.submit_throughput),
-        format!("\"utility\": {}", report.utility),
-        format!("\"relaxed\": {}", report.relaxed),
-        format!("\"replay_utility\": {replay_utility}"),
-        format!("\"replay_matches\": {replay_matches}"),
-        format!("\"shards\": {shards}"),
-        format!("\"peak_overload_rate\": {peak}"),
-        format!("\"trough_overload_rate\": {trough}"),
-        format!("\"export_consistent\": {export_consistent}"),
-    ];
-    format!("{{\n  {}\n}}\n", fields.join(",\n  "))
 }
 
 /// Parses `--profile uniform` / `--profile diurnal[:PERIOD]` /

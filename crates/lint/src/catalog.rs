@@ -104,22 +104,17 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "C2",
         name: "metrics-docs",
-        summary: "metric families and METRICS? keys must match the protocol doc, both ways",
-        rationale: "The `METRICS?` reply and the `EXPORT?` exposition are scrape surfaces: \
-                    dashboards and the loadgen harness parse them. Emitting a key or \
-                    family the doc does not name ships an undocumented metric; \
-                    documenting one the server does not emit breaks consumers that trust \
-                    the spec. The emitted METRICS? key set must match the doc's \
-                    `METRICS?` section, and the typed catalog in \
+        summary: "metric families must match the protocol doc's schema table, both ways",
+        rationale: "The `EXPORT?` exposition is a scrape surface: dashboards, the loadgen \
+                    harness and perfbench parse it. Emitting a family the doc does not name \
+                    ships an undocumented metric; documenting one the catalog does not \
+                    declare breaks consumers that trust the spec. The typed catalog in \
                     crates/metrics/src/catalog.rs must match the doc's `Metrics schema` \
-                    table — same kinds, labels, and legacy aliases — with names obeying \
-                    the `haste_<subsystem>_<name>_<unit>` suffix rules and every legacy \
-                    alias mapping one-to-one onto the documented METRICS? keys.",
-        scope: "the `Request::Metrics` arms of crates/service/src/server.rs and \
-                crates/service/src/router.rs (which adds the shard-health keys) vs the \
-                `### METRICS?` section of docs/service_protocol.md, and the `CATALOG` \
-                entries of crates/metrics/src/catalog.rs vs the doc's `## Metrics schema` \
-                table",
+                    table — same kinds and labels — with names obeying the \
+                    `haste_<subsystem>_<name>_<unit>` suffix rules and labels drawn from \
+                    the schema vocabulary.",
+        scope: "the `CATALOG` entries of crates/metrics/src/catalog.rs vs the \
+                `## Metrics schema` table of docs/service_protocol.md",
         example: "(not suppressible — fix the code or the doc)",
     },
     RuleInfo {

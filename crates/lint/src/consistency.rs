@@ -1,5 +1,5 @@
-//! Cross-file contract checks: C1 (ErrCode and frame opcodes ↔ protocol
-//! doc), C2 (METRICS? keys and the typed metric catalog ↔ protocol doc),
+//! Cross-file contract checks: C1 (ErrCode, request verbs and frame
+//! opcodes ↔ protocol doc), C2 (the typed metric catalog ↔ protocol doc),
 //! C3 (vendored dependency allowlist).
 //!
 //! These rules take file *contents* (plus their workspace-relative paths
@@ -329,144 +329,23 @@ fn doc_opcode_rows(doc: &str) -> Vec<(String, String, usize)> {
 }
 
 // ----------------------------------------------------------------------
-// C2 — METRICS? keys vs the protocol doc's METRICS? section
-// ----------------------------------------------------------------------
-
-/// Cross-checks the keys emitted by the `Request::Metrics` arm of
-/// `server_src` against the backticked keys of the doc's `METRICS?`
-/// section, both directions.
-pub fn check_metrics_docs(
-    server_path: &str,
-    server_src: &str,
-    doc_path: &str,
-    doc: &str,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let emitted = emitted_metrics_keys(server_src);
-    if emitted.is_empty() {
-        findings.push(Finding {
-            file: server_path.to_string(),
-            line: 0,
-            rule: "C2",
-            message: "could not locate the Request::Metrics handler's key tuples".to_string(),
-        });
-        return findings;
-    }
-    let documented = doc_metrics_keys(doc);
-    for (key, line) in &emitted {
-        if !documented.iter().any(|(k, _)| k == key) {
-            findings.push(Finding {
-                file: server_path.to_string(),
-                line: *line,
-                rule: "C2",
-                message: format!(
-                    "METRICS? emits `{key}` but the METRICS? section of {doc_path} does not \
-                     document it"
-                ),
-            });
-        }
-    }
-    for (key, line) in &documented {
-        if !emitted.iter().any(|(k, _)| k == key) {
-            findings.push(Finding {
-                file: doc_path.to_string(),
-                line: *line,
-                rule: "C2",
-                message: format!("documented METRICS? key `{key}` is not emitted by {server_path}"),
-            });
-        }
-    }
-    findings
-}
-
-/// The key names of the `("key", <value>)` tuples between
-/// `Request::Metrics` and the `Reply::Data` that closes the arm: every
-/// string literal in the span whose content has metrics-key shape
-/// (rustfmt may put a tuple's key literal on its own line, so the scan is
-/// literal-based rather than anchored on `("`).
-fn emitted_metrics_keys(src: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    let mut in_arm = false;
-    for (idx, line) in src.lines().enumerate() {
-        if line.contains("Request::Metrics") {
-            in_arm = true;
-            continue;
-        }
-        if !in_arm {
-            continue;
-        }
-        if line.contains("Reply::Data") {
-            break;
-        }
-        for (i, literal) in line.split('"').enumerate() {
-            if i % 2 == 1 && is_metrics_key(literal) {
-                out.push((literal.to_string(), idx + 1));
-            }
-        }
-    }
-    out
-}
-
-/// Backticked snake_case tokens of the `### \`METRICS?\`` doc section.
-/// Generic placeholder words (`key`, `value`, `n`) are not keys.
-fn doc_metrics_keys(doc: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    let mut in_section = false;
-    for (idx, line) in doc.lines().enumerate() {
-        if line.starts_with("###") && line.contains("METRICS?") {
-            in_section = true;
-            continue;
-        }
-        if in_section && (line.starts_with("## ") || line.starts_with("### ")) {
-            break;
-        }
-        if !in_section {
-            continue;
-        }
-        let mut rest = line;
-        while let Some(pos) = rest.find('`') {
-            rest = &rest[pos + 1..];
-            let Some(end) = rest.find('`') else {
-                break;
-            };
-            let token = &rest[..end];
-            if is_metrics_key(token) && !matches!(token, "key" | "value" | "n") {
-                out.push((token.to_string(), idx + 1));
-            }
-            rest = &rest[end + 1..];
-        }
-    }
-    out
-}
-
-/// Metrics keys are lowercase snake_case (`oracle_marginals`, `greedy_us`).
-fn is_metrics_key(s: &str) -> bool {
-    !s.is_empty()
-        && s.bytes().next().is_some_and(|b| b.is_ascii_lowercase())
-        && s.bytes()
-            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-}
-
-// ----------------------------------------------------------------------
 // C2 — metric catalog vs the protocol doc's Metrics schema table
 // ----------------------------------------------------------------------
 
 /// One metric family as declared on either side of the schema contract:
-/// name, kind, label key, and legacy `METRICS?` alias (empty = none).
+/// name, kind, and label key (empty = none).
 struct SchemaEntry {
     name: String,
     kind: String,
     label: String,
-    alias: String,
     line: usize,
 }
 
 /// Cross-checks the `CATALOG` of `crates/metrics/src/catalog.rs` against
 /// the `## Metrics schema` table of the protocol doc: every family must be
-/// documented with the same kind, label, and legacy alias (and vice
-/// versa); names must follow the unit-suffix rules; labels must come from
-/// the schema vocabulary; and the legacy aliases must be exactly the
-/// documented `METRICS?` keys, each claimed once.
+/// documented with the same kind and label (and vice versa); names must
+/// follow the unit-suffix rules; labels must come from the schema
+/// vocabulary.
 pub fn check_metrics_schema(
     catalog_path: &str,
     catalog_src: &str,
@@ -513,7 +392,6 @@ pub fn check_metrics_schema(
                 for (field, ours, documented) in [
                     ("kind", &entry.kind, &row.kind),
                     ("label", &entry.label, &row.label),
-                    ("legacy alias", &entry.alias, &row.alias),
                 ] {
                     if ours != documented {
                         findings.push(Finding {
@@ -545,50 +423,6 @@ pub fn check_metrics_schema(
         }
     }
 
-    // Legacy aliases must be exactly the documented METRICS? keys: every
-    // alias a real key, every key claimed, no key claimed twice.
-    let legacy = doc_metrics_keys(doc);
-    let mut claimed: Vec<&str> = Vec::new();
-    for entry in &code {
-        if entry.alias.is_empty() {
-            continue;
-        }
-        if claimed.contains(&entry.alias.as_str()) {
-            findings.push(Finding {
-                file: catalog_path.to_string(),
-                line: entry.line,
-                rule: "C2",
-                message: format!(
-                    "legacy alias `{}` is claimed by more than one metric",
-                    entry.alias
-                ),
-            });
-        }
-        claimed.push(&entry.alias);
-        if !legacy.is_empty() && !legacy.iter().any(|(key, _)| *key == entry.alias) {
-            findings.push(Finding {
-                file: catalog_path.to_string(),
-                line: entry.line,
-                rule: "C2",
-                message: format!(
-                    "legacy alias `{}` of metric `{}` is not a documented METRICS? key",
-                    entry.alias, entry.name
-                ),
-            });
-        }
-    }
-    for (key, line) in &legacy {
-        if !claimed.contains(&key.as_str()) {
-            findings.push(Finding {
-                file: doc_path.to_string(),
-                line: *line,
-                rule: "C2",
-                message: format!(
-                    "legacy METRICS? key `{key}` has no aliased metric in {catalog_path}"
-                ),
-            });
-        }
-    }
     findings
 }
 
@@ -605,7 +439,7 @@ fn schema_shape_findings(catalog_path: &str, entry: &SchemaEntry) -> Vec<Finding
             message,
         })
     };
-    if !entry.name.starts_with("haste_") || !is_metrics_key(&entry.name) {
+    if !entry.name.starts_with("haste_") || !is_metric_name(&entry.name) {
         flag(format!(
             "metric `{}` does not match the `haste_<subsystem>_<name>_<unit>` naming schema",
             entry.name
@@ -638,10 +472,18 @@ fn schema_shape_findings(catalog_path: &str, entry: &SchemaEntry) -> Vec<Finding
     findings
 }
 
+/// Metric names are lowercase snake_case (`haste_engine_clock_slots`).
+fn is_metric_name(s: &str) -> bool {
+    !s.is_empty()
+        && s.bytes().next().is_some_and(|b| b.is_ascii_lowercase())
+        && s.bytes()
+            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+}
+
 /// The `counter(`/`gauge(`/`gauge_max(`/`histogram(` entries of the
 /// catalog source, one per line (the CATALOG is formatted that way on
-/// purpose). Arguments are positional string literals: name, label, then
-/// — for counters and gauges — the legacy alias; histograms have none.
+/// purpose). Arguments are positional string literals: name, label,
+/// help.
 fn catalog_entries(src: &str) -> Vec<SchemaEntry> {
     let mut out = Vec::new();
     for (idx, line) in src.lines().enumerate() {
@@ -660,18 +502,13 @@ fn catalog_entries(src: &str) -> Vec<SchemaEntry> {
             .enumerate()
             .filter_map(|(i, part)| (i % 2 == 1).then_some(part))
             .collect();
-        // name, label, [alias,] help — the trailing help text is not schema.
-        if literals.len() < 3 {
+        // name, label, help — the trailing help text is not schema.
+        let [name, label, _help, ..] = literals.as_slice() else {
             continue;
-        }
+        };
         out.push(SchemaEntry {
-            name: literals[0].to_string(),
-            label: literals[1].to_string(),
-            alias: if kind == "histogram" {
-                String::new()
-            } else {
-                literals[2].to_string()
-            },
+            name: name.to_string(),
+            label: label.to_string(),
             kind: kind.to_string(),
             line: idx + 1,
         });
@@ -680,8 +517,8 @@ fn catalog_entries(src: &str) -> Vec<SchemaEntry> {
 }
 
 /// Rows of the `## Metrics schema` table, up to the next `## ` heading:
-/// `| \`name\` | kind | \`label\` | \`alias\` | help |` with `—` for an
-/// absent label or alias.
+/// `| \`name\` | kind | \`label\` | help |` with `—` for an absent
+/// label.
 fn doc_schema_rows(doc: &str) -> Vec<SchemaEntry> {
     let mut out = Vec::new();
     let mut in_section = false;
@@ -705,21 +542,17 @@ fn doc_schema_rows(doc: &str) -> Vec<SchemaEntry> {
             .split('|')
             .map(|cell| cell.trim().trim_matches('`').to_string())
             .collect();
-        if cells.len() < 4 {
+        let [name, kind, label, ..] = cells.as_slice() else {
             continue;
-        }
-        let blank_if_dash = |cell: &str| {
-            if cell == "—" {
-                String::new()
-            } else {
-                cell.to_string()
-            }
         };
         out.push(SchemaEntry {
-            name: cells[0].clone(),
-            kind: cells[1].clone(),
-            label: blank_if_dash(&cells[2]),
-            alias: blank_if_dash(&cells[3]),
+            name: name.clone(),
+            kind: kind.clone(),
+            label: if label == "—" {
+                String::new()
+            } else {
+                label.clone()
+            },
             line: idx + 1,
         });
     }
@@ -890,9 +723,9 @@ Error codes:
 
 ## Requests
 
-### `METRICS?`
+### `CLOCK?`
 
-Keys: `clock`, `greedy_us`. Reply: `DATA <n>` + lines.
+Reply: `OK slot=<clock> open=<0|1>`.
 
 ### `BYE`
 ";
@@ -928,7 +761,7 @@ Keys: `clock`, `greedy_us`. Reply: `DATA <n>` + lines.
             pub fn opcode(&self) -> &'static str {
                 match self {
                     Request::Hello(_) => "HELLO",
-                    Request::Metrics => "METRICS?",
+                    Request::Clock => "CLOCK?",
                     Request::Bye => "BYE",
                 }
             }
@@ -937,7 +770,7 @@ Keys: `clock`, `greedy_us`. Reply: `DATA <n>` + lines.
 
     #[test]
     fn verb_consistency_passes_on_matching_sets() {
-        // DOC has `### `METRICS?`` and `### `BYE`` headings; add HELLO.
+        // DOC has `### `CLOCK?`` and `### `BYE`` headings; add HELLO.
         let doc = DOC.replace("## Requests\n", "## Requests\n\n### `HELLO <version>`\n");
         let f = check_verb_docs("p.rs", VERBS, "d.md", &doc);
         assert!(f.is_empty(), "{f:?}");
@@ -1037,53 +870,12 @@ pub(crate) const OP_REPLY: u8 = 0x81;
         assert!(f[0].message.contains("opcode constants"), "{f:?}");
     }
 
-    const SERVER: &str = r#"
-        Request::Metrics => match engine {
-            Some(engine) => {
-                for (key, value) in [
-                    ("clock", engine.clock().to_string()),
-                    ("greedy_us", metrics.greedy.to_string()),
-                ] {
-                }
-                Reply::Data(payload)
-            }
-        },
-    "#;
-
-    #[test]
-    fn metrics_consistency_passes_on_matching_sets() {
-        assert!(check_metrics_docs("s.rs", SERVER, "d.md", DOC).is_empty());
-    }
-
-    #[test]
-    fn metrics_mismatches_fire_both_directions() {
-        let server_extra = SERVER.replace(
-            "(\"clock\", engine.clock().to_string()),",
-            "(\"clock\", engine.clock().to_string()),\n(\"mystery\", x.to_string()),",
-        );
-        let f = check_metrics_docs("s.rs", &server_extra, "d.md", DOC);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("`mystery`"), "{f:?}");
-
-        let doc_extra = DOC.replace("`greedy_us`", "`greedy_us`, `phantom`");
-        let f = check_metrics_docs("s.rs", SERVER, "d.md", &doc_extra);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("`phantom`"), "{f:?}");
-    }
-
-    #[test]
-    fn metrics_doc_scan_stops_at_the_next_section() {
-        // `bye` would parse as a key if the section did not end at `### BYE`.
-        let doc = DOC.replace("### `BYE`\n", "### `BYE`\n\nSends `bye` back.\n");
-        assert!(check_metrics_docs("s.rs", SERVER, "d.md", &doc).is_empty());
-    }
-
     const CATALOG: &str = r#"
 pub const CATALOG: &[MetricSpec] = &[
-    counter("haste_service_requests_total", "opcode", "", "Requests."),
+    counter("haste_service_requests_total", "opcode", "Requests."),
     histogram("haste_service_request_duration_us", "opcode", "Latency."),
-    gauge_max("haste_engine_clock_slots", "", "clock", "Clock."),
-    counter("haste_engine_greedy_us_total", "", "greedy_us", "Greedy time."),
+    gauge_max("haste_engine_clock_slots", "", "Clock."),
+    counter("haste_engine_greedy_us_total", "", "Greedy time."),
 ];
 "#;
 
@@ -1091,12 +883,12 @@ pub const CATALOG: &[MetricSpec] = &[
     fn schema_doc() -> String {
         DOC.to_string()
             + "\n## Metrics schema\n\n\
-               | Family | Kind | Label | Legacy key | Meaning |\n\
-               |---|---|---|---|---|\n\
-               | `haste_service_requests_total` | counter | `opcode` | — | Requests. |\n\
-               | `haste_service_request_duration_us` | histogram | `opcode` | — | Latency. |\n\
-               | `haste_engine_clock_slots` | gauge | — | `clock` | Clock. |\n\
-               | `haste_engine_greedy_us_total` | counter | — | `greedy_us` | Greedy time. |\n"
+               | Family | Kind | Label | Meaning |\n\
+               |---|---|---|---|\n\
+               | `haste_service_requests_total` | counter | `opcode` | Requests. |\n\
+               | `haste_service_request_duration_us` | histogram | `opcode` | Latency. |\n\
+               | `haste_engine_clock_slots` | gauge | — | Clock. |\n\
+               | `haste_engine_greedy_us_total` | counter | — | Greedy time. |\n"
     }
 
     #[test]
@@ -1109,9 +901,9 @@ pub const CATALOG: &[MetricSpec] = &[
     #[test]
     fn metrics_schema_mismatches_fire_both_directions() {
         let extra = CATALOG.replace(
-            "counter(\"haste_service_requests_total\", \"opcode\", \"\", \"Requests.\"),",
-            "counter(\"haste_service_requests_total\", \"opcode\", \"\", \"Requests.\"),\n    \
-             counter(\"haste_service_drops_total\", \"\", \"\", \"Drops.\"),",
+            "counter(\"haste_service_requests_total\", \"opcode\", \"Requests.\"),",
+            "counter(\"haste_service_requests_total\", \"opcode\", \"Requests.\"),\n    \
+             counter(\"haste_service_drops_total\", \"\", \"Drops.\"),",
         );
         let doc = schema_doc();
         let f = check_metrics_schema("c.rs", &extra, "d.md", &doc);
@@ -1122,7 +914,7 @@ pub const CATALOG: &[MetricSpec] = &[
         );
         assert_eq!(f[0].file, "c.rs");
 
-        let doc_extra = doc + "| `haste_router_ghost_total` | counter | — | — | Ghost. |\n";
+        let doc_extra = doc + "| `haste_router_ghost_total` | counter | — | Ghost. |\n";
         let f = check_metrics_schema("c.rs", CATALOG, "d.md", &doc_extra);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("`haste_router_ghost_total`"), "{f:?}");
@@ -1159,52 +951,6 @@ pub const CATALOG: &[MetricSpec] = &[
         assert!(f.iter().any(|f| f.message.contains("unit-suffix")), "{f:?}");
         assert!(
             f.iter().any(|f| f.message.contains("schema vocabulary")),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn metrics_schema_alias_contract_fires() {
-        // Renaming the alias on both sides breaks the legacy-key mapping
-        // twice over: `tick` is not a METRICS? key, `clock` goes unclaimed.
-        let bad = CATALOG.replace(
-            "gauge_max(\"haste_engine_clock_slots\", \"\", \"clock\", \"Clock.\"),",
-            "gauge_max(\"haste_engine_clock_slots\", \"\", \"tick\", \"Clock.\"),",
-        );
-        let doc = schema_doc().replace(
-            "| `haste_engine_clock_slots` | gauge | — | `clock` |",
-            "| `haste_engine_clock_slots` | gauge | — | `tick` |",
-        );
-        let f = check_metrics_schema("c.rs", &bad, "d.md", &doc);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(
-            f.iter()
-                .any(|f| f.message.contains("not a documented METRICS? key")),
-            "{f:?}"
-        );
-        assert!(
-            f.iter()
-                .any(|f| f.message.contains("has no aliased metric")),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn duplicate_legacy_alias_fires() {
-        let bad = CATALOG.replace(
-            "counter(\"haste_engine_greedy_us_total\", \"\", \"greedy_us\", \"Greedy time.\"),",
-            "counter(\"haste_engine_greedy_us_total\", \"\", \"greedy_us\", \"Greedy time.\"),\n    \
-             counter(\"haste_engine_rushed_us_total\", \"\", \"greedy_us\", \"Rushed time.\"),",
-        );
-        let doc = schema_doc().replace(
-            "| `haste_engine_greedy_us_total` | counter | — | `greedy_us` | Greedy time. |\n",
-            "| `haste_engine_greedy_us_total` | counter | — | `greedy_us` | Greedy time. |\n\
-             | `haste_engine_rushed_us_total` | counter | — | `greedy_us` | Rushed time. |\n",
-        );
-        let f = check_metrics_schema("c.rs", &bad, "d.md", &doc);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(
-            f[0].message.contains("claimed by more than one metric"),
             "{f:?}"
         );
     }

@@ -16,9 +16,9 @@
 //! * **P1** — panic-safety: no panicking constructs in daemon
 //!   request-handling code.
 //! * **C1/C2/C3** — contract consistency: `ErrCode`, request verbs and
-//!   frame opcodes ↔ protocol doc, `METRICS?` keys and the typed metric
-//!   catalog ↔ the protocol doc's `Metrics schema` table, vendored
-//!   dependency allowlist.
+//!   frame opcodes ↔ protocol doc, the typed metric catalog ↔ the
+//!   protocol doc's `Metrics schema` table, vendored dependency
+//!   allowlist.
 //! * **L1/L2/L3** — concurrency safety over `crates/service` +
 //!   `crates/parallel`: acyclic lock-order graph, no blocking call while
 //!   a mutex guard is live, every socket acquisition covered by a
@@ -44,8 +44,8 @@ pub mod sarif;
 pub mod source;
 
 pub use consistency::{
-    check_errcode_docs, check_metrics_docs, check_metrics_schema, check_opcode_docs,
-    check_vendor_allowlist, check_verb_docs, ManifestSet,
+    check_errcode_docs, check_metrics_schema, check_opcode_docs, check_vendor_allowlist,
+    check_verb_docs, ManifestSet,
 };
 pub use source::{scan_source, scan_source_extra, scan_source_report, SuppressedFinding};
 
@@ -155,29 +155,22 @@ pub fn run_check_report(root: &Path) -> CheckReport {
     }
     let findings = &mut report.findings;
 
-    // C1/C2: the protocol contract files. The router serves the same
-    // METRICS? block as the single daemon, so both are held to the doc;
-    // the framing module's opcode constants are held to the doc's v3
-    // opcode table.
+    // C1/C2: the protocol contract files. The request verbs and error
+    // codes of proto.rs, the framing module's opcode constants and the
+    // metric catalog are each held to their table in the doc.
     const PROTO: &str = "crates/service/src/proto.rs";
-    const SERVER: &str = "crates/service/src/server.rs";
-    const ROUTER: &str = "crates/service/src/router.rs";
     const FRAMING: &str = "crates/service/src/framing.rs";
     const METRICS_CATALOG: &str = "crates/metrics/src/catalog.rs";
     const DOC: &str = "docs/service_protocol.md";
     match (
         read_rel(root, PROTO),
-        read_rel(root, SERVER),
-        read_rel(root, ROUTER),
         read_rel(root, FRAMING),
         read_rel(root, METRICS_CATALOG),
         read_rel(root, DOC),
     ) {
-        (Ok(proto), Ok(server), Ok(router), Ok(framing), Ok(catalog), Ok(doc)) => {
+        (Ok(proto), Ok(framing), Ok(catalog), Ok(doc)) => {
             findings.extend(consistency::check_errcode_docs(PROTO, &proto, DOC, &doc));
             findings.extend(consistency::check_verb_docs(PROTO, &proto, DOC, &doc));
-            findings.extend(consistency::check_metrics_docs(SERVER, &server, DOC, &doc));
-            findings.extend(consistency::check_metrics_docs(ROUTER, &router, DOC, &doc));
             findings.extend(consistency::check_opcode_docs(FRAMING, &framing, DOC, &doc));
             findings.extend(consistency::check_metrics_schema(
                 METRICS_CATALOG,
@@ -186,11 +179,9 @@ pub fn run_check_report(root: &Path) -> CheckReport {
                 &doc,
             ));
         }
-        (proto, server, router, framing, catalog, doc) => {
+        (proto, framing, catalog, doc) => {
             for (rel, result) in [
                 (PROTO, proto),
-                (SERVER, server),
-                (ROUTER, router),
                 (FRAMING, framing),
                 (METRICS_CATALOG, catalog),
                 (DOC, doc),

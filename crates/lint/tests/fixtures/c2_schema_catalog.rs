@@ -3,7 +3,7 @@
 //! (via the doc fixture) a documented family with no entry.
 
 pub const CATALOG: &[MetricSpec] = &[
-    counter("haste_service_requests_total", "opcode", "", "Requests by opcode."),
+    counter("haste_service_requests_total", "opcode", "Requests by opcode."),
     histogram("haste_service_request_duration_us", "opcode", "Request latency."),
-    counter("haste_engine_mystery_total", "", "", "Not in the doc."),
+    counter("haste_engine_mystery_total", "", "Not in the doc."),
 ];

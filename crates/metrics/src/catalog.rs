@@ -1,12 +1,16 @@
 //! The normative metric catalog: every series name the service stack may
-//! emit, its kind, label key, legacy `METRICS?` alias, and help text.
+//! emit, its kind, label key, cross-shard merge rule, and help text.
 //!
 //! This table and the schema table in `docs/service_protocol.md` are
 //! cross-checked both ways by `haste-lint` rule C2, which parses this
 //! file **textually**: keep each entry on a single line, built by one of
 //! the `counter(` / `gauge(` / `gauge_max(` / `histogram(` helpers, with
-//! the name first, the label key second, and (for counters and gauges)
-//! the legacy alias third. Empty strings mean "no label" / "no alias".
+//! the name first and the label key second (an empty string means "no
+//! label").
+//!
+//! The helper is the merge rule: when the router combines its shards'
+//! documents ([`crate::Snapshot::merge`]), counters and histograms sum,
+//! `gauge` families sum, and `gauge_max` families take the maximum.
 //!
 //! Naming schema (normative): `haste_<subsystem>_<name>_<unit>`, ASCII
 //! snake case. Counters end in `_total`; histograms end in `_us` or
@@ -25,57 +29,37 @@ pub struct MetricSpec {
     pub kind: Kind,
     /// Label key (`""` for unlabeled families).
     pub label: &'static str,
-    /// Legacy `METRICS?` key this family aliases (`""` for none).
-    pub alias: &'static str,
     /// Cross-shard merge semantics (meaningful for gauges).
     pub merge: GaugeMerge,
     /// Exposition `# HELP` text.
     pub help: &'static str,
 }
 
-const fn counter(
-    name: &'static str,
-    label: &'static str,
-    alias: &'static str,
-    help: &'static str,
-) -> MetricSpec {
+const fn counter(name: &'static str, label: &'static str, help: &'static str) -> MetricSpec {
     MetricSpec {
         name,
         kind: Kind::Counter,
         label,
-        alias,
         merge: GaugeMerge::Sum,
         help,
     }
 }
 
-const fn gauge(
-    name: &'static str,
-    label: &'static str,
-    alias: &'static str,
-    help: &'static str,
-) -> MetricSpec {
+const fn gauge(name: &'static str, label: &'static str, help: &'static str) -> MetricSpec {
     MetricSpec {
         name,
         kind: Kind::Gauge,
         label,
-        alias,
         merge: GaugeMerge::Sum,
         help,
     }
 }
 
-const fn gauge_max(
-    name: &'static str,
-    label: &'static str,
-    alias: &'static str,
-    help: &'static str,
-) -> MetricSpec {
+const fn gauge_max(name: &'static str, label: &'static str, help: &'static str) -> MetricSpec {
     MetricSpec {
         name,
         kind: Kind::Gauge,
         label,
-        alias,
         merge: GaugeMerge::Max,
         help,
     }
@@ -86,7 +70,6 @@ const fn histogram(name: &'static str, label: &'static str, help: &'static str) 
         name,
         kind: Kind::Histogram,
         label,
-        alias: "",
         merge: GaugeMerge::Sum,
         help,
     }
@@ -97,46 +80,46 @@ const fn histogram(name: &'static str, label: &'static str, help: &'static str) 
 /// `docs/service_protocol.md` (hence the rustfmt skip).
 #[rustfmt::skip]
 pub const CATALOG: &[MetricSpec] = &[
-    counter("haste_service_requests_total", "opcode", "", "Requests handled at this endpoint, by wire opcode."),
-    counter("haste_service_errors_total", "err_code", "", "Error replies sent at this endpoint, by stable error code."),
+    counter("haste_service_requests_total", "opcode", "Requests handled at this endpoint, by wire opcode."),
+    counter("haste_service_errors_total", "err_code", "Error replies sent at this endpoint, by stable error code."),
     histogram("haste_service_request_duration_us", "opcode", "Request handling latency at this endpoint in microseconds, by wire opcode."),
     histogram("haste_service_batch_size_records", "", "Records carried per OP_BATCH submission frame."),
     histogram("haste_service_batch_rejected_records", "", "Records rejected per OP_BATCH submission frame."),
-    counter("haste_shard_requests_total", "opcode", "", "Requests handled by out-of-process shard children, merged across shards."),
-    counter("haste_shard_errors_total", "err_code", "", "Error replies sent by shard children, merged across shards."),
-    histogram("haste_shard_request_duration_us", "opcode", "Supervisor-to-child request latency in microseconds, merged bucket-wise across shards."),
+    counter("haste_shard_requests_total", "opcode", "Requests handled by out-of-process shard children, merged across shards."),
+    counter("haste_shard_errors_total", "err_code", "Error replies sent by shard children, merged across shards."),
+    histogram("haste_shard_request_duration_us", "opcode", "Request handling latency inside out-of-process shard children in microseconds, excluding the supervisor's socket round trip, merged bucket-wise across shards."),
     histogram("haste_shard_batch_size_records", "", "Records per batch frame at shard children, merged across shards."),
     histogram("haste_shard_batch_rejected_records", "", "Records rejected per batch frame at shard children, merged across shards."),
     histogram("haste_router_tick_replan_duration_us", "cell", "Per-shard TICK replan duration in microseconds, by cell index."),
     histogram("haste_router_join_wait_duration_us", "cell", "Time a finished shard waits at the consistent-cut TICK barrier, by cell index."),
-    counter("haste_router_cell_submits_total", "cell", "", "Submissions accepted into each cell of the default tenant, by cell index — the elastic-split load trigger."),
-    counter("haste_router_reshards_total", "tenant", "", "Completed live split/merge migrations, by tenant id."),
-    counter("haste_router_tenant_rejected_total", "tenant", "", "Submissions bounced by a tenant's per-slot admission quota, by tenant id."),
-    gauge("haste_router_tenant_shards", "tenant", "", "Shards currently serving each tenant, by tenant id."),
+    counter("haste_router_cell_submits_total", "cell", "Submissions accepted into each cell of the default tenant, by cell index — the elastic-split load trigger."),
+    counter("haste_router_reshards_total", "tenant", "Completed live split/merge migrations, by tenant id."),
+    counter("haste_router_tenant_rejected_total", "tenant", "Submissions bounced by a tenant's per-slot admission quota, by tenant id."),
+    gauge("haste_router_tenant_shards", "tenant", "Shards currently serving each tenant, by tenant id."),
     histogram("haste_wal_append_duration_us", "", "Write-ahead-log record append latency in microseconds (framing plus file write, excluding fsync)."),
     histogram("haste_wal_fsync_duration_us", "", "Write-ahead-log fsync latency in microseconds, at the configured durability points."),
-    counter("haste_wal_checkpoints_total", "tenant", "", "Checkpoints written (snapshot to temp, fsync, atomic rename, log truncate), by tenant id."),
-    counter("haste_wal_replayed_ops_total", "tenant", "", "Log-tail operations replayed on top of a checkpoint during crash recovery, by tenant id."),
-    counter("haste_wal_recoveries_total", "tenant", "", "Tenants recovered from the write-ahead-log directory at router startup, by tenant id."),
-    counter("haste_supervisor_restarts_total", "cell", "shard_restarts", "Shard child restarts performed by the supervisor, by cell index."),
-    counter("haste_supervisor_replays_total", "cell", "shard_replays", "Journaled operations replayed into restarted shard children, by cell index."),
-    counter("haste_supervisor_deadline_expired_total", "cell", "", "Supervisor requests that hit the per-request deadline, by cell index."),
-    gauge("haste_supervisor_down_shards", "", "shards_down", "Shards currently down or restarting."),
-    gauge_max("haste_engine_clock_slots", "", "clock", "Engine virtual clock: the open slot index (max across shards)."),
-    gauge("haste_engine_active_tasks", "", "tasks", "Tasks materialized into the engine scenario."),
-    gauge("haste_engine_staged_tasks", "", "staged", "Tasks staged for future release slots."),
-    counter("haste_engine_admitted_total", "", "admitted", "Submissions admitted since load."),
-    counter("haste_engine_rejected_total", "", "rejected", "Submissions rejected by admission control since load."),
-    gauge("haste_engine_pending_tasks", "", "pending", "Submissions waiting in the open slot."),
-    gauge_max("haste_engine_worker_threads", "", "threads", "Engine worker threads (max across shards)."),
-    counter("haste_engine_oracle_marginals_total", "", "oracle_marginals", "Marginal-gain oracle evaluations."),
-    counter("haste_engine_oracle_commits_total", "", "oracle_commits", "Oracle commit operations."),
-    counter("haste_engine_negotiation_messages_total", "", "messages", "Negotiation messages exchanged between chargers."),
-    counter("haste_engine_negotiation_rounds_total", "", "rounds", "Negotiation rounds executed."),
-    counter("haste_engine_instance_build_us_total", "", "instance_build_us", "Cumulative microseconds building slot instances."),
-    counter("haste_engine_greedy_us_total", "", "greedy_us", "Cumulative microseconds in the greedy solve phase."),
-    counter("haste_engine_rounding_us_total", "", "rounding_us", "Cumulative microseconds in the rounding phase."),
-    counter("haste_engine_coverage_build_us_total", "", "coverage_build_us", "Cumulative microseconds building coverage structures."),
+    counter("haste_wal_checkpoints_total", "tenant", "Checkpoints written (snapshot to temp, fsync, atomic rename, log truncate), by tenant id."),
+    counter("haste_wal_replayed_ops_total", "tenant", "Log-tail operations replayed on top of a checkpoint during crash recovery, by tenant id."),
+    counter("haste_wal_recoveries_total", "tenant", "Tenants recovered from the write-ahead-log directory at router startup, by tenant id."),
+    counter("haste_supervisor_restarts_total", "cell", "Shard child restarts performed by the supervisor, by cell index."),
+    counter("haste_supervisor_replays_total", "cell", "Journaled operations replayed into restarted shard children, by cell index."),
+    counter("haste_supervisor_deadline_expired_total", "cell", "Supervisor requests that hit the per-request deadline, by cell index."),
+    gauge("haste_supervisor_down_shards", "", "Shards currently down or restarting."),
+    gauge_max("haste_engine_clock_slots", "", "Engine virtual clock: the open slot index (max across shards)."),
+    gauge("haste_engine_active_tasks", "", "Tasks materialized into the engine scenario."),
+    gauge("haste_engine_staged_tasks", "", "Tasks staged for future release slots."),
+    counter("haste_engine_admitted_total", "", "Submissions admitted since load."),
+    counter("haste_engine_rejected_total", "", "Submissions rejected by admission control since load."),
+    gauge("haste_engine_pending_tasks", "", "Submissions waiting in the open slot."),
+    gauge_max("haste_engine_worker_threads", "", "Engine worker threads (max across shards)."),
+    counter("haste_engine_oracle_marginals_total", "", "Marginal-gain oracle evaluations."),
+    counter("haste_engine_oracle_commits_total", "", "Oracle commit operations."),
+    counter("haste_engine_negotiation_messages_total", "", "Negotiation messages exchanged between chargers."),
+    counter("haste_engine_negotiation_rounds_total", "", "Negotiation rounds executed."),
+    counter("haste_engine_instance_build_us_total", "", "Cumulative microseconds building slot instances."),
+    counter("haste_engine_greedy_us_total", "", "Cumulative microseconds in the greedy solve phase."),
+    counter("haste_engine_rounding_us_total", "", "Cumulative microseconds in the rounding phase."),
+    counter("haste_engine_coverage_build_us_total", "", "Cumulative microseconds building coverage structures."),
 ];
 
 /// Looks up a family by name.
@@ -150,14 +133,6 @@ pub fn gauge_merge(name: &str) -> GaugeMerge {
         Some(spec) => spec.merge,
         None => GaugeMerge::Sum,
     }
-}
-
-/// The schema family aliasing one legacy `METRICS?` key, if any.
-pub fn schema_for_alias(alias: &str) -> Option<&'static MetricSpec> {
-    if alias.is_empty() {
-        return None;
-    }
-    CATALOG.iter().find(|spec| spec.alias == alias)
 }
 
 #[cfg(test)]
@@ -180,22 +155,6 @@ mod tests {
             );
             for other in &CATALOG[index + 1..] {
                 assert_ne!(spec.name, other.name, "duplicate catalog name");
-            }
-        }
-    }
-
-    #[test]
-    fn aliases_are_unique() {
-        for (index, spec) in CATALOG.iter().enumerate() {
-            if spec.alias.is_empty() {
-                continue;
-            }
-            assert_eq!(
-                schema_for_alias(spec.alias).map(|s| s.name),
-                Some(spec.name)
-            );
-            for other in &CATALOG[index + 1..] {
-                assert_ne!(spec.alias, other.alias, "duplicate legacy alias");
             }
         }
     }

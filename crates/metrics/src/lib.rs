@@ -24,7 +24,8 @@
 //!
 //! Metric names follow the normative schema in
 //! `docs/service_protocol.md` (`haste_<subsystem>_<name>_<unit>`); the
-//! full set, with legacy `METRICS?` key aliases, lives in [`catalog`].
+//! full set, with each family's cross-shard merge rule, lives in
+//! [`catalog`].
 
 pub mod catalog;
 

@@ -169,14 +169,14 @@ enum WireMode {
 /// A connected protocol client. One request is in flight at a time
 /// (the protocol is strictly request/reply).
 ///
-/// The idempotent read-only queries — [`shards`](Client::shards),
-/// [`metrics`](Client::metrics), [`export`](Client::export) — survive a
-/// dropped connection transparently: on `ECONNRESET`/`EPIPE`/EOF the
-/// client reconnects to the remembered peer, re-negotiates the exact
-/// `HELLO` version this session had (re-selecting its tenant, if one was
-/// chosen), and retries the query once. Mutating requests never
-/// reconnect — a `SUBMIT` or `TICK` whose connection died may or may not
-/// have been applied, and silently retrying it could double-apply.
+/// The idempotent read-only queries — [`shards`](Client::shards) and
+/// [`export`](Client::export) — survive a dropped connection
+/// transparently: on `ECONNRESET`/`EPIPE`/EOF the client reconnects to
+/// the remembered peer, re-negotiates the exact `HELLO` version this
+/// session had (re-selecting its tenant, if one was chosen), and
+/// retries the query once. Mutating requests never reconnect — a
+/// `SUBMIT` or `TICK` whose connection died may or may not have been
+/// applied, and silently retrying it could double-apply.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -664,20 +664,6 @@ impl Client {
         Ok(crate::shard::UtilityParts { full, relaxed })
     }
 
-    /// Solver metrics and counters, as `(key, value)` pairs. Idempotent:
-    /// survives a dropped connection by transparent reconnect.
-    pub fn metrics(&mut self) -> Result<Vec<(String, String)>, ClientError> {
-        let document = self.request_document_reconnecting("METRICS?")?;
-        document
-            .lines()
-            .map(|line| {
-                line.split_once(' ')
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .ok_or_else(|| ClientError::Protocol(format!("bad metrics line `{line}`")))
-            })
-            .collect()
-    }
-
     /// The typed metric registry as Prometheus-style exposition text
     /// (`EXPORT?`). Parse with [`haste_metrics::Snapshot::parse`].
     /// Idempotent: survives a dropped connection by transparent
@@ -1162,7 +1148,7 @@ mod tests {
             .local_addr()
             .expect("bound listener has an address");
         let daemon = std::thread::spawn(move || {
-            // Session 1: greet, then slam the door on the first METRICS?
+            // Session 1: greet, then slam the door on the first EXPORT?
             // without a reply — the client sees EOF mid-reply.
             let (mut stream, _) = listener.accept().expect("first session");
             let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
@@ -1172,8 +1158,8 @@ mod tests {
                 &[("HELLO v1", "OK haste-service v1\n")],
             );
             let mut line = String::new();
-            std::io::BufRead::read_line(&mut reader, &mut line).expect("METRICS?");
-            assert_eq!(line.trim_end(), "METRICS?");
+            std::io::BufRead::read_line(&mut reader, &mut line).expect("EXPORT?");
+            assert_eq!(line.trim_end(), "EXPORT?");
             // Both handles must go: `reader` holds a clone of the socket,
             // and only closing the last handle delivers the EOF.
             drop(reader);
@@ -1187,16 +1173,18 @@ mod tests {
                 &mut reader,
                 &[
                     ("HELLO v1", "OK haste-service v1\n"),
-                    ("METRICS?", "DATA 1\nsolver_runs 3\n"),
+                    (
+                        "EXPORT?",
+                        "DATA 2\n# TYPE haste_x_total counter\nhaste_x_total 3\n",
+                    ),
                     ("BYE", "OK bye\n"),
                 ],
             );
         });
         let mut client = Client::connect(addr).expect("handshake");
-        let metrics = client.metrics().expect("the query survives the drop");
+        let document = client.export().expect("the query survives the drop");
         assert_eq!(
-            metrics,
-            vec![("solver_runs".to_string(), "3".to_string())],
+            document, "# TYPE haste_x_total counter\nhaste_x_total 3\n",
             "the retried reply must come through intact"
         );
         client.bye().expect("polite shutdown on the new session");

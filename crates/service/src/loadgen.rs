@@ -29,14 +29,8 @@
 //! [`LoadgenConfig::reshard_split`] scripts a mid-run `RESHARD SPLIT`
 //! between two ticks of a sharded run; the replay verification carries
 //! through the topology change unchanged.
-//!
-//! Open-loop mode: [`LoadgenConfig::open_loop`] paces raw `SUBMIT` lines
-//! at a fixed aggregate rate without waiting for acks (a drain thread
-//! reads replies concurrently), so client back-pressure never throttles
-//! the offered load. Latency percentiles then come from the server-side
-//! `EXPORT?` histogram instead of client round-trips.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,7 +43,7 @@ use haste_model::{Charger, ChargingParams, Scenario, TimeGrid};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use haste_metrics::{quantile_upper_bound_us, Value as MetricValue};
+use haste_metrics::Value as MetricValue;
 
 use crate::shard::ShardHealth;
 use crate::{
@@ -173,15 +167,6 @@ pub struct LoadgenConfig {
     pub batch: usize,
     /// Arrival-slot distribution (see [`ArrivalProfile`]).
     pub profile: ArrivalProfile,
-    /// Open-loop mode: pace raw `SUBMIT` lines at this aggregate rate
-    /// (submissions per second across all connections) without waiting
-    /// for acks. No `TICK`s are driven, so the open slot's admission
-    /// bound is what saturates; latency percentiles come from the
-    /// server-side `EXPORT?` histogram. Incompatible with
-    /// [`binary`](LoadgenConfig::binary) (open loop is raw text) and
-    /// [`fault_plan`](LoadgenConfig::fault_plan); replay verification is
-    /// skipped (nothing is ever scheduled).
-    pub open_loop: Option<f64>,
     /// Serve the self-hosted router's metric registry over plain HTTP
     /// on this address (forwarded to [`RouterConfig::metrics_addr`]).
     /// Needs a sharded self-hosted run; with
@@ -235,7 +220,6 @@ impl Default for LoadgenConfig {
             binary: false,
             batch: 1,
             profile: ArrivalProfile::Uniform,
-            open_loop: None,
             metrics_addr: None,
             check_export: false,
             reshard_split: None,
@@ -305,9 +289,6 @@ pub struct LoadgenReport {
     /// ([`LoadgenConfig::check_export`]; a failed check is an error, so
     /// this is only ever `Some(true)` in a returned report).
     pub export_consistent: Option<bool>,
-    /// Whether latency percentiles were measured server-side (open-loop
-    /// mode) rather than as client round-trips.
-    pub server_side_latency: bool,
 }
 
 /// What a fault-injected run proved against its no-fault reference run.
@@ -380,9 +361,6 @@ impl std::fmt::Display for LoadgenReport {
                 100.0 * peak,
                 100.0 * trough
             )?;
-        }
-        if self.server_side_latency {
-            write!(f, " latency_source=server")?;
         }
         if self.export_consistent == Some(true) {
             write!(f, " export_consistent=true")?;
@@ -697,11 +675,6 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, ClientError> {
                 config.slots
             )));
         }
-        if config.open_loop.is_some() {
-            return Err(ClientError::Protocol(
-                "open-loop mode drives no TICKs, so a scripted reshard never fires".to_string(),
-            ));
-        }
         // Shard-fault chaos assumes a stable topology for its per-cell
         // reference comparison. A kill-router plan is fine: both the
         // reference and the fault session perform the same split, so the
@@ -711,26 +684,6 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, ClientError> {
             return Err(ClientError::Protocol(
                 "scripted resharding and shard-fault chaos cannot share a run: the \
                  per-cell reference comparison assumes a stable topology"
-                    .to_string(),
-            ));
-        }
-    }
-    if let Some(rate) = config.open_loop {
-        if !rate.is_finite() || rate <= 0.0 {
-            return Err(ClientError::Protocol(format!(
-                "open-loop rate must be a positive number of submissions per second, got {rate}"
-            )));
-        }
-        if config.binary {
-            return Err(ClientError::Protocol(
-                "open-loop mode paces raw text submissions; drop the binary framing flag"
-                    .to_string(),
-            ));
-        }
-        if config.fault_plan.is_some() {
-            return Err(ClientError::Protocol(
-                "open-loop mode drives no TICKs, so a fault plan could never mature; \
-                 use the closed-loop harness for chaos runs"
                     .to_string(),
             ));
         }
@@ -962,196 +915,180 @@ fn run_session(
     let mut all_latencies: Vec<u64> = Vec::with_capacity(config.submissions);
     let mut submit_elapsed_s = 0.0f64;
 
-    if let Some(rate) = config.open_loop {
-        submit_elapsed_s = open_loop_phase(
-            config,
-            &addr,
-            arrivals,
-            rate,
-            &slot_accepted,
-            &slot_rejected,
-            &unavailable,
-        )?;
-    } else {
-        let mut plans: Vec<WorkerPlan> = (0..config.connections)
-            .map(|_| WorkerPlan {
-                per_slot: vec![Vec::new(); config.slots],
-            })
-            .collect();
-        for (i, (slot, spec)) in arrivals.into_iter().enumerate() {
-            plans[i % config.connections].per_slot[slot].push(spec);
-        }
+    let mut plans: Vec<WorkerPlan> = (0..config.connections)
+        .map(|_| WorkerPlan {
+            per_slot: vec![Vec::new(); config.slots],
+        })
+        .collect();
+    for (i, (slot, spec)) in arrivals.into_iter().enumerate() {
+        plans[i % config.connections].per_slot[slot].push(spec);
+    }
 
-        std::thread::scope(|scope| -> Result<(), ClientError> {
-            let mut handles = Vec::with_capacity(config.connections);
-            for plan in &plans {
-                let barrier = &barrier;
-                let slot_accepted = slot_accepted.as_slice();
-                let slot_rejected = slot_rejected.as_slice();
-                let unavailable = &unavailable;
-                let addr = addr.as_str();
-                let slots = config.slots;
-                let binary = config.binary;
-                let batch = config.batch.max(1);
-                let reconnect = !router_kill_slots.is_empty();
-                handles.push(scope.spawn(move || -> Result<Vec<u64>, ClientError> {
-                    // A failed worker keeps meeting the barriers (without
-                    // submitting) so the remaining participants never
-                    // deadlock; the error surfaces at join time. That covers
-                    // a failed *connect* too — the ready barrier below is
-                    // met either way.
-                    let mut failure: Option<ClientError> = None;
-                    let mut client = match worker_connect(addr, binary) {
-                        Ok(client) => Some(client),
-                        Err(e) => {
-                            failure = Some(e);
-                            None
-                        }
-                    };
-                    let mut latencies = Vec::new();
-                    // Ready barrier: every worker is connected (or has
-                    // recorded why not). The submit-phase clock starts here.
-                    barrier.wait();
-                    for slot in 0..slots {
-                        if let (Some(client), None) = (client.as_mut(), failure.as_ref()) {
-                            'chunks: for chunk in plan.per_slot[slot].chunks(batch) {
-                                let sent = Instant::now();
-                                let acks = match client.submit_batch(chunk) {
-                                    Ok(acks) => acks,
-                                    // The router was killed and respawned at
-                                    // an earlier barrier: this worker's socket
-                                    // died while it was idle, so nothing of
-                                    // this chunk reached the old process —
-                                    // reconnecting and resubmitting the whole
-                                    // chunk cannot duplicate anything.
-                                    Err(e) if reconnect && e.disconnected() => {
-                                        let retried =
-                                            worker_connect(addr, binary).and_then(|fresh| {
-                                                *client = fresh;
-                                                client.submit_batch(chunk)
-                                            });
-                                        match retried {
-                                            Ok(acks) => acks,
-                                            Err(e) => {
-                                                failure = Some(e);
-                                                break 'chunks;
-                                            }
-                                        }
-                                    }
-                                    Err(e) => {
-                                        failure = Some(e);
-                                        break 'chunks;
-                                    }
-                                };
-                                let rtt = sent.elapsed().as_micros() as u64;
-                                for ack in acks {
-                                    match ack {
-                                        Ok(_) => {
-                                            latencies.push(rtt);
-                                            slot_accepted[slot].fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        Err(e) if e.code() == Some("overload") => {
-                                            slot_rejected[slot].fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        // A down shard bounces the submission;
-                                        // under fault injection that is expected
-                                        // degraded-mode behaviour, not a failure.
-                                        Err(e) if e.code() == Some("unavailable") => {
-                                            unavailable.fetch_add(1, Ordering::Relaxed);
-                                        }
+    std::thread::scope(|scope| -> Result<(), ClientError> {
+        let mut handles = Vec::with_capacity(config.connections);
+        for plan in &plans {
+            let barrier = &barrier;
+            let slot_accepted = slot_accepted.as_slice();
+            let slot_rejected = slot_rejected.as_slice();
+            let unavailable = &unavailable;
+            let addr = addr.as_str();
+            let slots = config.slots;
+            let binary = config.binary;
+            let batch = config.batch.max(1);
+            let reconnect = !router_kill_slots.is_empty();
+            handles.push(scope.spawn(move || -> Result<Vec<u64>, ClientError> {
+                // A failed worker keeps meeting the barriers (without
+                // submitting) so the remaining participants never
+                // deadlock; the error surfaces at join time. That covers
+                // a failed *connect* too — the ready barrier below is
+                // met either way.
+                let mut failure: Option<ClientError> = None;
+                let mut client = match worker_connect(addr, binary) {
+                    Ok(client) => Some(client),
+                    Err(e) => {
+                        failure = Some(e);
+                        None
+                    }
+                };
+                let mut latencies = Vec::new();
+                // Ready barrier: every worker is connected (or has
+                // recorded why not). The submit-phase clock starts here.
+                barrier.wait();
+                for slot in 0..slots {
+                    if let (Some(client), None) = (client.as_mut(), failure.as_ref()) {
+                        'chunks: for chunk in plan.per_slot[slot].chunks(batch) {
+                            let sent = Instant::now();
+                            let acks = match client.submit_batch(chunk) {
+                                Ok(acks) => acks,
+                                // The router was killed and respawned at
+                                // an earlier barrier: this worker's socket
+                                // died while it was idle, so nothing of
+                                // this chunk reached the old process —
+                                // reconnecting and resubmitting the whole
+                                // chunk cannot duplicate anything.
+                                Err(e) if reconnect && e.disconnected() => {
+                                    let retried = worker_connect(addr, binary).and_then(|fresh| {
+                                        *client = fresh;
+                                        client.submit_batch(chunk)
+                                    });
+                                    match retried {
+                                        Ok(acks) => acks,
                                         Err(e) => {
                                             failure = Some(e);
                                             break 'chunks;
                                         }
                                     }
                                 }
+                                Err(e) => {
+                                    failure = Some(e);
+                                    break 'chunks;
+                                }
+                            };
+                            let rtt = sent.elapsed().as_micros() as u64;
+                            for ack in acks {
+                                match ack {
+                                    Ok(_) => {
+                                        latencies.push(rtt);
+                                        slot_accepted[slot].fetch_add(1, Ordering::Relaxed);
+                                    }
+                                    Err(e) if e.code() == Some("overload") => {
+                                        slot_rejected[slot].fetch_add(1, Ordering::Relaxed);
+                                    }
+                                    // A down shard bounces the submission;
+                                    // under fault injection that is expected
+                                    // degraded-mode behaviour, not a failure.
+                                    Err(e) if e.code() == Some("unavailable") => {
+                                        unavailable.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                    Err(e) => {
+                                        failure = Some(e);
+                                        break 'chunks;
+                                    }
+                                }
                             }
                         }
-                        // All submissions for this slot are in; one TICK (from
-                        // the controller, between the two barriers) closes it.
-                        barrier.wait();
-                        barrier.wait();
                     }
-                    if let Some(e) = failure {
-                        return Err(e);
-                    }
-                    let farewell = client
-                        .expect("a connected worker reaches the epilogue")
-                        .bye();
-                    match farewell {
-                        // A worker with nothing to submit after the last
-                        // router kill first notices its dead socket here;
-                        // there is nothing left to say to the new process.
-                        Err(e) if reconnect && e.disconnected() => {}
-                        other => other?,
-                    }
-                    Ok(latencies)
-                }));
-            }
-            // Controller: close each slot once every worker has drained it.
-            // Same rule: keep meeting the barriers even after an error.
+                    // All submissions for this slot are in; one TICK (from
+                    // the controller, between the two barriers) closes it.
+                    barrier.wait();
+                    barrier.wait();
+                }
+                if let Some(e) = failure {
+                    return Err(e);
+                }
+                let farewell = client
+                    .expect("a connected worker reaches the epilogue")
+                    .bye();
+                match farewell {
+                    // A worker with nothing to submit after the last
+                    // router kill first notices its dead socket here;
+                    // there is nothing left to say to the new process.
+                    Err(e) if reconnect && e.disconnected() => {}
+                    other => other?,
+                }
+                Ok(latencies)
+            }));
+        }
+        // Controller: close each slot once every worker has drained it.
+        // Same rule: keep meeting the barriers even after an error.
+        barrier.wait();
+        let submit_start = Instant::now();
+        let mut tick_failure: Option<ClientError> = None;
+        for slot in 0..config.slots {
             barrier.wait();
-            let submit_start = Instant::now();
-            let mut tick_failure: Option<ClientError> = None;
-            for slot in 0..config.slots {
-                barrier.wait();
-                if tick_failure.is_none() {
-                    if let Err(e) = control.tick(1) {
+            if tick_failure.is_none() {
+                if let Err(e) = control.tick(1) {
+                    tick_failure = Some(e);
+                }
+            }
+            // The scripted split lands between ticks: the slot just
+            // closed, the next is already open, and workers are
+            // submitting into it the moment the barrier releases.
+            if let Some((after_slot, cell)) = config.reshard_split {
+                if slot + 1 == after_slot && tick_failure.is_none() {
+                    if let Err(e) = control.reshard_split(cell) {
                         tick_failure = Some(e);
                     }
                 }
-                // The scripted split lands between ticks: the slot just
-                // closed, the next is already open, and workers are
-                // submitting into it the moment the barrier releases.
-                if let Some((after_slot, cell)) = config.reshard_split {
-                    if slot + 1 == after_slot && tick_failure.is_none() {
-                        if let Err(e) = control.reshard_split(cell) {
-                            tick_failure = Some(e);
-                        }
-                    }
+            }
+            // A kill-router directive fires here, while every worker
+            // is parked at the barrier below: the slot is closed (and
+            // fsynced, under the every-tick policy the subprocess
+            // runs), nothing is in flight, and the respawn blocks on
+            // the greeting — so the control reconnect lands on a
+            // fully recovered router before any worker wakes up and
+            // notices its dead socket.
+            if router_kill_slots.contains(&slot) && tick_failure.is_none() {
+                let revived = router_process
+                    .as_mut()
+                    .expect("kill-router sessions run a routerd subprocess")
+                    .kill_and_respawn()
+                    .and_then(|()| Client::connect(&addr));
+                match revived {
+                    Ok(fresh) => control = fresh,
+                    Err(e) => tick_failure = Some(e),
                 }
-                // A kill-router directive fires here, while every worker
-                // is parked at the barrier below: the slot is closed (and
-                // fsynced, under the every-tick policy the subprocess
-                // runs), nothing is in flight, and the respawn blocks on
-                // the greeting — so the control reconnect lands on a
-                // fully recovered router before any worker wakes up and
-                // notices its dead socket.
-                if router_kill_slots.contains(&slot) && tick_failure.is_none() {
-                    let revived = router_process
-                        .as_mut()
-                        .expect("kill-router sessions run a routerd subprocess")
-                        .kill_and_respawn()
-                        .and_then(|()| Client::connect(&addr));
-                    match revived {
-                        Ok(fresh) => control = fresh,
-                        Err(e) => tick_failure = Some(e),
-                    }
-                }
-                barrier.wait();
             }
-            submit_elapsed_s = submit_start.elapsed().as_secs_f64();
-            for handle in handles {
-                all_latencies.extend(handle.join().expect("loadgen worker panicked")?);
-            }
-            if let Some(e) = tick_failure {
-                return Err(e);
-            }
-            Ok(())
-        })?;
-    }
+            barrier.wait();
+        }
+        submit_elapsed_s = submit_start.elapsed().as_secs_f64();
+        for handle in handles {
+            all_latencies.extend(handle.join().expect("loadgen worker panicked")?);
+        }
+        if let Some(e) = tick_failure {
+            return Err(e);
+        }
+        Ok(())
+    })?;
 
     let (utility, relaxed) = control.utility()?;
-    // Open-loop runs never TICK, so nothing is ever scheduled: a batch
-    // replay would compare two empty schedules. Skip it.
-    let verify_replay = config.verify_replay && config.open_loop.is_none();
-    let snapshot = if verify_replay || observe {
+    let snapshot = if config.verify_replay || observe {
         Some(control.snapshot()?)
     } else {
         None
     };
     let (mut replay_utility, mut replay_matches) = (None, None);
-    if verify_replay {
+    if config.verify_replay {
         let snapshot = snapshot.as_deref().unwrap_or_default();
         let replayed = match config.cells {
             None => {
@@ -1192,43 +1129,31 @@ fn run_session(
     let rejected: usize = rejected_per_slot.iter().sum();
     let unavailable = unavailable.into_inner();
 
-    // Exposition pass: open-loop runs need the server-side SUBMIT
-    // latency histogram; `check_export` additionally cross-checks its
-    // count against the session's own ledger. Scrape over HTTP when the
+    // Exposition self-check: the SUBMIT latency histogram must count
+    // exactly the session's own ledger. Scrape over HTTP when the
     // self-hosted router has a listener, else ask in-protocol.
     let mut export_consistent = None;
-    let mut server_latency: Option<(u64, u64, u64)> = None;
-    if config.check_export || config.open_loop.is_some() {
+    if config.check_export {
         let document = match &config.metrics_addr {
             Some(scrape) => http_scrape(scrape)?,
             None => control.export()?,
         };
         let exposition = haste_metrics::Snapshot::parse(&document)
             .map_err(|e| ClientError::Protocol(format!("exposition does not parse: {e}")))?;
-        let buckets =
+        let counted: u64 =
             match exposition.get("haste_service_request_duration_us", &[("opcode", "SUBMIT")]) {
-                Some(MetricValue::Histogram { buckets, .. }) => buckets.clone(),
-                _ => vec![0; haste_metrics::BUCKET_COUNT],
+                Some(MetricValue::Histogram { buckets, .. }) => buckets.iter().sum(),
+                _ => 0,
             };
-        if config.check_export {
-            let counted: u64 = buckets.iter().sum();
-            let expected = (accepted + rejected + unavailable) as u64;
-            if counted != expected {
-                return Err(ClientError::Protocol(format!(
-                    "exposition SUBMIT histogram counted {counted} submissions, the session \
-                     observed {expected} (accepted {accepted} + rejected {rejected} + \
-                     unavailable {unavailable})"
-                )));
-            }
-            export_consistent = Some(true);
+        let expected = (accepted + rejected + unavailable) as u64;
+        if counted != expected {
+            return Err(ClientError::Protocol(format!(
+                "exposition SUBMIT histogram counted {counted} submissions, the session \
+                 observed {expected} (accepted {accepted} + rejected {rejected} + \
+                 unavailable {unavailable})"
+            )));
         }
-        if config.open_loop.is_some() {
-            server_latency = Some((
-                quantile_upper_bound_us(&buckets, 0.50).unwrap_or(0),
-                quantile_upper_bound_us(&buckets, 0.99).unwrap_or(0),
-                quantile_upper_bound_us(&buckets, 1.0).unwrap_or(0),
-            ));
-        }
+        export_consistent = Some(true);
     }
 
     control.bye()?;
@@ -1241,14 +1166,6 @@ fn run_session(
     }
 
     all_latencies.sort_unstable();
-    let (p50_us, p99_us, max_us) = match server_latency {
-        Some(server) => server,
-        None => (
-            nearest_rank(&all_latencies, 50),
-            nearest_rank(&all_latencies, 99),
-            all_latencies.last().copied().unwrap_or(0),
-        ),
-    };
     let (peak_overload_rate, trough_overload_rate) = match config.profile {
         ArrivalProfile::Uniform | ArrivalProfile::Hotspot { .. } => (None, None),
         ArrivalProfile::Diurnal { .. } => {
@@ -1262,9 +1179,9 @@ fn run_session(
         accepted,
         rejected,
         unavailable,
-        p50_us,
-        p99_us,
-        max_us,
+        p50_us: nearest_rank(&all_latencies, 50),
+        p99_us: nearest_rank(&all_latencies, 99),
+        max_us: all_latencies.last().copied().unwrap_or(0),
         elapsed_s,
         throughput: accepted as f64 / elapsed_s.max(1e-9),
         submit_elapsed_s,
@@ -1281,7 +1198,6 @@ fn run_session(
         peak_overload_rate,
         trough_overload_rate,
         export_consistent,
-        server_side_latency: config.open_loop.is_some(),
     };
     Ok((report, observations))
 }
@@ -1407,174 +1323,6 @@ fn band_rate(
     } else {
         rej as f64 / (acc + rej) as f64
     }
-}
-
-/// The open-loop submit phase: splits the arrival list round-robin
-/// across raw text connections, paces each worker at `rate /
-/// connections` submissions per second, and returns the wall-clock
-/// duration of the phase. Outcome counters are shared with the caller.
-fn open_loop_phase(
-    config: &LoadgenConfig,
-    addr: &str,
-    arrivals: Vec<(usize, TaskSpec)>,
-    rate: f64,
-    slot_accepted: &[AtomicUsize],
-    slot_rejected: &[AtomicUsize],
-    unavailable: &AtomicUsize,
-) -> Result<f64, ClientError> {
-    let connections = config.connections.max(1);
-    let mut shares: Vec<Vec<(usize, TaskSpec)>> = (0..connections).map(|_| Vec::new()).collect();
-    for (i, arrival) in arrivals.into_iter().enumerate() {
-        shares[i % connections].push(arrival);
-    }
-    let pace = Duration::from_secs_f64(connections as f64 / rate);
-    let phase_start = Instant::now();
-    std::thread::scope(|scope| -> Result<(), ClientError> {
-        let mut handles = Vec::with_capacity(connections);
-        for share in &shares {
-            handles.push(scope.spawn(move || {
-                open_loop_worker(addr, share, pace, slot_accepted, slot_rejected, unavailable)
-            }));
-        }
-        let mut first_failure: Option<ClientError> = None;
-        for handle in handles {
-            if let Err(e) = handle.join().expect("open-loop worker panicked") {
-                first_failure.get_or_insert(e);
-            }
-        }
-        match first_failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })?;
-    Ok(phase_start.elapsed().as_secs_f64())
-}
-
-/// One open-loop connection: handshakes v1 text, then paces raw
-/// `SUBMIT` lines on schedule while a drain thread consumes the acks —
-/// writes never wait on replies, so an overloaded endpoint slows its
-/// own ack stream without throttling the offered load. The protocol's
-/// strict per-connection request/reply ordering means the `i`-th reply
-/// acknowledges the `i`-th submission, which is how acks are attributed
-/// to arrival slots.
-fn open_loop_worker(
-    addr: &str,
-    arrivals: &[(usize, TaskSpec)],
-    pace: Duration,
-    slot_accepted: &[AtomicUsize],
-    slot_rejected: &[AtomicUsize],
-    unavailable: &AtomicUsize,
-) -> Result<(), ClientError> {
-    let stream = TcpStream::connect(addr).map_err(ClientError::Io)?;
-    stream.set_nodelay(true)?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut reader = BufReader::new(stream);
-    writer.write_all(b"HELLO v1\n")?;
-    writer.flush()?;
-    let mut greeting = String::new();
-    reader.read_line(&mut greeting)?;
-    if !greeting.starts_with("OK") {
-        return Err(ClientError::Protocol(format!(
-            "unexpected greeting `{}`",
-            greeting.trim_end()
-        )));
-    }
-    let mut reader = std::thread::scope(|scope| -> Result<BufReader<TcpStream>, ClientError> {
-        let drain = scope
-            .spawn(move || drain_acks(reader, arrivals, slot_accepted, slot_rejected, unavailable));
-        let start = Instant::now();
-        let mut write_failure: Option<ClientError> = None;
-        for (i, (_, spec)) in arrivals.iter().enumerate() {
-            if let Some(ahead) = pace.mul_f64(i as f64).checked_sub(start.elapsed()) {
-                if !ahead.is_zero() {
-                    std::thread::sleep(ahead);
-                }
-            }
-            let outcome = writer
-                .write_all(submit_line(spec).as_bytes())
-                .and_then(|()| writer.flush());
-            if let Err(e) = outcome {
-                // A broken connection also surfaces in the drain thread
-                // as EOF; stop pacing and let the join sort out blame.
-                write_failure = Some(ClientError::from(e));
-                break;
-            }
-        }
-        let (reader, drained) = drain.join().expect("open-loop drain thread panicked");
-        if let Some(e) = write_failure {
-            return Err(e);
-        }
-        drained?;
-        Ok(reader)
-    })?;
-    writer.write_all(b"BYE\n")?;
-    writer.flush()?;
-    let mut farewell = String::new();
-    reader.read_line(&mut farewell)?;
-    Ok(())
-}
-
-/// Reads exactly one ack line per planned arrival, attributing each to
-/// its slot. Classification failures are recorded but draining
-/// continues — stopping early would let the unread ack stream
-/// back-pressure the writer into a deadlock. Transport failures abort:
-/// the writer is failing on the same socket anyway.
-#[allow(clippy::type_complexity)]
-fn drain_acks(
-    mut reader: BufReader<TcpStream>,
-    arrivals: &[(usize, TaskSpec)],
-    slot_accepted: &[AtomicUsize],
-    slot_rejected: &[AtomicUsize],
-    unavailable: &AtomicUsize,
-) -> (BufReader<TcpStream>, Result<(), ClientError>) {
-    let mut failure: Option<ClientError> = None;
-    for &(slot, _) in arrivals {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                failure.get_or_insert(ClientError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-run",
-                )));
-                break;
-            }
-            Ok(_) => {}
-            Err(e) => {
-                failure.get_or_insert(ClientError::from(e));
-                break;
-            }
-        }
-        let line = line.trim_end();
-        if line.starts_with("OK") {
-            slot_accepted[slot].fetch_add(1, Ordering::Relaxed);
-        } else if line.starts_with("ERR overload") {
-            slot_rejected[slot].fetch_add(1, Ordering::Relaxed);
-        } else if line.starts_with("ERR unavailable") {
-            unavailable.fetch_add(1, Ordering::Relaxed);
-        } else {
-            failure.get_or_insert(ClientError::Protocol(format!(
-                "unexpected submit ack `{line}`"
-            )));
-        }
-    }
-    match failure {
-        Some(e) => (reader, Err(e)),
-        None => (reader, Ok(())),
-    }
-}
-
-/// The wire line for one raw `SUBMIT` — the same formatting
-/// [`Client::submit`] puts on the socket.
-fn submit_line(spec: &TaskSpec) -> String {
-    format!(
-        "SUBMIT {} {} {} {} {} {}\n",
-        spec.device_pos.x,
-        spec.device_pos.y,
-        spec.device_facing.radians(),
-        spec.end_slot,
-        spec.required_energy,
-        spec.weight
-    )
 }
 
 /// Fetches the exposition over the plain-HTTP scrape listener: one

@@ -189,12 +189,11 @@ pub enum Request {
     Utility,
     /// `PARTS?` — per-task weighted utility terms in arrival order (v2).
     Parts,
-    /// `METRICS?` — solver metrics and negotiation counters.
-    Metrics,
     /// `EXPORT?` — Prometheus-style text exposition of the typed metric
     /// registry (`# TYPE`/`# HELP` comments plus cumulative histogram
-    /// bucket lines). The legacy `METRICS?` keys survive as aliased
-    /// families; `docs/service_protocol.md` has the normative schema.
+    /// bucket lines), the engine's counters included as the
+    /// `haste_engine_*` families; `docs/service_protocol.md` has the
+    /// normative schema.
     Export,
     /// `SHARDS?` — per-shard slot, cell, and admission counters (v2).
     Shards,
@@ -234,7 +233,6 @@ impl Request {
             Request::Schedule => "SCHEDULE?",
             Request::Utility => "UTILITY?",
             Request::Parts => "PARTS?",
-            Request::Metrics => "METRICS?",
             Request::Export => "EXPORT?",
             Request::Shards => "SHARDS?",
             Request::Tenant { .. } => "TENANT",
@@ -306,8 +304,6 @@ impl Request {
             ("UTILITY?", _) => Err(arity(0)),
             ("PARTS?", []) => Ok(Request::Parts),
             ("PARTS?", _) => Err(arity(0)),
-            ("METRICS?", []) => Ok(Request::Metrics),
-            ("METRICS?", _) => Err(arity(0)),
             ("EXPORT?", []) => Ok(Request::Export),
             ("EXPORT?", _) => Err(arity(0)),
             ("SHARDS?", []) => Ok(Request::Shards),
@@ -363,7 +359,6 @@ mod tests {
         assert_eq!(Request::parse("SCHEDULE?"), Ok(Request::Schedule));
         assert_eq!(Request::parse("UTILITY?"), Ok(Request::Utility));
         assert_eq!(Request::parse("PARTS?"), Ok(Request::Parts));
-        assert_eq!(Request::parse("METRICS?"), Ok(Request::Metrics));
         assert_eq!(Request::parse("EXPORT?"), Ok(Request::Export));
         assert_eq!(Request::parse("SHARDS?"), Ok(Request::Shards));
         assert_eq!(
@@ -397,6 +392,8 @@ mod tests {
     fn rejects_malformed_requests() {
         assert!(Request::parse("").is_err());
         assert!(Request::parse("NOPE 1").is_err());
+        // `METRICS?` is retired: the engine counters are `EXPORT?` families.
+        assert!(Request::parse("METRICS?").is_err());
         assert!(Request::parse("LOAD").is_err());
         assert!(Request::parse("LOAD x").is_err());
         assert!(Request::parse("SUBMIT 1 2 3").is_err());
@@ -419,6 +416,7 @@ mod tests {
 
     #[test]
     fn opcode_round_trips_through_parse() {
+        let mut seen = Vec::new();
         for line in [
             "HELLO v1",
             "LOAD 3",
@@ -428,7 +426,6 @@ mod tests {
             "SCHEDULE?",
             "UTILITY?",
             "PARTS?",
-            "METRICS?",
             "EXPORT?",
             "SHARDS?",
             "TENANT acme",
@@ -441,7 +438,22 @@ mod tests {
             let request = Request::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             let directive = line.split_whitespace().next().unwrap_or_default();
             assert_eq!(request.opcode(), directive);
+            // Telemetry pre-builds one handle pair per entry of `OPCODES`
+            // and skips an opcode it lacks, so a verb missing there would
+            // never be counted.
+            assert!(
+                crate::telemetry::OPCODES.contains(&request.opcode()),
+                "`{directive}` has no per-opcode telemetry handles"
+            );
+            if !seen.contains(&request.opcode()) {
+                seen.push(request.opcode());
+            }
         }
+        assert_eq!(
+            seen.len(),
+            crate::telemetry::OPCODES.len(),
+            "OPCODES lists a directive no request parses to"
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! sub-scenarios — rejecting unpartitionable inputs with
 //! `ERR unpartitionable` — and `SUBMIT` routes each task to the shard
 //! owning its device position through a versioned [`RoutingMap`].
-//! `TICK`, `UTILITY?`, `METRICS?` fan out to every shard of the
-//! session's tenant; `SHARDS?` and `EXPORT?` span all tenants.
+//! `TICK` and `UTILITY?` fan out to every shard of the session's tenant;
+//! `SHARDS?` and `EXPORT?` span all tenants.
 //!
 //! **Multi-tenancy.** Each tenant owns a full routing universe: its own
 //! partition, shard fleet, routing map, operation log, and (optionally)
@@ -58,8 +58,9 @@
 //! recovered cell rejoins the lockstep exactly where the router believes
 //! it is.
 //! `SHARDS?` reports each shard as `up`, `restarting`, or `degraded`
-//! (recovered after ≥1 restart); `METRICS?` totals restarts, replayed
-//! operations, and currently-down shards.
+//! (recovered after ≥1 restart) with its restart and replay counts;
+//! `EXPORT?` counts restarts and replayed operations per cell and the
+//! shards currently down.
 //!
 //! **Bit-equivalence contract.** With localized replanning
 //! ([`OnlineConfig::localized`](haste_distributed::OnlineConfig)) the
@@ -121,7 +122,7 @@ use crate::server::{
     batch_backstop, catching, hello_reply, parts_payload, read_line_polling, read_payload,
     shard_err, shard_err_parts, shard_line, READ_POLL,
 };
-use crate::shard::{Shard, ShardHealth, ShardStatus, UtilityParts};
+use crate::shard::{Shard, UtilityParts};
 use crate::supervisor::{
     resolve_shardd, Launcher, ProcessShardConfig, RemoteShard, ShardSlot, SlotError,
 };
@@ -1461,100 +1462,26 @@ fn execute<R: BufRead>(
         Request::Export => {
             let core = shared.core.lock();
             let mut snap = shared.telemetry.registry().snapshot();
-            // Engine aliases and the down gauge come from the status view,
-            // uniformly across deployment modes and tenants; the router
-            // renders them itself so child engine series are never
-            // double-counted.
-            let mut merged = ShardStatus::default();
+            // Every shard of every tenant contributes its engine families
+            // (a child also its request series); the catalog's merge rules
+            // combine them. A down child contributes nothing this scrape.
             let mut down = 0u64;
-            let mut saw_status = false;
-            for tenant in core.values() {
-                for shard in &tenant.shards {
-                    // haste-lint: allow(L2) — deadline-bounded STATUS? per cell; a down shard answers from its cache instead of blocking the scrape
-                    if let Ok((status, health, _restarts, _replay)) = shard.status_view() {
-                        merged.absorb(&status);
-                        saw_status = true;
-                        if health == ShardHealth::Restarting {
-                            down += 1;
-                        }
-                    }
-                }
-            }
-            if saw_status {
-                telemetry::engine_alias_snapshot(&merged, &mut snap);
-            }
-            snap.set_gauge("haste_supervisor_down_shards", &[], u128::from(down));
-            // Out-of-process children carry their own registries: fetch
-            // each child's exposition, keep only its service-side request
-            // series, rename them into the shard-scoped families, and
-            // merge bucket-wise. A down or unparsable child contributes
-            // nothing this scrape; counters resume after its rejoin.
             for tenant in core.values() {
                 for shard in &tenant.shards {
                     // haste-lint: allow(L2) — deadline-bounded EXPORT? per cell; a down child contributes nothing this scrape rather than wedging it
-                    if let Some(Ok(document)) = shard.export_document() {
-                        if let Ok(mut child) = haste_metrics::Snapshot::parse(&document) {
-                            child.retain_prefix("haste_service_");
-                            child.rename_prefix("haste_service_", "haste_shard_");
-                            snap.merge(child);
-                        }
+                    match shard.export() {
+                        Ok(part) => snap.merge(part),
+                        Err(SlotError::Unavailable { .. }) => down += 1,
+                        Err(_) => {}
                     }
                 }
             }
+            snap.set_gauge("haste_supervisor_down_shards", &[], u128::from(down));
             Reply::Data(snap.render())
-        }
-        Request::Metrics => {
-            let tenant_id = session.borrow().tenant.clone();
-            let core = shared.core.lock();
-            match tenant_ref(&core, &tenant_id) {
-                Err(reply) => reply,
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        shard_err(crate::shard::ShardError::NoScenario)
-                    } else {
-                        // haste-lint: allow(L2) — deadline-bounded STATUS? per cell under one `core` hold so the merged totals are a consistent cut
-                        match fleet_totals(tenant) {
-                            Err(reply) => reply,
-                            Ok(totals) => {
-                                let status = &totals.status;
-                                let mut payload = String::new();
-                                for (key, value) in [
-                                    ("clock", status.clock.to_string()),
-                                    ("tasks", status.tasks.to_string()),
-                                    ("staged", status.staged.to_string()),
-                                    ("admitted", status.admitted.to_string()),
-                                    ("rejected", status.rejected.to_string()),
-                                    ("pending", status.pending.to_string()),
-                                    ("threads", status.threads.to_string()),
-                                    ("oracle_marginals", status.oracle_marginals.to_string()),
-                                    ("oracle_commits", status.oracle_commits.to_string()),
-                                    ("messages", status.messages.to_string()),
-                                    ("rounds", status.rounds.to_string()),
-                                    ("instance_build_us", status.instance_build_us.to_string()),
-                                    ("greedy_us", status.greedy_us.to_string()),
-                                    ("rounding_us", status.rounding_us.to_string()),
-                                    ("coverage_build_us", status.coverage_build_us.to_string()),
-                                    // Supervision totals across the shard fleet
-                                    // (identically zero for in-process shards).
-                                    ("shard_restarts", totals.restarts.to_string()),
-                                    ("shard_replays", totals.replays.to_string()),
-                                    ("shards_down", totals.down.to_string()),
-                                ] {
-                                    payload.push_str(key);
-                                    payload.push(' ');
-                                    payload.push_str(&value);
-                                    payload.push('\n');
-                                }
-                                Reply::Data(payload)
-                            }
-                        }
-                    }
-                }
-            }
         }
         Request::Shards => {
             let core = shared.core.lock();
-            // haste-lint: allow(L2) — deadline-bounded STATUS? per cell under one `core` hold so SHARDS? reports a consistent cut
+            // haste-lint: allow(L2) — deadline-bounded child SHARDS? per cell under one `core` hold so SHARDS? reports a consistent cut
             shards_payload(&core)
         }
         Request::Snapshot => {
@@ -1607,42 +1534,6 @@ fn reshard_request(shared: &RouterShared, session: &RefCell<Session>, op: Reshar
         }
         Err(reply) => reply,
     }
-}
-
-/// Fleet-wide counter totals backing the `METRICS?` payload: the merged
-/// per-shard status plus the supervision counters summed across one
-/// tenant's fleet.
-struct FleetTotals {
-    status: ShardStatus,
-    restarts: u64,
-    replays: u64,
-    down: u64,
-}
-
-fn fleet_totals(tenant: &TenantCore) -> Result<FleetTotals, Reply> {
-    let mut status = ShardStatus::default();
-    let mut restarts = 0u64;
-    let mut replays = 0u64;
-    let mut down = 0u64;
-    for shard in &tenant.shards {
-        match shard.status_view() {
-            Ok((view, health, shard_restarts, replay)) => {
-                status.absorb(&view);
-                restarts += shard_restarts;
-                replays += replay;
-                if health == ShardHealth::Restarting {
-                    down += 1;
-                }
-            }
-            Err(e) => return Err(slot_err(e)),
-        }
-    }
-    Ok(FleetTotals {
-        status,
-        restarts,
-        replays,
-        down,
-    })
 }
 
 /// The `SHARDS?` payload: one line per shard of every loaded tenant, in

@@ -525,47 +525,12 @@ fn execute<R: BufRead>(
             Err(e) => shard_err(e),
         },
         Request::Export => {
-            // The typed registry plus the engine-alias projection of the
-            // current status (absent before `LOAD` — a fresh daemon still
-            // exposes its request metrics).
+            // The typed registry plus the engine families of the current
+            // status (absent before `LOAD` — a fresh daemon still exposes
+            // its request metrics).
             let snap = shared.telemetry.export(shared.shard.status().ok().as_ref());
             Reply::Data(snap.render())
         }
-        Request::Metrics => match shared.shard.status() {
-            Err(e) => shard_err(e),
-            Ok(status) => {
-                let mut payload = String::new();
-                for (key, value) in [
-                    ("clock", status.clock.to_string()),
-                    ("tasks", status.tasks.to_string()),
-                    ("staged", status.staged.to_string()),
-                    ("admitted", status.admitted.to_string()),
-                    ("rejected", status.rejected.to_string()),
-                    ("pending", status.pending.to_string()),
-                    ("threads", status.threads.to_string()),
-                    ("oracle_marginals", status.oracle_marginals.to_string()),
-                    ("oracle_commits", status.oracle_commits.to_string()),
-                    ("messages", status.messages.to_string()),
-                    ("rounds", status.rounds.to_string()),
-                    ("instance_build_us", status.instance_build_us.to_string()),
-                    ("greedy_us", status.greedy_us.to_string()),
-                    ("rounding_us", status.rounding_us.to_string()),
-                    ("coverage_build_us", status.coverage_build_us.to_string()),
-                    // Supervisor counters: the single-engine daemon has no
-                    // child processes, so these are identically zero; the
-                    // router reports live values under the same keys.
-                    ("shard_restarts", 0.to_string()),
-                    ("shard_replays", 0.to_string()),
-                    ("shards_down", 0.to_string()),
-                ] {
-                    payload.push_str(key);
-                    payload.push(' ');
-                    payload.push_str(&value);
-                    payload.push('\n');
-                }
-                Reply::Data(payload)
-            }
-        },
         Request::Shards => match shared.shard.status() {
             Err(e) => shard_err(e),
             // The single-engine daemon is its own one-shard topology:
@@ -666,6 +631,10 @@ mod tests {
         let shared = fresh_shared();
         let mut reader = std::io::Cursor::new(Vec::<u8>::new());
         let (reply, close) = dispatch("NOPE 1 2", &mut reader, &shared).unwrap();
+        assert!(matches!(reply, Reply::Err(ErrCode::BadRequest, _)));
+        assert!(!close);
+        // The retired `METRICS?` is an unknown directive like any other.
+        let (reply, close) = dispatch("METRICS?", &mut reader, &shared).unwrap();
         assert!(matches!(reply, Reply::Err(ErrCode::BadRequest, _)));
         assert!(!close);
         let (reply, close) = dispatch("SNAPSHOT", &mut reader, &shared).unwrap();

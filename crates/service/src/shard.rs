@@ -6,8 +6,8 @@
 //! owned equally well by the plain daemon ([`crate::serve`]) or N at a
 //! time by the sharded router ([`crate::serve_router`]). All methods are
 //! structured (typed results, no wire formatting): the protocol layer that
-//! calls them decides how replies are spelled, which keeps the METRICS?
-//! key list and float formatting in the lint-audited serialization files.
+//! calls them decides how replies are spelled, which keeps the `SHARDS?`
+//! line and float formatting in the lint-audited serialization files.
 //!
 //! Thread model: every method locks the shard's own mutex for the duration
 //! of the call, so concurrent callers serialize per shard — submissions
@@ -73,9 +73,9 @@ impl ShardHealth {
     }
 }
 
-/// One shard's full METRICS? row — every counter the wire protocol
-/// reports, in engine-native numeric form so a router can aggregate
-/// before formatting.
+/// One shard's engine counters in engine-native numeric form: the
+/// `SHARDS?` line prints the admission fields, and `EXPORT?` carries
+/// every field as a `haste_engine_*` family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStatus {
     /// Current open slot.
@@ -110,31 +110,6 @@ pub struct ShardStatus {
     pub rounding_us: u128,
     /// Wall-clock spent building coverage maps, microseconds.
     pub coverage_build_us: u128,
-}
-
-impl ShardStatus {
-    /// Element-wise accumulation for router-level aggregation. Clocks are
-    /// not summed: the router asserts lockstep and keeps the common value;
-    /// here `clock` takes the maximum and `open` the logical-or so a
-    /// partially folded value stays meaningful.
-    pub fn absorb(&mut self, other: &ShardStatus) {
-        self.clock = self.clock.max(other.clock);
-        self.open |= other.open;
-        self.tasks += other.tasks;
-        self.staged += other.staged;
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.pending += other.pending;
-        self.threads = self.threads.max(other.threads);
-        self.oracle_marginals += other.oracle_marginals;
-        self.oracle_commits += other.oracle_commits;
-        self.messages += other.messages;
-        self.rounds += other.rounds;
-        self.instance_build_us += other.instance_build_us;
-        self.greedy_us += other.greedy_us;
-        self.rounding_us += other.rounding_us;
-        self.coverage_build_us += other.coverage_build_us;
-    }
 }
 
 /// Per-task utility terms in task-id (= arrival) order: exactly the
@@ -339,7 +314,7 @@ impl Shard {
         }
     }
 
-    /// The full METRICS? row.
+    /// Every engine counter (see [`ShardStatus`]).
     pub fn status(&self) -> Result<ShardStatus, ShardError> {
         match self.engine.lock().as_ref() {
             None => Err(ShardError::NoScenario),

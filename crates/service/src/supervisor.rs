@@ -53,6 +53,7 @@ use std::time::Duration;
 
 use haste_distributed::{OnlineConfig, TaskSpec};
 use haste_geometry::Vec2;
+use haste_metrics::Snapshot;
 use haste_model::{Scenario, Schedule, TaskId};
 use parking_lot::Mutex;
 
@@ -60,7 +61,7 @@ use crate::client::{Client, ClientError};
 use crate::oplog::{OpLog, OpRecord};
 use crate::proto::ErrCode;
 use crate::shard::{Shard, ShardError, ShardHealth, ShardStatus, UtilityParts};
-use crate::telemetry::SupervisorCounters;
+use crate::telemetry::{engine_alias_snapshot, SupervisorCounters};
 
 /// Default per-request deadline on supervisor → child calls. Generous —
 /// a negotiation round on a loaded cell can be slow — but finite, so a
@@ -678,10 +679,15 @@ impl RemoteShard {
         self.call("SNAPSHOT", |conn| conn.snapshot())
     }
 
-    /// The child's metric exposition text (`EXPORT?`), for the router's
-    /// bucket-wise cross-shard merge.
-    pub(crate) fn export_document(&self) -> Result<String, SlotError> {
-        self.call("EXPORT?", |conn| conn.export())
+    /// The child's `EXPORT?` document: its `haste_engine_*` families and
+    /// its request series, the latter renamed into the `haste_shard_*`
+    /// tier so they never merge with the router's own front door. A
+    /// document that does not parse contributes nothing.
+    pub(crate) fn export(&self) -> Result<Snapshot, SlotError> {
+        let document = self.call("EXPORT?", |conn| conn.export())?;
+        let mut child = Snapshot::parse(&document).unwrap_or_default();
+        child.rename_prefix("haste_service_", "haste_shard_");
+        Ok(child)
     }
 
     /// Sets the load baseline (log cursor 0: `LOAD` starts the tenant's
@@ -769,16 +775,17 @@ impl RemoteShard {
         }
     }
 
-    /// `(status, health, restarts, replayed)` — fetched fresh when the
-    /// shard is up (and cached), the last observation while it is down.
-    /// Infallible so `SHARDS?`/`METRICS?` keep answering in degraded mode.
+    /// `(status, health, restarts, replayed)` — the status read fresh
+    /// from the child's `SHARDS?` line when the shard is up (and cached),
+    /// the last observation while it is down. Infallible so `SHARDS?`
+    /// keeps answering in degraded mode.
     pub(crate) fn status_view(&self) -> (ShardStatus, ShardHealth, u64, u64) {
         let mut locked = self.inner.lock();
         let inner = &mut *locked;
         // haste-lint: allow(L2) — deadline-bounded reconnect; status must not interleave with another request on the same cell
         if inner.down.is_none() && self.guard(inner).is_ok() && self.ensure_conn(inner).is_ok() {
             let fetched = match inner.conn.as_mut() {
-                // haste-lint: allow(L2) — deadline-bounded STATUS?; a timeout downgrades to cached state instead of wedging METRICS?
+                // haste-lint: allow(L2) — deadline-bounded SHARDS?; a timeout downgrades to cached state instead of wedging the caller
                 Some(conn) => fetch_status(conn),
                 None => Err(ClientError::Protocol("no connection".to_string())),
             };
@@ -788,7 +795,7 @@ impl RemoteShard {
                 // a transport failure is a crash like any other.
                 Err(ClientError::Server { .. }) => {}
                 Err(e) => {
-                    let _ = self.crash(inner, "METRICS?", &e);
+                    let _ = self.crash(inner, "SHARDS?", &e);
                 }
             }
         }
@@ -949,38 +956,25 @@ fn replay_into(
     Ok(())
 }
 
-/// Assembles a full [`ShardStatus`] from a child's `METRICS?` and
-/// `SHARDS?` replies.
+/// Reads a child's status from its one-line `SHARDS?` reply, which
+/// carries every field the router's own `SHARDS?` prints. The engine
+/// counters the line lacks reach the router through the child's
+/// `EXPORT?` instead ([`RemoteShard::export`]).
 fn fetch_status(conn: &mut Client) -> Result<ShardStatus, ClientError> {
-    let metrics = conn.metrics()?;
-    let value = |key: &str| -> u128 {
-        metrics
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse::<u128>().ok())
-            .unwrap_or_default()
-    };
-    let mut status = ShardStatus {
-        clock: value("clock") as usize,
-        open: false,
-        tasks: value("tasks") as usize,
-        staged: value("staged") as usize,
-        admitted: value("admitted") as u64,
-        rejected: value("rejected") as u64,
-        pending: value("pending") as usize,
-        threads: value("threads") as usize,
-        oracle_marginals: value("oracle_marginals") as u64,
-        oracle_commits: value("oracle_commits") as u64,
-        messages: value("messages") as u64,
-        rounds: value("rounds") as u64,
-        instance_build_us: value("instance_build_us"),
-        greedy_us: value("greedy_us"),
-        rounding_us: value("rounding_us"),
-        coverage_build_us: value("coverage_build_us"),
-    };
     let shards = conn.shards()?;
-    status.open = shards.first().map(|s| s.open) == Some(true);
-    Ok(status)
+    let line = shards
+        .first()
+        .ok_or_else(|| ClientError::Protocol("empty SHARDS? reply".to_string()))?;
+    Ok(ShardStatus {
+        clock: line.slot,
+        open: line.open,
+        tasks: line.tasks,
+        staged: line.staged,
+        admitted: line.admitted,
+        rejected: line.rejected,
+        pending: line.pending,
+        ..ShardStatus::default()
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -1099,13 +1093,21 @@ impl ShardSlot {
         }
     }
 
-    /// The shard's metric exposition: a child's `EXPORT?` document, or
-    /// `None` for in-process shards (their series live in the router's
-    /// own registry already).
-    pub(crate) fn export_document(&self) -> Option<Result<String, SlotError>> {
+    /// The shard's share of the router's `EXPORT?`: its `haste_engine_*`
+    /// families (none before `LOAD`), plus a child's own request series
+    /// under `haste_shard_*` (an in-process shard's requests are the
+    /// router's own). A child that is down fails with
+    /// [`SlotError::Unavailable`].
+    pub(crate) fn export(&self) -> Result<Snapshot, SlotError> {
         match self {
-            ShardSlot::Local(_) => None,
-            ShardSlot::Remote(shard) => Some(shard.export_document()),
+            ShardSlot::Local(shard) => {
+                let mut snap = Snapshot::new();
+                if let Ok(status) = shard.status() {
+                    engine_alias_snapshot(&status, &mut snap);
+                }
+                Ok(snap)
+            }
+            ShardSlot::Remote(shard) => shard.export(),
         }
     }
 

@@ -1,8 +1,7 @@
 //! The service-side instrumentation layer: pre-built handles into a
 //! [`haste_metrics::Registry`] for the request hot path, the bridge that
 //! projects engine [`ShardStatus`] fields onto their cataloged
-//! `haste_engine_*` alias families, and the supervisor's per-cell
-//! counters.
+//! `haste_engine_*` families, and the supervisor's per-cell counters.
 //!
 //! Handle acquisition (which takes the registry mutex) happens once at
 //! construction for every per-request series; recording on the hot path
@@ -24,9 +23,10 @@ use haste_metrics::{Counter, Histogram, Registry, Snapshot};
 use crate::proto::{ErrCode, Reply};
 use crate::shard::ShardStatus;
 
-/// Every wire directive, for pre-building per-opcode series handles.
-/// Must stay in sync with [`crate::proto::Request::opcode`].
-const OPCODES: [&str; 16] = [
+/// Every wire directive, for pre-building per-opcode series handles:
+/// exactly the values of [`crate::proto::Request::opcode`] (pinned by
+/// `proto`'s `opcode_round_trips_through_parse` test).
+pub(crate) const OPCODES: [&str; 15] = [
     "HELLO",
     "LOAD",
     "SUBMIT",
@@ -35,7 +35,6 @@ const OPCODES: [&str; 16] = [
     "SCHEDULE?",
     "UTILITY?",
     "PARTS?",
-    "METRICS?",
     "EXPORT?",
     "SHARDS?",
     "TENANT",
@@ -133,7 +132,7 @@ impl Telemetry {
     }
 
     /// Freezes the registry, folding an engine status (when one is
-    /// available) into the cataloged `haste_engine_*` alias families.
+    /// available) into the cataloged `haste_engine_*` families.
     pub(crate) fn export(&self, status: Option<&ShardStatus>) -> Snapshot {
         let mut snap = self.registry.snapshot();
         if let Some(status) = status {
@@ -143,10 +142,9 @@ impl Telemetry {
     }
 }
 
-/// Projects a [`ShardStatus`] onto the `haste_engine_*` families that
-/// alias the legacy `METRICS?` keys. The `u128` phase timers go in
-/// untruncated; merge semantics (sum vs max across shards) come from the
-/// catalog at merge time.
+/// Projects a [`ShardStatus`] onto the `haste_engine_*` families. The
+/// `u128` phase timers go in untruncated; merge semantics (sum vs max
+/// across shards) come from the catalog at merge time.
 pub(crate) fn engine_alias_snapshot(status: &ShardStatus, snap: &mut Snapshot) {
     snap.set_gauge("haste_engine_clock_slots", &[], status.clock as u128);
     snap.set_gauge("haste_engine_active_tasks", &[], status.tasks as u128);
@@ -363,7 +361,7 @@ mod tests {
             if spec.name.starts_with("haste_engine_") {
                 assert!(
                     snap.get(spec.name, &[]).is_some(),
-                    "alias family `{}` missing from the projection",
+                    "engine family `{}` missing from the projection",
                     spec.name
                 );
             }

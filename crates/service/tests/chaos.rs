@@ -385,3 +385,91 @@ fn loadgen_chaos_mode_proves_surviving_cells_and_recovery() {
     // snapshot trace contains exactly the admitted submissions.
     assert_eq!(report.replay_matches, Some(true));
 }
+
+/// The `haste_engine_*` families of a router's `EXPORT?` and its
+/// `SHARDS?` lines.
+type Observation = (
+    Vec<(String, haste_metrics::Value)>,
+    Vec<haste_service::ShardInfo>,
+);
+
+/// Observes a router, leaving out the four `_us_total` engine phase
+/// timers (wall-clock, so they differ run to run).
+fn observe(client: &mut Client) -> Observation {
+    let export = haste_metrics::Snapshot::parse(&client.export().unwrap()).unwrap();
+    let engine = export
+        .samples()
+        .filter(|(key, _)| {
+            key.name.starts_with("haste_engine_") && !key.name.ends_with("_us_total")
+        })
+        .map(|(key, value)| (key.name.clone(), value.clone()))
+        .collect();
+    (engine, client.shards().unwrap())
+}
+
+/// The reply line to one raw request on a fresh v1 session.
+fn raw_reply(addr: std::net::SocketAddr, request: &str) -> String {
+    use std::io::{BufRead, Write};
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    (&stream)
+        .write_all(format!("HELLO v1\n{request}\nBYE\n").as_bytes())
+        .unwrap();
+    let mut greeting = String::new();
+    reader.read_line(&mut greeting).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    reply
+}
+
+#[test]
+fn out_of_process_export_carries_the_in_process_engine_families() {
+    let scenario = partitionable_scenario(91);
+    let trace = submission_trace(92, 24);
+    let opening = trace.partition_point(|(slot, _)| *slot == 0);
+    assert!(opening > 0, "the trace must submit into slot 0");
+    let mut observed = Vec::new();
+    for config in [in_process_router_config(), process_router_config(None)] {
+        let router = serve_router(config).unwrap();
+        let mut client = Client::connect(router.addr()).unwrap();
+        client.load(&scenario).unwrap();
+        for (_, spec) in &trace[..opening] {
+            client.submit(spec).unwrap();
+        }
+        // Mid-slot: staged releases and pending submissions are live.
+        let mid_slot = observe(&mut client);
+        client.tick(1).unwrap();
+        // `drive` fails the test on any refused submission.
+        drive(&mut client, &trace, 1);
+        observed.push((mid_slot, observe(&mut client)));
+        let retired = raw_reply(router.addr(), "METRICS?");
+        assert!(retired.starts_with("ERR bad-request"), "{retired}");
+        client.bye().unwrap();
+        router.shutdown();
+    }
+    assert_eq!(observed[0], observed[1]);
+    let ((mid_engine, _), (end_engine, _)) = &observed[0];
+    // 15 cataloged engine families minus the 4 timers.
+    assert_eq!(end_engine.len(), 11, "{end_engine:?}");
+    let value = |families: &[(String, haste_metrics::Value)], name: &str| {
+        families
+            .iter()
+            .find(|(family, _)| family == name)
+            .map(|(_, value)| value.clone())
+    };
+    assert_eq!(
+        value(mid_engine, "haste_engine_pending_tasks"),
+        Some(haste_metrics::Value::Gauge(opening as u128))
+    );
+    // Every loaded task is admitted when its release slot opens, and every
+    // accepted SUBMIT once.
+    assert_eq!(
+        value(end_engine, "haste_engine_admitted_total"),
+        Some(haste_metrics::Value::Counter(
+            (scenario.tasks.len() + trace.len()) as u128
+        ))
+    );
+}
