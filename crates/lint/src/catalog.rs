@@ -63,7 +63,8 @@ pub const RULES: &[RuleInfo] = &[
                 crates/distributed/src/engine.rs (snapshot writer), \
                 crates/service/src/proto.rs, crates/service/src/server.rs, \
                 crates/service/src/router.rs, crates/service/src/framing.rs \
-                (binary frames carry verbatim reply text), crates/service/src/wal.rs, \
+                (binary frames carry verbatim reply text), crates/service/src/front.rs \
+                (the transport that writes every reply), crates/service/src/wal.rs, \
                 and crates/service/src/oplog.rs (the record codec WAL frames and \
                 the composite `ops` section share)",
         example: "// haste-lint: allow(D3) — error-message formatting, never parsed back",

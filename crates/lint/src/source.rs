@@ -191,6 +191,7 @@ fn in_d_scope(path: &str) -> bool {
 /// anchor. `framing.rs` belongs here even though its floats cross as raw
 /// IEEE-754 bits: every *text* byte it emits (`OP_REPLY` bodies, batch-ack
 /// messages) must come from the same Display paths as the text protocol.
+/// So does `front.rs`, the transport that writes every reply.
 const D3_FILES: &[&str] = &[
     "crates/model/src/io.rs",
     "crates/distributed/src/engine.rs",
@@ -198,6 +199,7 @@ const D3_FILES: &[&str] = &[
     "crates/service/src/server.rs",
     "crates/service/src/router.rs",
     "crates/service/src/framing.rs",
+    "crates/service/src/front.rs",
     "crates/service/src/wal.rs",
     "crates/service/src/oplog.rs",
 ];
@@ -565,6 +567,11 @@ mod tests {
         let src = "let s = format!(\"{:?}\", x).unwrap();\n";
         assert_eq!(
             rules_of(&scan_source("crates/service/src/framing.rs", src)),
+            ["D3", "P1"]
+        );
+        // The front door writes every reply of both daemons.
+        assert_eq!(
+            rules_of(&scan_source("crates/service/src/front.rs", src)),
             ["D3", "P1"]
         );
     }

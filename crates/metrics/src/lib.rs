@@ -479,11 +479,6 @@ impl Snapshot {
         self.samples.get(&make_key(name, labels))
     }
 
-    /// Drops every family whose name does not start with `prefix`.
-    pub fn retain_prefix(&mut self, prefix: &str) {
-        self.samples.retain(|key, _| key.name.starts_with(prefix));
-    }
-
     /// Renames every family starting with `from` to start with `to`
     /// instead — how the router files a child's `haste_service_*`
     /// families under the `haste_shard_*` tier before merging.
@@ -1072,12 +1067,14 @@ mod tests {
         let mut snap = Snapshot::new();
         snap.set_counter("haste_service_requests_total", &[("opcode", "SUBMIT")], 3);
         snap.set_gauge("haste_engine_clock_slots", &[], 7);
-        snap.retain_prefix("haste_service_");
-        assert!(snap.get("haste_engine_clock_slots", &[]).is_none());
         snap.rename_prefix("haste_service_", "haste_shard_");
         assert_eq!(
             snap.get("haste_shard_requests_total", &[("opcode", "SUBMIT")]),
             Some(&Value::Counter(3))
+        );
+        assert_eq!(
+            snap.get("haste_engine_clock_slots", &[]),
+            Some(&Value::Gauge(7))
         );
     }
 

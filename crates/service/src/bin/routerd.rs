@@ -157,7 +157,7 @@ fn main() {
             println!(
                 "routerd listening on {} ({} shards)",
                 handle.addr(),
-                handle.shards()
+                cx * cy
             );
             handle.join();
         }

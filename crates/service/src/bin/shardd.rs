@@ -1,8 +1,9 @@
 //! `haste-shardd` — one out-of-process shard child.
 //!
-//! A plain single-engine daemon (exactly [`haste_service::serve`]) with a
-//! launch contract shaped for the router's supervisor rather than for
-//! humans:
+//! A plain single-engine daemon (exactly [`haste_service::serve`]: one
+//! engine straight behind the front door the router also runs on, with
+//! no partition or operation log in between) with a launch contract
+//! shaped for the router's supervisor rather than for humans:
 //!
 //! * it prints exactly one line, `shardd listening on <addr>`, to stdout
 //!   (explicitly flushed — stdout is a block-buffered pipe under a

@@ -214,11 +214,7 @@ impl Client {
         addr: A,
         deadline: Option<Duration>,
     ) -> Result<Client, ClientError> {
-        Self::connect_with_retry(&addr, deadline, |client| {
-            client.request_fields(&format!("HELLO {VERSION}"))?;
-            Ok(())
-        })
-        .map(|(client, ())| client)
+        Self::connect_with_retry(&addr, deadline, &[VERSION]).map(|(client, _)| client)
     }
 
     /// Connects with the v2 `HELLO` handshake; returns the client and the
@@ -227,11 +223,7 @@ impl Client {
     /// 1×1 grid). Uses the same bounded connect + greeting retry as
     /// [`connect`](Client::connect).
     pub fn connect_v2<A: ToSocketAddrs>(addr: A) -> Result<(Client, Topology), ClientError> {
-        Self::connect_with_retry(&addr, None, |client| {
-            let fields = client.request_fields(&format!("HELLO {VERSION_V2}"))?;
-            client.hello = VERSION_V2;
-            parse_topology(&fields)
-        })
+        Self::connect_with_retry(&addr, None, &[VERSION_V2])
     }
 
     /// Connects with the v3 `HELLO` handshake — binary framing with
@@ -243,34 +235,7 @@ impl Client {
     /// [`is_binary`](Client::is_binary) for the negotiated mode. Uses the
     /// same bounded connect + greeting retry as [`connect`](Client::connect).
     pub fn connect_v3<A: ToSocketAddrs>(addr: A) -> Result<(Client, Topology), ClientError> {
-        Self::connect_with_retry(&addr, None, |client| {
-            match client.request_fields(&format!("HELLO {VERSION_V3}")) {
-                Ok(fields) => {
-                    let topology = parse_topology(&fields)?;
-                    // The daemon switches to frames right after its OK.
-                    client.mode = WireMode::Framed;
-                    client.hello = VERSION_V3;
-                    Ok(topology)
-                }
-                Err(ClientError::Server { code, .. }) if code == "version" => {
-                    match client.request_fields(&format!("HELLO {VERSION_V2}")) {
-                        Ok(fields) => {
-                            client.hello = VERSION_V2;
-                            parse_topology(&fields)
-                        }
-                        Err(ClientError::Server { code, .. }) if code == "version" => {
-                            client.request_fields(&format!("HELLO {VERSION}"))?;
-                            Ok(Topology {
-                                shards: 1,
-                                cells: (1, 1),
-                            })
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-                Err(e) => Err(e),
-            }
-        })
+        Self::connect_with_retry(&addr, None, &[VERSION_V3, VERSION_V2, VERSION])
     }
 
     /// Whether the session negotiated protocol v3 binary framing.
@@ -284,16 +249,16 @@ impl Client {
     /// that accepts and then dies before greeting: the reset/EOF surfaces
     /// while reading the `HELLO` reply, and the next attempt reaches its
     /// restarted successor.
-    fn connect_with_retry<A: ToSocketAddrs, T>(
+    fn connect_with_retry<A: ToSocketAddrs>(
         addr: &A,
         deadline: Option<Duration>,
-        hello: impl Fn(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<(Client, T), ClientError> {
+        versions: &[&'static str],
+    ) -> Result<(Client, Topology), ClientError> {
         let mut delays = CONNECT_RETRY_DELAYS.iter();
         loop {
             let attempt = Self::connect_transport(addr, deadline).and_then(|mut client| {
-                let greeting = hello(&mut client)?;
-                Ok((client, greeting))
+                let topology = client.negotiate(versions)?;
+                Ok((client, topology))
             });
             match attempt {
                 Ok(connected) => return Ok(connected),
@@ -304,6 +269,39 @@ impl Client {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// The `HELLO` exchange: offers `versions` in order on this
+    /// connection, moving on only when the daemon answers `ERR version`
+    /// (any other failure is real and surfaces as is). Returns the
+    /// advertised topology — a v1 greeting carries none, so it is the
+    /// single-shard 1×1 grid. An accepted v3 switches the session to
+    /// frames.
+    fn negotiate(&mut self, versions: &[&'static str]) -> Result<Topology, ClientError> {
+        let mut refusal = ClientError::Protocol("no HELLO version offered".to_string());
+        for &version in versions {
+            match self.request_fields(&format!("HELLO {version}")) {
+                Ok(fields) => {
+                    let topology = if version == VERSION {
+                        Topology {
+                            shards: 1,
+                            cells: (1, 1),
+                        }
+                    } else {
+                        parse_topology(&fields)?
+                    };
+                    if version == VERSION_V3 {
+                        // The daemon switches to frames right after its OK.
+                        self.mode = WireMode::Framed;
+                    }
+                    self.hello = version;
+                    return Ok(topology);
+                }
+                Err(e @ ClientError::Server { .. }) if e.code() == Some("version") => refusal = e,
+                Err(e) => return Err(e),
+            }
+        }
+        Err(refusal)
     }
 
     /// Opens the TCP stream; no handshake, no retry (the caller's retry
@@ -354,53 +352,6 @@ impl Client {
     /// frames on a v3 session. Either way the request and reply bytes are
     /// identical; only the envelope differs.
     fn request(&mut self, line: &str, payload: Option<&str>) -> Result<Payload, ClientError> {
-        if self.mode == WireMode::Framed {
-            return self.request_framed(line, payload);
-        }
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        if let Some(payload) = payload {
-            self.writer.write_all(payload.as_bytes())?;
-            if !payload.is_empty() && !payload.ends_with('\n') {
-                self.writer.write_all(b"\n")?;
-            }
-        }
-        self.writer.flush()?;
-        let head = self.read_line()?;
-        let (kind, rest) = head.split_once(' ').unwrap_or((head.as_str(), ""));
-        match kind {
-            "OK" => Ok(Payload::Fields(rest.to_string())),
-            "DATA" => {
-                let count: usize = rest
-                    .trim()
-                    .parse()
-                    .map_err(|_| ClientError::Protocol(format!("bad DATA count `{rest}`")))?;
-                let mut document = String::new();
-                for _ in 0..count {
-                    document.push_str(&self.read_line()?);
-                    document.push('\n');
-                }
-                Ok(Payload::Document(document))
-            }
-            "ERR" => {
-                let (code, message) = rest.split_once(' ').unwrap_or((rest, ""));
-                Err(ClientError::Server {
-                    code: code.to_string(),
-                    message: message.to_string(),
-                })
-            }
-            other => Err(ClientError::Protocol(format!("unknown reply `{other}`"))),
-        }
-    }
-
-    /// The v3 envelope: the request line and any payload travel inside
-    /// one `OP_TEXT` frame; the reply (including a `DATA` document) comes
-    /// back whole inside one `OP_REPLY` frame.
-    fn request_framed(
-        &mut self,
-        line: &str,
-        payload: Option<&str>,
-    ) -> Result<Payload, ClientError> {
         let mut body = Vec::with_capacity(line.len() + 2 + payload.map_or(0, str::len));
         body.extend_from_slice(line.as_bytes());
         body.push(b'\n');
@@ -409,6 +360,11 @@ impl Client {
             if !payload.is_empty() && !payload.ends_with('\n') {
                 body.push(b'\n');
             }
+        }
+        if self.mode == WireMode::Text {
+            self.writer.write_all(&body)?;
+            self.writer.flush()?;
+            return read_reply(&mut self.reader);
         }
         framing::write_frame(&mut self.writer, framing::OP_TEXT, &body)?;
         let frame = self.read_frame()?;
@@ -473,35 +429,13 @@ impl Client {
         let peer = self.peer.ok_or_else(|| {
             ClientError::Protocol("no remembered peer address to reconnect to".to_string())
         })?;
-        let hello = self.hello;
-        let (mut fresh, ()) = Self::connect_with_retry(&peer, self.deadline, |client| {
-            client.request_fields(&format!("HELLO {hello}"))?;
-            if hello == VERSION_V3 {
-                client.mode = WireMode::Framed;
-            }
-            client.hello = hello;
-            Ok(())
-        })?;
+        let (mut fresh, _) = Self::connect_with_retry(&peer, self.deadline, &[self.hello])?;
         if let Some(tenant) = &self.tenant {
             fresh.request_fields(&format!("TENANT {tenant}"))?;
             fresh.tenant = Some(tenant.clone());
         }
         *self = fresh;
         Ok(())
-    }
-
-    fn read_line(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            // EOF mid-reply is a transport failure, not a protocol one:
-            // connect-time retry and the router's crash detection both
-            // classify on the io kind.
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-reply",
-            )));
-        }
-        Ok(line.trim_end().to_string())
     }
 
     /// Loads a scenario into a fresh daemon, starting its engine.
@@ -748,46 +682,64 @@ fn parse_topology(fields: &str) -> Result<Topology, ClientError> {
     Ok(Topology { shards, cells })
 }
 
-/// Parses an `OP_REPLY` frame body: the exact text reply the v1/v2
-/// protocol would have sent, with any `DATA` document riding in the same
-/// frame after the head line.
-fn parse_framed_reply(body: &[u8]) -> Result<Payload, ClientError> {
-    let text = String::from_utf8_lossy(body);
-    let (head, rest) = text.split_once('\n').unwrap_or((text.as_ref(), ""));
-    let (kind, args) = head.split_once(' ').unwrap_or((head, ""));
+/// Reads one reply — its head line, then a `DATA` document's counted
+/// lines — off the text stream or an `OP_REPLY` frame body. EOF before
+/// the reply is complete is an `UnexpectedEof` io error.
+fn read_reply<R: BufRead>(source: &mut R) -> Result<Payload, ClientError> {
+    let head = read_line(source)?;
+    let (kind, rest) = head.split_once(' ').unwrap_or((head.as_str(), ""));
     match kind {
-        "OK" => Ok(Payload::Fields(args.trim_end().to_string())),
+        "OK" => Ok(Payload::Fields(rest.to_string())),
         "DATA" => {
-            let count: usize = args
+            let count: usize = rest
                 .trim()
                 .parse()
-                .map_err(|_| ClientError::Protocol(format!("bad DATA count `{args}`")))?;
+                .map_err(|_| ClientError::Protocol(format!("bad DATA count `{rest}`")))?;
             let mut document = String::new();
-            let mut lines = rest.lines();
             for _ in 0..count {
-                match lines.next() {
-                    Some(line) => {
-                        document.push_str(line);
-                        document.push('\n');
-                    }
-                    None => {
-                        return Err(ClientError::Protocol(
-                            "DATA frame shorter than its line count".to_string(),
-                        ))
-                    }
-                }
+                document.push_str(&read_line(source)?);
+                document.push('\n');
             }
             Ok(Payload::Document(document))
         }
         "ERR" => {
-            let (code, message) = args.split_once(' ').unwrap_or((args, ""));
+            let (code, message) = rest.split_once(' ').unwrap_or((rest, ""));
             Err(ClientError::Server {
                 code: code.to_string(),
-                message: message.trim_end().to_string(),
+                message: message.to_string(),
             })
         }
         other => Err(ClientError::Protocol(format!("unknown reply `{other}`"))),
     }
+}
+
+/// Parses an `OP_REPLY` frame body: the exact text reply the v1/v2
+/// protocol would have sent, with any `DATA` document riding in the same
+/// frame after the head line. The frame holds the whole reply, so
+/// running out of lines is a malformed frame — a protocol error — and
+/// never the EOF of a dropped connection (which would make a read-only
+/// query reconnect and retry).
+fn parse_framed_reply(mut body: &[u8]) -> Result<Payload, ClientError> {
+    read_reply(&mut body).map_err(|e| match e {
+        ClientError::Io(_) => {
+            ClientError::Protocol("reply frame shorter than its line count".to_string())
+        }
+        other => other,
+    })
+}
+
+/// Reads one line, trailing whitespace trimmed. EOF mid-reply is a
+/// transport failure, not a protocol one: connect-time retry and the
+/// router's crash detection both classify on the io kind.
+fn read_line<R: BufRead>(source: &mut R) -> Result<String, ClientError> {
+    let mut line = Vec::new();
+    if source.read_until(b'\n', &mut line)? == 0 {
+        return Err(ClientError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "connection closed mid-reply",
+        )));
+    }
+    Ok(String::from_utf8_lossy(&line).trim_end().to_string())
 }
 
 /// Extracts `key=<usize>` from an `OK` field list.
@@ -932,6 +884,21 @@ mod tests {
                 map_version: 4,
             }
         );
+    }
+
+    #[test]
+    fn a_short_data_frame_is_a_protocol_error_not_a_disconnect() {
+        let err = parse_framed_reply(b"DATA 3\nline one\nline two\n")
+            .expect_err("the frame carries two of its three lines");
+        assert!(matches!(err, ClientError::Protocol(_)), "got {err}");
+        assert!(
+            !err.disconnected(),
+            "a short frame must not trigger a retry"
+        );
+        match parse_framed_reply(b"DATA 2\nline one\nline two\n") {
+            Ok(Payload::Document(document)) => assert_eq!(document, "line one\nline two\n"),
+            other => panic!("expected the whole document, got {other:?}"),
+        }
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //! Framing violations (zero-length or oversized frames, unknown opcodes,
 //! malformed batch bodies) get a structured `ERR bad-request` reply and
 //! close the connection: past a framing error the stream cannot be
-//! resynchronized, exactly like a truncated text payload.
+//! resynchronized, exactly like a truncated text payload. This module is
+//! the codec; the framed connection loop is the front door's
+//! ([`crate::front`]).
 
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -377,66 +379,6 @@ fn get_short_str(buf: &mut &[u8]) -> Option<String> {
     let text = String::from_utf8_lossy(buf.chunk().get(..len)?).to_string();
     buf.advance(len);
     Some(text)
-}
-
-/// Drives one framed connection: reads frames, hands [`OP_TEXT`] heads
-/// (with their embedded payload) to `on_text` and decoded [`OP_BATCH`]
-/// records to `on_batch`, and writes the framed reply. Shared by the
-/// single-engine daemon and the router — each supplies closures over its
-/// own dispatch path, so the panic backstop and all request semantics
-/// stay exactly the text protocol's.
-pub(crate) fn serve_frames<R, W, FT, FB>(
-    reader: &mut R,
-    writer: &mut W,
-    shutdown: &AtomicBool,
-    mut on_text: FT,
-    mut on_batch: FB,
-) -> std::io::Result<()>
-where
-    R: BufRead,
-    W: Write,
-    FT: FnMut(&str, &[u8]) -> std::io::Result<(Reply, bool)>,
-    FB: FnMut(&[TaskSpec]) -> Vec<BatchAck>,
-{
-    loop {
-        match read_frame_polling(reader, shutdown)? {
-            FrameRead::Closed => return Ok(()),
-            FrameRead::Violation(reason) => {
-                write_reply_frame(writer, &Reply::Err(ErrCode::BadRequest, reason))?;
-                return Ok(());
-            }
-            FrameRead::Frame(frame) => match frame.opcode {
-                OP_TEXT => {
-                    let (head, payload) = split_text_body(&frame.body);
-                    let (reply, close) = on_text(&head, payload)?;
-                    write_reply_frame(writer, &reply)?;
-                    if close {
-                        return Ok(());
-                    }
-                }
-                OP_BATCH => match decode_batch(&frame.body) {
-                    Ok(specs) => {
-                        let acks = on_batch(&specs);
-                        write_frame(writer, OP_BATCH_ACK, &encode_batch_ack(&acks))?;
-                    }
-                    Err(reason) => {
-                        write_reply_frame(writer, &Reply::Err(ErrCode::BadRequest, reason))?;
-                        return Ok(());
-                    }
-                },
-                other => {
-                    write_reply_frame(
-                        writer,
-                        &Reply::Err(
-                            ErrCode::BadRequest,
-                            format!("unknown opcode {other} in a client frame"),
-                        ),
-                    )?;
-                    return Ok(());
-                }
-            },
-        }
-    }
 }
 
 #[cfg(test)]

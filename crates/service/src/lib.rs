@@ -3,14 +3,18 @@
 //! ([`OnlineEngine`](haste_distributed::OnlineEngine)) over a TCP wire
 //! protocol, plus the matching typed client and a load-generator harness.
 //!
-//! * [`serve`] — starts the daemon: a `std::net` TCP listener whose
-//!   connections are handled on a [`haste_parallel::ThreadPool`] (no async
-//!   runtime; the workspace builds fully offline),
+//! * [`serve`] — starts the single-engine daemon: one [`Shard`] straight
+//!   behind the wire, the reference the router is compared against and
+//!   the daemon every `haste-shardd` child runs,
 //! * [`serve_router`] / the `routerd` binary — the sharded deployment:
 //!   one engine-owning [`Shard`] per cell of a
 //!   [`Partition`](haste_model::Partition), `SUBMIT` routed by cell,
 //!   lockstep `TICK`, and composite consistent-cut `SNAPSHOT`/`RESTORE`
 //!   (protocol v2),
+//! * one front door under both: a `std::net` TCP transport whose
+//!   connections are handled on a [`haste_parallel::ThreadPool`] (no
+//!   async runtime; the workspace builds fully offline), shared accept
+//!   and connection loops, and one [`ServerHandle`] type,
 //! * [`proto`] — the versioned line-oriented wire protocol (`HELLO`,
 //!   `LOAD`, `SUBMIT`, `TICK`, `SCHEDULE?`, `SNAPSHOT`/`RESTORE`, …),
 //!   documented normatively in `docs/service_protocol.md`,
@@ -51,6 +55,7 @@
 
 mod client;
 mod framing;
+mod front;
 pub mod loadgen;
 mod oplog;
 pub mod proto;
@@ -62,11 +67,12 @@ mod telemetry;
 pub mod wal;
 
 pub use client::{Client, ClientError, ShardInfo, Topology};
+pub use front::{RouterHandle, ServerHandle};
 pub use oplog::OpRecord;
 pub use router::{
-    parse_composite, render_composite, serve_router, CompositeSnapshot, RouterConfig, RouterHandle,
+    parse_composite, render_composite, serve_router, CompositeSnapshot, RouterConfig,
 };
-pub use server::{serve, ServerConfig, ServerHandle};
+pub use server::{serve, ServerConfig};
 pub use shard::{LoadInfo, Shard, ShardError, ShardHealth, ShardStatus, UtilityParts};
 pub use supervisor::{
     resolve_routerd, resolve_shardd, FaultPlan, ProcessShardConfig, DEFAULT_SHARD_DEADLINE,

@@ -399,28 +399,6 @@ struct WorkerPlan {
     per_slot: Vec<Vec<TaskSpec>>,
 }
 
-/// A self-hosted endpoint: either a plain daemon or a sharded router.
-enum Hosted {
-    Daemon(crate::ServerHandle),
-    Router(crate::RouterHandle),
-}
-
-impl Hosted {
-    fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            Hosted::Daemon(handle) => handle.addr(),
-            Hosted::Router(handle) => handle.addr(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            Hosted::Daemon(handle) => handle.shutdown(),
-            Hosted::Router(handle) => handle.shutdown(),
-        }
-    }
-}
-
 /// A `routerd` subprocess hosting the session's endpoint — the victim of
 /// `kill-router` directives. Respawns reuse the exact argument list, so
 /// every incarnation binds the same reserved address and recovers from
@@ -816,11 +794,11 @@ fn run_session(
             (Some(_), _) => None,
             // Workers + the control connection must all fit in the pool, or
             // the barrier protocol deadlocks waiting on a queued connection.
-            (None, None) => Some(Hosted::Daemon(serve(ServerConfig {
+            (None, None) => Some(serve(ServerConfig {
                 worker_threads: config.connections + 2,
                 max_pending: config.max_pending,
                 ..ServerConfig::default()
-            })?)),
+            })?),
             (None, Some(cells)) => {
                 let process = process_mode.then(|| ProcessShardConfig {
                     shardd: config.shardd.clone(),
@@ -834,7 +812,7 @@ fn run_session(
                     }
                     None => None,
                 };
-                Some(Hosted::Router(serve_router(RouterConfig {
+                Some(serve_router(RouterConfig {
                     worker_threads: config.connections + 2,
                     max_pending: config.max_pending,
                     cells,
@@ -844,7 +822,7 @@ fn run_session(
                     metrics_addr: config.metrics_addr.clone(),
                     wal,
                     ..RouterConfig::default()
-                })?))
+                })?)
             }
         }
     };

@@ -7,7 +7,10 @@
 //! `ERR unpartitionable` — and `SUBMIT` routes each task to the shard
 //! owning its device position through a versioned [`RoutingMap`].
 //! `TICK` and `UTILITY?` fan out to every shard of the session's tenant;
-//! `SHARDS?` and `EXPORT?` span all tenants.
+//! `SHARDS?` and `EXPORT?` span all tenants. This file is those request
+//! semantics; the transport under them — listeners, connection loops,
+//! framing, the scrape listener's accept loop — is the front door
+//! ([`crate::front`]) the single-engine daemon runs on too.
 //!
 //! **Multi-tenancy.** Each tenant owns a full routing universe: its own
 //! partition, shard fleet, routing map, operation log, and (optionally)
@@ -97,13 +100,9 @@
 //! and the composite `ops` section are views of it (see
 //! [`crate::oplog`]).
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use haste_distributed::{OnlineConfig, OnlineEngine, TaskSpec};
@@ -111,17 +110,14 @@ use haste_geometry::{Angle, Vec2};
 use haste_model::{
     io as model_io, CellRect, ChargerId, Partition, PartitionError, RoutingMap, Scenario, Schedule,
 };
-use haste_parallel::ThreadPool;
 use parking_lot::Mutex;
 
 use crate::client::Client;
-use crate::framing::{self, BatchAck};
+use crate::framing::BatchAck;
+use crate::front::{RouterHandle, Service};
 use crate::oplog::{OpLog, OpRecord};
 use crate::proto::{ErrCode, Reply, Request};
-use crate::server::{
-    batch_backstop, catching, hello_reply, parts_payload, read_line_polling, read_payload,
-    shard_err, shard_err_parts, shard_line, READ_POLL,
-};
+use crate::server::{hello_reply, parts_payload, shard_err, shard_err_parts, shard_line};
 use crate::shard::{Shard, UtilityParts};
 use crate::supervisor::{
     resolve_shardd, Launcher, ProcessShardConfig, RemoteShard, ShardSlot, SlotError,
@@ -318,7 +314,6 @@ struct WalRuntime {
 struct RouterShared {
     core: Mutex<RouterCore>,
     config: RouterConfig,
-    shutdown: AtomicBool,
     telemetry: Telemetry,
     /// Retained in process mode so tenants created after startup and
     /// reshard children spawn the same `haste-shardd` fleet; `None` in
@@ -342,56 +337,6 @@ impl Default for Session {
             tenant: DEFAULT_TENANT.to_string(),
             pending_quota: None,
         }
-    }
-}
-
-/// A running router. Dropping the handle shuts it down and joins its
-/// threads.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    shared: Arc<RouterShared>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    metrics_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound listen address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The number of shards the initial grid gives every tenant.
-    pub fn shards(&self) -> usize {
-        self.shared.config.cells.0 * self.shared.config.cells.1
-    }
-
-    /// Blocks until the accept loop exits (i.e. forever, unless another
-    /// thread signals shutdown). For foreground daemon binaries.
-    pub fn join(mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-
-    /// Signals shutdown and joins the accept loop and all handlers.
-    pub fn shutdown(mut self) {
-        self.shutdown_impl();
-    }
-
-    fn shutdown_impl(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.metrics_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.shutdown_impl();
     }
 }
 
@@ -463,16 +408,11 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
     );
     TenantCounters::set_shards(router_telemetry.registry(), DEFAULT_TENANT, num_shards);
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     // Bind the scrape listener before spawning anything, so a bad
     // `metrics_addr` aborts startup instead of failing silently later.
     let metrics_listener = match &config.metrics_addr {
-        Some(scrape_addr) => {
-            let listener = TcpListener::bind(scrape_addr)?;
-            listener.set_nonblocking(true)?;
-            Some(listener)
-        }
+        Some(scrape_addr) => Some(TcpListener::bind(scrape_addr)?),
         None => None,
     };
     let wal_runtime = match &config.wal {
@@ -485,69 +425,32 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
             })
         }
     };
-    let shared = Arc::new(RouterShared {
+    let workers = config.worker_threads;
+    let shared = RouterShared {
         core: Mutex::new(tenants),
-        config: config.clone(),
-        shutdown: AtomicBool::new(false),
+        config,
         telemetry: router_telemetry,
         launcher,
         wal: wal_runtime,
-    });
+    };
     // Durable startup: recover every tenant the WAL directory holds —
     // newest checkpoint plus log-tail replay — before the accept thread
     // exists, so the first connection already sees the recovered state.
     // (The listener is bound; early connectors wait in its backlog.)
     recover_from_wal(&shared)?;
-    let accept_shared = Arc::clone(&shared);
-    let workers = config.worker_threads.max(1);
-    let accept_thread = std::thread::Builder::new()
-        .name("haste-router-accept".to_string())
-        .spawn(move || {
-            let pool = ThreadPool::new(workers);
-            while !accept_shared.shutdown.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let conn_shared = Arc::clone(&accept_shared);
-                        pool.execute(move || {
-                            let _ = handle_connection(stream, &conn_shared);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        })?;
-    let metrics_thread = match metrics_listener {
-        Some(listener) => {
-            let scrape_shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("haste-router-metrics".to_string())
-                    .spawn(move || {
-                        while !scrape_shared.shutdown.load(Ordering::Acquire) {
-                            match listener.accept() {
-                                Ok((stream, _peer)) => {
-                                    let _ = serve_scrape(stream, addr);
-                                }
-                                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                    std::thread::sleep(Duration::from_millis(5));
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                    })?,
-            )
-        }
-        None => None,
-    };
-    Ok(RouterHandle {
-        addr,
-        shared,
-        accept_thread: Some(accept_thread),
-        metrics_thread,
-    })
+    let mut handle = RouterHandle::start(shared, listener, workers)?;
+    if let Some(listener) = metrics_listener {
+        // Scrapes are served one at a time, each bounded end to end.
+        handle.listen(
+            listener,
+            1,
+            (SCRAPE_DEADLINE, SCRAPE_DEADLINE),
+            move |stream| {
+                let _ = serve_scrape(stream, addr, SCRAPE_DEADLINE);
+            },
+        )?;
+    }
+    Ok(handle)
 }
 
 /// Every socket deadline on the HTTP scrape path — the scraper-facing
@@ -560,21 +463,11 @@ const SCRAPE_DEADLINE: Duration = Duration::from_secs(5);
 /// protocol port as an ordinary client, so the scrape sees exactly the
 /// document wire clients see (merged child registries included) and the
 /// HTTP layer stays a dozen lines: request head + headers in, one
-/// `Content-Length`-framed response out, connection closed.
-fn serve_scrape(stream: TcpStream, router: SocketAddr) -> std::io::Result<()> {
-    serve_scrape_with(stream, router, SCRAPE_DEADLINE)
-}
-
-/// [`serve_scrape`] with the deadline injectable, so tests can exercise
-/// the wedged-router path in milliseconds instead of [`SCRAPE_DEADLINE`].
-fn serve_scrape_with(
-    stream: TcpStream,
-    router: SocketAddr,
-    deadline: Duration,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(deadline))?;
-    stream.set_write_timeout(Some(deadline))?;
-    stream.set_nodelay(true)?;
+/// `Content-Length`-framed response out, connection closed. The accept
+/// loop armed `stream` with the scrape deadlines; the inner dial gets
+/// `deadline` (injectable, so tests can exercise the wedged-router path
+/// in milliseconds instead of [`SCRAPE_DEADLINE`]).
+fn serve_scrape(stream: TcpStream, router: SocketAddr, deadline: Duration) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut head = String::new();
     reader.read_line(&mut head)?;
@@ -624,61 +517,6 @@ fn serve_scrape_with(
     writer.flush()
 }
 
-/// Serves one connection until EOF, `BYE`, or shutdown. The session (the
-/// connection's tenant binding) lives in a `RefCell` because the framed
-/// loop hands two closures to [`framing::serve_frames`] and both need it.
-fn handle_connection(stream: TcpStream, shared: &RouterShared) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_write_timeout(Some(crate::server::WRITE_STALL))?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut buf = Vec::new();
-    let session = RefCell::new(Session::default());
-    loop {
-        let Some(line) = read_line_polling(&mut reader, &mut buf, &shared.shutdown)? else {
-            return Ok(());
-        };
-        if line.is_empty() {
-            continue;
-        }
-        let (reply, close) = dispatch(&line, &mut reader, shared, &session)?;
-        let upgrade = framing::upgrades_to_v3(&line, &reply);
-        writer.write_all(reply.serialize().as_bytes())?;
-        writer.flush()?;
-        if close {
-            return Ok(());
-        }
-        if upgrade {
-            // Same switch as the single-engine daemon: the accepted
-            // `HELLO v3` greeting is the last text exchange.
-            return serve_framed(&mut reader, &mut writer, shared, &session);
-        }
-    }
-}
-
-/// The router's framed (protocol v3) connection loop: identical dispatch
-/// semantics, plus the batched-submit path — many records per `OP_BATCH`
-/// frame, routed and acknowledged under one acquisition of the router
-/// mutex.
-fn serve_framed<R: BufRead, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    shared: &RouterShared,
-    session: &RefCell<Session>,
-) -> std::io::Result<()> {
-    framing::serve_frames(
-        reader,
-        writer,
-        &shared.shutdown,
-        |head, payload| {
-            let mut embedded = std::io::Cursor::new(payload);
-            dispatch(head, &mut embedded, shared, session)
-        },
-        |specs| batch_backstop(specs, || execute_batch(specs, shared, session)),
-    )
-}
-
 /// Executes a batched submission on the router: one lock acquisition,
 /// then per record the exact `SUBMIT` path — finiteness check, quota
 /// gate, cell routing, shard admission, and a push onto the tenant's
@@ -688,15 +526,10 @@ fn serve_framed<R: BufRead, W: Write>(
 /// with other connections' submissions would be equally valid: within a
 /// slot the recorded order *is* the determinism contract, exactly as for
 /// text submits racing on separate connections.
-fn execute_batch(
-    specs: &[TaskSpec],
-    shared: &RouterShared,
-    session: &RefCell<Session>,
-) -> Vec<BatchAck> {
-    let start = telemetry::clock_start();
-    let tenant_id = session.borrow().tenant.clone();
+fn execute_batch(specs: &[TaskSpec], shared: &RouterShared, session: &Session) -> Vec<BatchAck> {
+    let tenant_id = session.tenant.clone();
     let mut core = shared.core.lock();
-    let acks = match writable_tenant(&mut core, &tenant_id) {
+    match writable_tenant(&mut core, &tenant_id) {
         Err(reply) => refuse_batch(specs, reply),
         Ok(tenant) => {
             let acks = specs
@@ -720,15 +553,7 @@ fn execute_batch(
                 refuse_batch(specs, wal_poisoned_reply(&tenant_id))
             }
         }
-    };
-    let rejected = acks
-        .iter()
-        .filter(|ack| matches!(ack, BatchAck::Err { .. }))
-        .count();
-    shared
-        .telemetry
-        .observe_batch(specs.len(), rejected, telemetry::elapsed_us(start));
-    acks
+    }
 }
 
 /// The same refusal for every record of a batch.
@@ -743,32 +568,20 @@ fn refuse_batch(specs: &[TaskSpec], reply: Reply) -> Vec<BatchAck> {
         .collect()
 }
 
-/// Parses and executes one request under the panic backstop (see the
-/// single-engine daemon's `dispatch`).
-fn dispatch<R: BufRead>(
-    line: &str,
-    reader: &mut R,
-    shared: &RouterShared,
-    session: &RefCell<Session>,
-) -> std::io::Result<(Reply, bool)> {
-    let request = match Request::parse(line) {
-        Ok(request) => request,
-        Err(reason) => {
-            shared.telemetry.count_error(ErrCode::BadRequest);
-            return Ok((Reply::Err(ErrCode::BadRequest, reason), false));
-        }
-    };
-    let opcode = request.opcode();
-    let start = telemetry::clock_start();
-    let result = catching(AssertUnwindSafe(|| {
-        execute(request, reader, shared, session)
-    }));
-    if let Ok((reply, _)) = &result {
-        shared
-            .telemetry
-            .observe_request(opcode, telemetry::elapsed_us(start), reply);
+impl Service for RouterShared {
+    type Session = Session;
+
+    fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
     }
-    result
+
+    fn execute(&self, request: Request, payload: &str, session: &mut Session) -> Reply {
+        execute(request, payload, self, session)
+    }
+
+    fn execute_batch(&self, specs: &[TaskSpec], session: &mut Session) -> Vec<BatchAck> {
+        execute_batch(specs, self, session)
+    }
 }
 
 /// Maps a partition failure onto the wire error space: geometry/split
@@ -1133,7 +946,7 @@ fn apply_wal_record(
 /// with a warning (its files are left on disk for inspection) rather
 /// than failing startup — the other tenants' durability should not be
 /// hostage to one corrupt directory entry.
-fn recover_from_wal(shared: &Arc<RouterShared>) -> std::io::Result<()> {
+fn recover_from_wal(shared: &RouterShared) -> std::io::Result<()> {
     let Some(runtime) = shared.wal.as_ref() else {
         return Ok(());
     };
@@ -1219,20 +1032,14 @@ fn recover_from_wal(shared: &Arc<RouterShared>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Executes one parsed request; returns the reply and whether the
-/// connection should close.
-fn execute<R: BufRead>(
-    request: Request,
-    reader: &mut R,
-    shared: &RouterShared,
-    session: &RefCell<Session>,
-) -> std::io::Result<(Reply, bool)> {
+/// Executes one parsed request.
+fn execute(request: Request, payload: &str, shared: &RouterShared, session: &mut Session) -> Reply {
     let config = &shared.config;
-    let reply = match request {
+    match request {
         Request::Hello(version) => {
             let core = shared.core.lock();
             let shards = core
-                .get(&session.borrow().tenant)
+                .get(&session.tenant)
                 .map(|tenant| tenant.shards.len())
                 .unwrap_or(config.cells.0 * config.cells.1);
             hello_reply(&version, shards, config.cells)
@@ -1240,9 +1047,8 @@ fn execute<R: BufRead>(
         Request::Tenant { id, quota } => {
             let mut core = shared.core.lock();
             if quota.is_some() && core.get(&id).is_some_and(TenantCore::poisoned) {
-                return Ok((wal_poisoned_reply(&id), false));
+                return wal_poisoned_reply(&id);
             }
-            let mut session = session.borrow_mut();
             session.tenant = id.clone();
             let shown = match core.get_mut(&id) {
                 Some(tenant) => {
@@ -1254,7 +1060,7 @@ fn execute<R: BufRead>(
                     }
                     session.pending_quota = None;
                     if !wal_flush(tenant, shared, &id) {
-                        return Ok((wal_poisoned_reply(&id), false));
+                        return wal_poisoned_reply(&id);
                     }
                     tenant.quota
                 }
@@ -1270,34 +1076,25 @@ fn execute<R: BufRead>(
                 None => Reply::Ok(format!("tenant={id}")),
             }
         }
-        Request::Load(count) => {
-            let Some(payload) = read_payload(reader, count, &shared.shutdown)? else {
-                return Ok((
-                    Reply::Err(ErrCode::BadRequest, "truncated LOAD payload".to_string()),
-                    true,
-                ));
-            };
-            let (tenant_id, pending_quota) = {
-                let mut session = session.borrow_mut();
-                (session.tenant.clone(), session.pending_quota.take())
-            };
+        Request::Load(_) => {
+            let (tenant_id, pending_quota) = (session.tenant.clone(), session.pending_quota.take());
             let mut core = shared.core.lock();
             if core.get(&tenant_id).is_some_and(TenantCore::poisoned) {
-                return Ok((wal_poisoned_reply(&tenant_id), false));
+                return wal_poisoned_reply(&tenant_id);
             }
             // haste-lint: allow(L2) — spawning the tenant's fleet is deadline-bounded per child; `core` must be held so no request observes a half-created tenant
             match ensure_tenant(&mut core, shared, &tenant_id, pending_quota) {
                 Err(reply) => reply,
                 Ok(tenant) => {
                     // haste-lint: allow(L2) — per-cell LOADs are deadline-bounded; `core` must be held so no request observes a half-partitioned scenario
-                    let reply = load_scenario_text(tenant, &tenant_id, config, shared, &payload);
+                    let reply = load_scenario_text(tenant, &tenant_id, config, shared, payload);
                     if matches!(reply, Reply::Ok(_)) {
                         // A freshly loaded tenant starts durable from a
                         // checkpoint, so the log tail only ever carries
                         // post-load operations.
                         // haste-lint: allow(L2) — durability point: the checkpoint must land before LOAD is acked; `core` must be held so no request observes a non-durable loaded tenant
                         if let Err(reply) = wal_install(tenant, shared, &tenant_id) {
-                            return Ok((reply, false));
+                            return reply;
                         }
                     }
                     reply
@@ -1319,7 +1116,7 @@ fn execute<R: BufRead>(
                 required_energy: energy,
                 weight,
             };
-            let tenant_id = session.borrow().tenant.clone();
+            let tenant_id = session.tenant.clone();
             let mut core = shared.core.lock();
             match writable_tenant(&mut core, &tenant_id) {
                 Err(reply) => reply,
@@ -1340,7 +1137,7 @@ fn execute<R: BufRead>(
             }
         }
         Request::Tick(n) => {
-            let tenant_id = session.borrow().tenant.clone();
+            let tenant_id = session.tenant.clone();
             let mut core = shared.core.lock();
             match writable_tenant(&mut core, &tenant_id) {
                 Err(reply) => reply,
@@ -1377,7 +1174,7 @@ fn execute<R: BufRead>(
             }
         }
         Request::Clock => {
-            let tenant_id = session.borrow().tenant.clone();
+            let tenant_id = session.tenant.clone();
             let core = shared.core.lock();
             match tenant_ref(&core, &tenant_id) {
                 Err(reply) => reply,
@@ -1399,7 +1196,7 @@ fn execute<R: BufRead>(
             }
         }
         Request::Schedule => {
-            let tenant_id = session.borrow().tenant.clone();
+            let tenant_id = session.tenant.clone();
             let core = shared.core.lock();
             match tenant_ref(&core, &tenant_id) {
                 Err(reply) => reply,
@@ -1417,7 +1214,7 @@ fn execute<R: BufRead>(
             }
         }
         Request::Utility => {
-            let tenant_id = session.borrow().tenant.clone();
+            let tenant_id = session.tenant.clone();
             let core = shared.core.lock();
             match tenant_ref(&core, &tenant_id) {
                 Err(reply) => reply,
@@ -1442,7 +1239,7 @@ fn execute<R: BufRead>(
             }
         }
         Request::Parts => {
-            let tenant_id = session.borrow().tenant.clone();
+            let tenant_id = session.tenant.clone();
             let core = shared.core.lock();
             match tenant_ref(&core, &tenant_id) {
                 Err(reply) => reply,
@@ -1485,7 +1282,7 @@ fn execute<R: BufRead>(
             shards_payload(&core)
         }
         Request::Snapshot => {
-            let tenant_id = session.borrow().tenant.clone();
+            let tenant_id = session.tenant.clone();
             let mut core = shared.core.lock();
             match tenant_mut(&mut core, &tenant_id) {
                 Err(reply) => reply,
@@ -1496,28 +1293,21 @@ fn execute<R: BufRead>(
                 }
             }
         }
-        Request::Restore(count) => {
-            let Some(payload) = read_payload(reader, count, &shared.shutdown)? else {
-                return Ok((
-                    Reply::Err(ErrCode::BadRequest, "truncated RESTORE payload".to_string()),
-                    true,
-                ));
-            };
+        Request::Restore(_) => {
             let mut core = shared.core.lock();
             // haste-lint: allow(L2) — per-cell RESTOREs are deadline-bounded; `core` held so no request observes a half-restored composite
-            restore_composite(&mut core, shared, &payload)
+            restore_composite(&mut core, shared, payload)
         }
         Request::ReshardSplit(cell) => reshard_request(shared, session, ReshardOp::Split(cell)),
         Request::ReshardMerge(a, b) => reshard_request(shared, session, ReshardOp::Merge(a, b)),
-        Request::Bye => return Ok((Reply::Ok("bye".to_string()), true)),
-    };
-    Ok((reply, false))
+        Request::Bye => Reply::Ok("bye".to_string()),
+    }
 }
 
 /// `RESHARD SPLIT`/`MERGE` on the session's tenant: the live migration,
 /// then its record's durability point.
-fn reshard_request(shared: &RouterShared, session: &RefCell<Session>, op: ReshardOp) -> Reply {
-    let tenant_id = session.borrow().tenant.clone();
+fn reshard_request(shared: &RouterShared, session: &Session, op: ReshardOp) -> Reply {
+    let tenant_id = session.tenant.clone();
     let mut core = shared.core.lock();
     let tenant = match writable_tenant(&mut core, &tenant_id) {
         Ok(tenant) => tenant,
@@ -2595,7 +2385,7 @@ mod tests {
         let scrape_addr = scrape.local_addr().expect("bound listener has an address");
         let handler = std::thread::spawn(move || {
             let (stream, _) = scrape.accept().expect("scraper connects");
-            serve_scrape_with(stream, router, Duration::from_millis(100))
+            serve_scrape(stream, router, Duration::from_millis(100))
         });
 
         let mut stream = TcpStream::connect(scrape_addr).expect("dial the scrape port");

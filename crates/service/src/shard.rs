@@ -187,11 +187,6 @@ impl Shard {
         self.max_pending
     }
 
-    /// Whether a scenario is loaded.
-    pub fn is_loaded(&self) -> bool {
-        self.engine.lock().is_some()
-    }
-
     /// Parses a scenario document and installs a fresh engine.
     pub fn load_text(&self, payload: &str) -> Result<LoadInfo, ShardError> {
         match haste_model::io::read_scenario(payload) {

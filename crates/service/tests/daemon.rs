@@ -320,6 +320,27 @@ fn malformed_sequences_cannot_kill_the_connection() {
     assert!(send("TICK\n".into()).starts_with("OK slot=1"));
     assert!(send("UTILITY?\n".into()).starts_with("OK utility="));
     assert_eq!(send("BYE\n".into()), "OK bye");
+
+    // A request line, or a counted payload, may not outgrow the v3 frame
+    // bound (16 MiB, newlines included): the daemon answers bad-request
+    // and closes, as it does for an oversized frame. Each case consumes
+    // exactly the bound, so the close is a clean EOF, and each gets a
+    // connection of its own because it closes it.
+    const MAX_FRAME: usize = 16 * 1024 * 1024;
+    let unterminated = "x".repeat(MAX_FRAME);
+    for request in [unterminated.clone(), format!("LOAD 1\n{unterminated}")] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // A daemon that waits for the newline fails the test, not hangs it.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let reply = roundtrip(&mut stream, &mut reader, &request);
+        assert_eq!(code_of(&reply), "bad-request", "{reply}");
+        assert!(reply.contains("16777216-byte limit"), "{reply}");
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "closed after");
+    }
     server.shutdown();
 }
 
