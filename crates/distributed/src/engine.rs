@@ -326,10 +326,11 @@ impl OnlineEngine {
         )
     }
 
-    /// HASTE-R (relaxed, no switching delay) value of the current schedule.
-    pub fn relaxed_value(&mut self) -> f64 {
+    /// HASTE-R (relaxed, no switching delay) evaluation of the current
+    /// schedule, over the engine's own coverage map.
+    pub fn relaxed_value(&mut self) -> EvalReport {
         self.refresh_coverage();
-        evaluate_relaxed(&self.scenario, &self.coverage, &self.schedule).total_utility
+        evaluate_relaxed(&self.scenario, &self.coverage, &self.schedule)
     }
 
     /// The current open slot (slots `0..clock()` are closed).
@@ -592,8 +593,9 @@ impl OnlineEngine {
         let staged = {
             let (line_no, rest) = cursor.directive("staged")?;
             let count = parse_uints(rest, 1, line_no)?[0];
-            let mut staged = VecDeque::with_capacity(count);
-            for _ in 0..count {
+            // The count is untrusted: the lines that follow bound it.
+            let mut staged = VecDeque::new();
+            for index in 0..count {
                 let (line_no, line) = cursor.raw_line("staged task")?;
                 let fields: Vec<&str> = line.split_whitespace().collect();
                 if fields.first() != Some(&"task") {
@@ -605,6 +607,10 @@ impl OnlineEngine {
                 let task = io::parse_task_fields(&fields[1..]).map_err(|reason| SnapshotError {
                     line: line_no,
                     reason,
+                })?;
+                task.validate(index).map_err(|e| SnapshotError {
+                    line: line_no,
+                    reason: e.to_string(),
                 })?;
                 staged.push_back(task);
             }
@@ -713,13 +719,12 @@ impl<'a> Cursor<'a> {
     fn block(&mut self, name: &str) -> Result<Block, SnapshotError> {
         let (line_no, rest) = self.directive(name)?;
         let count = parse_uints(rest, 1, line_no)?[0];
-        if self.pos + count > self.lines.len() {
+        // Compared against what remains, so an absurd count cannot wrap.
+        let remain = self.lines.len() - self.pos;
+        if count > remain {
             return Err(SnapshotError {
                 line: line_no,
-                reason: format!(
-                    "truncated: `{name}` announces {count} lines, {} remain",
-                    self.lines.len() - self.pos
-                ),
+                reason: format!("truncated: `{name}` announces {count} lines, {remain} remain"),
             });
         }
         let mut text = String::new();

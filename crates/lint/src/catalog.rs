@@ -65,8 +65,7 @@ pub const RULES: &[RuleInfo] = &[
                 crates/service/src/router.rs, crates/service/src/framing.rs \
                 (binary frames carry verbatim reply text), crates/service/src/front.rs \
                 (the transport that writes every reply), crates/service/src/wal.rs, \
-                and crates/service/src/oplog.rs (the record codec WAL frames and \
-                the composite `ops` section share)",
+                and crates/service/src/oplog.rs (the record codec of WAL frames)",
         example: "// haste-lint: allow(D3) — error-message formatting, never parsed back",
     },
     RuleInfo {

@@ -263,6 +263,11 @@ pub fn read_schedule(text: &str) -> Result<Schedule, ParseError> {
                     return Err(bad("dimensions must be non-negative integers"));
                 }
                 let (n, k) = (v[0] as usize, v[1] as usize);
+                // Each charger takes a row line and each of its slots at
+                // least a byte of it: the text bounds the allocation.
+                if n > text.len() || k > text.len() || n.saturating_mul(k) > text.len() {
+                    return Err(bad("dimensions exceed the document"));
+                }
                 dims = Some((n, k));
                 schedule = Some(Schedule::empty(n, k));
                 seen = vec![false; n];
@@ -392,6 +397,19 @@ mod tests {
         let s = read_scenario(text).unwrap();
         assert_eq!(s.grid.num_slots, 4);
         assert!(s.chargers.is_empty());
+    }
+
+    #[test]
+    fn a_task_with_a_non_finite_facing_is_refused() {
+        for facing in ["nan", "inf", "-inf"] {
+            let text = format!(
+                "params 1 0 10 1 1\ngrid 60 4\ndelays 0 0\ntask 0 5 5 {facing} 0 2 100 1\n"
+            );
+            assert!(
+                read_scenario(&text).is_err(),
+                "facing {facing} must be refused"
+            );
+        }
     }
 
     #[test]
@@ -561,6 +579,19 @@ mod tests {
             read_schedule("schedule 1 1\nrow 0 inf"),
             Err(ParseError::BadLine { line: 2, .. })
         ));
+        // Dimensions the text cannot hold are refused before allocating.
+        for dims in [
+            "100000000000 100000000000",
+            "0 100000000000",
+            "100000000000 0",
+        ] {
+            match read_schedule(&format!("schedule {dims}\n")) {
+                Err(ParseError::BadLine { line: 1, reason }) => {
+                    assert!(reason.contains("exceed"), "{dims}: {reason}")
+                }
+                other => panic!("{dims}: expected BadLine, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -153,6 +153,13 @@ impl Task {
                 reason: "device position must be finite",
             });
         }
+        // `Angle::from_radians` keeps a NaN and turns ±inf into one.
+        if !self.device_facing.radians().is_finite() {
+            return Err(InvalidTask {
+                index,
+                reason: "device facing must be finite",
+            });
+        }
         Ok(())
     }
 }
@@ -189,6 +196,11 @@ mod tests {
         let mut t = task();
         t.device_pos = Vec2::new(f64::NAN, 0.0);
         assert!(t.validate(0).is_err());
+        for facing in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut t = task();
+            t.device_facing = Angle::from_radians(facing);
+            assert!(t.validate(0).is_err(), "facing {facing} must be refused");
+        }
         assert!(task().validate(0).is_ok());
     }
 

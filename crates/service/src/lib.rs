@@ -47,8 +47,10 @@
 //! restarted shard child the records its cell answered, and the
 //! write-ahead log ([`wal`]) appends the records as they are pushed. One
 //! codec, [`OpRecord`]'s `Display` and [`OpRecord::parse`], writes and
-//! reads every record line, in WAL frames and in the composite
-//! snapshot's `ops` section alike.
+//! reads every record line of a WAL frame. The composite snapshot (v4)
+//! stores each accepted task once, in its shard section, and the cells
+//! of each slot's submissions in arrival order; `RESTORE` rebuilds the
+//! accepted view from the two and checks them against each other.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,8 +8,9 @@
 //! as one [`OpLog`] per tenant, and each consumer reads a view of it:
 //!
 //! * `RESHARD` rebuilds cells from [`OpLog::accepted`] — the accepted
-//!   submissions and ticks since `LOAD`, which is also what the composite
-//!   snapshot's `ops` section renders;
+//!   submissions and ticks since `LOAD`. The composite snapshot keeps
+//!   only each slot's arrival runs of this view (the tasks are in the
+//!   shard sections), and `RESTORE` rebuilds it from them;
 //! * a restarted shard child replays its baseline, then
 //!   [`OpLog::answered`] — the records after its baseline's cursor that
 //!   its cell's child answered;
@@ -17,8 +18,7 @@
 //!   the records pushed since its last append.
 //!
 //! A record has exactly one text form (its `Display` and
-//! [`OpRecord::parse`]), shared by WAL frames and the composite `ops`
-//! section, so the line recovery replays is the line `RESTORE` accepts.
+//! [`OpRecord::parse`]): the payload of a WAL frame.
 
 use std::fmt;
 
@@ -155,8 +155,8 @@ fn parse_spec(fields: &[&str]) -> Option<TaskSpec> {
 }
 
 /// One tenant's operation log since `LOAD` — or since the `RESTORE` that
-/// seeded it with a composite snapshot's `ops`, which carries the
-/// accepted view of the history since that document's `LOAD`.
+/// seeded it with the accepted view of the history since that document's
+/// `LOAD`, rebuilt from its shard sections and arrival runs.
 #[derive(Debug, Default)]
 pub(crate) struct OpLog {
     records: Vec<OpRecord>,
@@ -186,7 +186,8 @@ impl OpLog {
     }
 
     /// The accepted submissions and ticks, in order: what `RESHARD`
-    /// replays into rebuilt cells and the composite `ops` section renders.
+    /// replays into rebuilt cells, and what the composite snapshot's
+    /// arrival runs encode.
     pub(crate) fn accepted(&self) -> impl Iterator<Item = &OpRecord> {
         self.records
             .iter()

@@ -96,9 +96,12 @@
 //! **One operation log.** Every record the router applies to a tenant —
 //! accepted and refused submissions, ticks, completed splits and merges,
 //! quota changes — is pushed, in lock order, onto the tenant's
-//! [`OpLog`]. Reshard replay, shard-child recovery, the write-ahead log
-//! and the composite `ops` section are views of it (see
-//! [`crate::oplog`]).
+//! [`OpLog`]. Reshard replay, shard-child recovery and the write-ahead
+//! log are views of it (see [`crate::oplog`]). The composite document
+//! stores each accepted task once, in its cell's shard section, plus the
+//! cells of each slot's submissions in arrival order; `RESTORE` rebuilds
+//! the log's accepted view from the restored engines in that order and
+//! checks the two halves against each other.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -109,6 +112,7 @@ use haste_distributed::{OnlineConfig, OnlineEngine, TaskSpec};
 use haste_geometry::{Angle, Vec2};
 use haste_model::{
     io as model_io, CellRect, ChargerId, Partition, PartitionError, RoutingMap, Scenario, Schedule,
+    Task,
 };
 use parking_lot::Mutex;
 
@@ -126,7 +130,7 @@ use crate::telemetry::{self, SupervisorCounters, Telemetry, TenantCounters, WalT
 use crate::wal::{self, TenantWal, WalConfig, WalSync};
 
 /// Magic first line of a composite router snapshot.
-const COMPOSITE_MAGIC: &str = "# haste-router snapshot v3";
+const COMPOSITE_MAGIC: &str = "# haste-router snapshot v4";
 
 /// The tenant every connection starts bound to; it exists from startup,
 /// so single-tenant clients never need `TENANT`.
@@ -263,13 +267,7 @@ impl TenantCore {
     /// including `clock` (the single engine injects staged tasks the
     /// moment their slot opens, before any live submission of that slot).
     fn drain_plan(&mut self, clock: usize) {
-        while let Some(&(slot, pos)) = self.plan.front() {
-            if slot > clock {
-                break;
-            }
-            self.order.push(pos);
-            self.plan.pop_front();
-        }
+        self.order.extend(due_releases(&mut self.plan, clock));
     }
 
     /// Whether the tenant's grid still has open slots.
@@ -1423,7 +1421,7 @@ fn load_scenario_text(
             Err(e) => return slot_err(e),
         }
     }
-    let (order, plan, _clock) = rebuild_bookkeeping(&scenario, &[]);
+    let (order, plan) = rebuild_bookkeeping(&scenario, &[]);
     tenant.order = order;
     tenant.plan = plan;
     tenant.slots = scenario.grid.num_slots;
@@ -1804,35 +1802,37 @@ fn internal(reason: &str) -> Reply {
 
 /// Serializes one tenant's consistent cut: tenancy, routing-map version,
 /// partition geometry (base grid + explicit cell rects, so post-reshard
-/// tilings round-trip), the loaded scenario, the accepted view of the
-/// operation log, and every shard's embedded engine snapshot. Every
-/// shard must be up and sitting on the tenant clock (a down shard's
-/// state is mid-replay by definition, so `SNAPSHOT` in degraded mode
-/// fails with `ERR unavailable`). Once the document is assembled, each
-/// section is committed as its shard's new replay baseline — never
-/// before, so a failed snapshot moves no baseline.
+/// tilings round-trip), the loaded scenario, each slot's arrival runs,
+/// and every shard's embedded engine snapshot. Every shard must be up
+/// and sitting on the tenant clock (a down shard's state is mid-replay
+/// by definition, so `SNAPSHOT` in degraded mode fails with
+/// `ERR unavailable`). The sections render at the same time, as
+/// [`tick_lockstep`] replans: a local engine on a scoped thread, a remote
+/// child as a concurrently issued `SNAPSHOT` under its own deadline.
+/// Once the document is assembled, each section is committed as its
+/// shard's new replay baseline — never before, so a failed snapshot
+/// moves no baseline.
 fn composite_snapshot(tenant: &TenantCore, tenant_id: &str) -> Result<String, Reply> {
     let (Some(partition), Some(scenario)) = (tenant.partition.as_ref(), tenant.scenario.as_ref())
     else {
         return Err(shard_err(crate::shard::ShardError::NoScenario));
     };
-    let mut sections = Vec::with_capacity(tenant.shards.len());
-    for shard in &tenant.shards {
+    let clock = tenant.clock;
+    let sections = haste_parallel::par_map(&tenant.shards, tenant.shards.len(), |_, shard| {
         // Lockstep is an invariant (one mutex, ticks inside it); this
         // re-checks it so a corrupt snapshot can never be emitted
         // silently, and surfaces `unavailable` for down shards.
         let (slot, _open) = shard.clock().map_err(slot_err)?;
-        if slot != tenant.clock {
+        if slot != clock {
             return Err(internal(&format!(
-                "shards out of lockstep: slot={slot} vs tenant clock {}",
-                tenant.clock
+                "shards out of lockstep: slot={slot} vs tenant clock {clock}"
             )));
         }
-        sections.push(shard.snapshot().map_err(slot_err)?);
-    }
+        shard.snapshot().map_err(slot_err)
+    })
+    .into_iter()
+    .collect::<Result<Vec<String>, Reply>>()?;
     let origin = partition.origin();
-    let mut ops = Vec::with_capacity(tenant.log.len());
-    ops.extend(tenant.log.accepted());
     let composite = CompositeSnapshot {
         tenant: tenant_id.to_string(),
         map_version: tenant.map.version(),
@@ -1842,24 +1842,46 @@ fn composite_snapshot(tenant: &TenantCore, tenant_id: &str) -> Result<String, Re
         halo: partition.halo(),
         cells: partition.cells().to_vec(),
         scenario: model_io::write_scenario(scenario),
-        ops,
-        shards: sections.clone(),
-        order: tenant
-            .order
-            .iter()
-            .map(|pos| partition.cell_of(*pos) as u32)
-            .collect(),
+        arrivals: arrival_runs(&tenant.log, partition),
+        shards: sections,
+        // Derived when a document is parsed; rendering never reads it.
+        order: Vec::new(),
     };
     let text = render_composite(&composite);
     // Commit: the cut is complete, so each section becomes its shard's
     // replay baseline at the log's end (bounding replay depth).
-    for (shard, section) in tenant.shards.iter().zip(sections) {
-        shard.checkpoint(&section, tenant.log.len());
+    for (shard, section) in tenant.shards.iter().zip(composite.shards) {
+        shard.checkpoint(section, tenant.log.len());
     }
     Ok(text)
 }
 
-/// A parsed composite router snapshot (format v3). [`parse_composite`]
+/// The composite's arrival runs: for each slot from 0 to the open one,
+/// the cells of that slot's accepted submissions in arrival order,
+/// run-length encoded as `(cell, count)`. One `cell_of` per submission
+/// against the current tiling, which is also the tiling of the shard
+/// sections those tasks live in.
+fn arrival_runs(log: &OpLog, partition: &Partition) -> Vec<Vec<(u32, usize)>> {
+    let mut arrivals = Vec::new();
+    let mut runs: Vec<(u32, usize)> = Vec::new();
+    for record in log.accepted() {
+        match record {
+            OpRecord::Tick => arrivals.push(std::mem::take(&mut runs)),
+            OpRecord::Submit(spec) => {
+                let cell = partition.cell_of(spec.device_pos) as u32;
+                match runs.last_mut() {
+                    Some((last, count)) if *last == cell => *count += 1,
+                    _ => runs.push((cell, 1)),
+                }
+            }
+            _ => {}
+        }
+    }
+    arrivals.push(runs);
+    arrivals
+}
+
+/// A parsed composite router snapshot (format v4). [`parse_composite`]
 /// and [`render_composite`] are public so out-of-process tooling
 /// (loadgen verification, operators) can split a composite document back
 /// into per-shard engine snapshots and re-render it bit-identically.
@@ -1882,63 +1904,85 @@ pub struct CompositeSnapshot {
     pub cells: Vec<CellRect>,
     /// The loaded scenario, in canonical `write_scenario` text.
     pub scenario: String,
-    /// The accepted submissions and ticks since `LOAD`, in arrival
-    /// order: only [`OpRecord::Submit`] and [`OpRecord::Tick`].
-    pub ops: Vec<OpRecord>,
+    /// One entry per slot from 0 to the open slot (so the clock is
+    /// `arrivals.len() - 1`): that slot's accepted submissions in arrival
+    /// order, as runs of `(cell, count)` — each count positive, adjacent
+    /// runs in different cells. The tasks themselves live in the shard
+    /// sections.
+    pub arrivals: Vec<Vec<(u32, usize)>>,
     /// Each shard's embedded engine snapshot document.
     pub shards: Vec<String>,
-    /// Owning shard of each materialized task, in global arrival order —
-    /// **derived** at parse time from the scenario, the history, and the
-    /// cell rects (not serialized; [`render_composite`] ignores it).
+    /// Owning shard of each materialized task, in global arrival order:
+    /// each slot's staged releases, then its runs — **derived** at parse
+    /// time from the scenario, the arrival runs, and the cell rects (not
+    /// serialized; [`render_composite`] ignores it).
     pub order: Vec<u32>,
 }
 
-/// Renders a composite snapshot into the v3 wire document. Inverse of
+/// Renders a composite snapshot into the v4 wire document. Inverse of
 /// [`parse_composite`]: `render(parse(text)) == text` for any document
 /// `parse_composite` accepts.
 pub fn render_composite(composite: &CompositeSnapshot) -> String {
-    let mut text = String::new();
+    use std::fmt::Write as _;
+    // One allocation: the fixed lines, 100 bytes per rect line, 16 per
+    // run, and each section with its header line.
+    let mut text = String::with_capacity(
+        512 + 100 * composite.cells.len()
+            + composite.scenario.len()
+            + composite
+                .arrivals
+                .iter()
+                .map(|runs| 2 + 16 * runs.len())
+                .sum::<usize>()
+            + composite.shards.iter().map(|s| s.len() + 32).sum::<usize>(),
+    );
     text.push_str(COMPOSITE_MAGIC);
     text.push('\n');
-    text.push_str(&format!("tenant {}\n", composite.tenant));
-    text.push_str(&format!("map {}\n", composite.map_version));
-    text.push_str(&format!("grid {} {}\n", composite.grid.0, composite.grid.1));
-    text.push_str(&format!(
-        "field {} {} {} {} {}\n",
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(text, "tenant {}", composite.tenant);
+    let _ = writeln!(text, "map {}", composite.map_version);
+    let _ = writeln!(text, "grid {} {}", composite.grid.0, composite.grid.1);
+    let _ = writeln!(
+        text,
+        "field {} {} {} {} {}",
         composite.origin.0,
         composite.origin.1,
         composite.field.0,
         composite.field.1,
         composite.halo
-    ));
-    text.push_str(&format!("cells {}\n", composite.cells.len()));
+    );
+    let _ = writeln!(text, "cells {}", composite.cells.len());
     for rect in &composite.cells {
-        text.push_str(&format!(
-            "{} {} {} {}\n",
-            rect.x0, rect.y0, rect.x1, rect.y1
-        ));
+        let _ = writeln!(text, "{} {} {} {}", rect.x0, rect.y0, rect.x1, rect.y1);
     }
-    text.push_str(&format!(
-        "scenario {}\n",
-        composite.scenario.lines().count()
-    ));
-    text.push_str(&composite.scenario);
-    if !composite.scenario.is_empty() && !composite.scenario.ends_with('\n') {
-        text.push('\n');
-    }
-    text.push_str(&format!("ops {}\n", composite.ops.len()));
-    for op in &composite.ops {
-        text.push_str(&op.to_string());
+    let _ = writeln!(text, "scenario {}", composite.scenario.lines().count());
+    push_block(&mut text, &composite.scenario);
+    let _ = writeln!(text, "arrivals {}", composite.arrivals.len());
+    for runs in &composite.arrivals {
+        if runs.is_empty() {
+            text.push('-');
+        }
+        for (i, (cell, count)) in runs.iter().enumerate() {
+            if i > 0 {
+                text.push(' ');
+            }
+            let _ = write!(text, "{cell}x{count}");
+        }
         text.push('\n');
     }
     for (index, snapshot) in composite.shards.iter().enumerate() {
-        text.push_str(&format!("shard {index} {}\n", snapshot.lines().count()));
-        text.push_str(snapshot);
-        if !snapshot.is_empty() && !snapshot.ends_with('\n') {
-            text.push('\n');
-        }
+        let _ = writeln!(text, "shard {index} {}", snapshot.lines().count());
+        push_block(&mut text, snapshot);
     }
     text
+}
+
+/// Appends an embedded document, newline-terminated.
+fn push_block(text: &mut String, block: &str) {
+    text.push_str(block);
+    if !block.is_empty() && !block.ends_with('\n') {
+        text.push('\n');
+    }
 }
 
 /// The tenant-id grammar of the wire protocol (`TENANT`), shared by the
@@ -1951,55 +1995,112 @@ fn valid_tenant_id(id: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.'))
 }
 
-/// Rebuilds the arrival bookkeeping a cut implies: the device positions
-/// of every materialized task in global arrival order, the staged
-/// releases still pending, and the clock the history has reached. Pure —
-/// shared by `LOAD` (empty history), `RESTORE`, and [`parse_composite`].
+/// Every task of a loaded scenario as `(release_slot, position)`, stable
+/// by release slot: the single engine's injection order, release-0 tasks
+/// first.
+fn release_plan(scenario: &Scenario) -> VecDeque<(usize, Vec2)> {
+    let mut plan: Vec<(usize, Vec2)> = scenario
+        .tasks
+        .iter()
+        .map(|t| (t.release_slot, t.device_pos))
+        .collect();
+    plan.sort_by_key(|&(slot, _)| slot);
+    plan.into()
+}
+
+/// Pops the positions of the staged releases due by `slot` off the front
+/// of `plan`.
+fn due_releases(
+    plan: &mut VecDeque<(usize, Vec2)>,
+    slot: usize,
+) -> impl Iterator<Item = Vec2> + '_ {
+    std::iter::from_fn(move || match plan.front() {
+        Some(&(release, pos)) if release <= slot => {
+            plan.pop_front();
+            Some(pos)
+        }
+        _ => None,
+    })
+}
+
+/// Rebuilds the arrival bookkeeping a history implies: the device
+/// positions of every materialized task in global arrival order, and the
+/// staged releases still pending. Pure — shared by `LOAD` (empty
+/// history) and `RESTORE` (the rebuilt accepted view).
 fn rebuild_bookkeeping(
     scenario: &Scenario,
     ops: &[OpRecord],
-) -> (Vec<Vec2>, VecDeque<(usize, Vec2)>, usize) {
-    let mut order: Vec<Vec2> = scenario
-        .tasks
-        .iter()
-        .filter(|t| t.release_slot == 0)
-        .map(|t| t.device_pos)
-        .collect();
-    let mut staged: Vec<(usize, Vec2)> = scenario
-        .tasks
-        .iter()
-        .filter(|t| t.release_slot > 0)
-        .map(|t| (t.release_slot, t.device_pos))
-        .collect();
-    // Stable by release slot — the exact injection order of the single
-    // engine's staging queue.
-    staged.sort_by_key(|&(slot, _)| slot);
-    let mut plan: VecDeque<(usize, Vec2)> = staged.into();
+) -> (Vec<Vec2>, VecDeque<(usize, Vec2)>) {
+    let mut plan = release_plan(scenario);
+    let mut order: Vec<Vec2> = due_releases(&mut plan, 0).collect();
     let mut clock = 0usize;
     for op in ops {
         match op {
             OpRecord::Tick => {
                 clock += 1;
-                while let Some(&(slot, pos)) = plan.front() {
-                    if slot > clock {
-                        break;
-                    }
-                    order.push(pos);
-                    plan.pop_front();
-                }
+                order.extend(due_releases(&mut plan, clock));
             }
             OpRecord::Submit(spec) => order.push(spec.device_pos),
             _ => {}
         }
     }
-    (order, plan, clock)
+    (order, plan)
 }
 
-/// Parses a composite router snapshot document (format v3), re-deriving
-/// the arrival-order owners from the scenario, the operation history,
-/// and the cell rects. `ops` lines go through the operation log's one
-/// record parser, so they are exactly the `submit`/`tick` lines a WAL
-/// replays.
+/// The lines of the counted section `<header> <n>` that comes next.
+fn counted_section<'a>(
+    lines: &mut std::str::Lines<'a>,
+    header: &str,
+) -> Result<Vec<&'a str>, String> {
+    let head = lines
+        .next()
+        .ok_or_else(|| format!("truncated before {header}"))?;
+    let count = match head.split_whitespace().collect::<Vec<_>>().as_slice() {
+        [h, count] if *h == header => count
+            .parse::<usize>()
+            .map_err(|_| format!("bad {header} count `{count}`"))?,
+        _ => return Err(format!("bad {header} line `{head}`")),
+    };
+    // The count is untrusted: collect the lines that are there instead
+    // of reserving room for it.
+    let entries: Vec<&str> = lines.take(count).collect();
+    if entries.len() < count {
+        return Err(format!("truncated {header} section"));
+    }
+    Ok(entries)
+}
+
+/// Parses one `arrivals` line: `-`, or runs `<cell>x<count>` naming cells
+/// below `cells`, each count positive, adjacent runs in different cells.
+fn parse_arrivals(line: &str, cells: usize) -> Result<Vec<(u32, usize)>, String> {
+    if line == "-" {
+        return Ok(Vec::new());
+    }
+    let mut runs: Vec<(u32, usize)> = Vec::new();
+    for token in line.split_whitespace() {
+        let run = token
+            .split_once('x')
+            .and_then(|(cell, count)| Some((cell.parse::<u32>().ok()?, count.parse().ok()?)));
+        match run {
+            Some((cell, count))
+                if (cell as usize) < cells
+                    && count > 0
+                    && runs.last().is_none_or(|&(last, _)| last != cell) =>
+            {
+                runs.push((cell, count))
+            }
+            _ => return Err(format!("bad arrivals line `{line}`")),
+        }
+    }
+    if runs.is_empty() {
+        return Err(format!("bad arrivals line `{line}`"));
+    }
+    Ok(runs)
+}
+
+/// Parses a composite router snapshot document (format v4), re-deriving
+/// the arrival-order owners from the scenario's staged releases, the
+/// arrival runs, and the cell rects.
 pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
     let mut lines = text.lines();
     if lines.next() != Some(COMPOSITE_MAGIC) {
@@ -2047,28 +2148,6 @@ pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
         }
         _ => return Err(format!("bad field line `{field_line}`")),
     };
-    let counted_section =
-        |lines: &mut std::str::Lines<'_>, header: &str| -> Result<Vec<String>, String> {
-            let head = lines
-                .next()
-                .ok_or_else(|| format!("truncated before {header}"))?;
-            let count = match head.split_whitespace().collect::<Vec<_>>().as_slice() {
-                [h, count] if *h == header => count
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad {header} count `{count}`"))?,
-                _ => return Err(format!("bad {header} line `{head}`")),
-            };
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                entries.push(
-                    lines
-                        .next()
-                        .ok_or_else(|| format!("truncated {header} section"))?
-                        .to_string(),
-                );
-            }
-            Ok(entries)
-        };
     let cells = counted_section(&mut lines, "cells")?
         .iter()
         .map(|line| -> Result<CellRect, String> {
@@ -2099,15 +2178,13 @@ pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
     };
     let scenario = model_io::read_scenario(&scenario_text)
         .map_err(|e| format!("bad embedded scenario: {e}"))?;
-    let ops = counted_section(&mut lines, "ops")?
-        .iter()
-        .map(|line| match OpRecord::parse(line) {
-            Some(op @ (OpRecord::Submit(_) | OpRecord::Tick)) => Ok(op),
-            _ => Err(format!("bad op line `{line}`")),
-        })
+    let arrivals = counted_section(&mut lines, "arrivals")?
+        .into_iter()
+        .map(|line| parse_arrivals(line, cells.len()))
         .collect::<Result<Vec<_>, _>>()?;
     let num_shards = cells.len();
     let mut shards = Vec::with_capacity(num_shards);
+    let mut section_lines = 0usize;
     for expected in 0..num_shards {
         let head = lines
             .next()
@@ -2132,6 +2209,7 @@ pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
             snapshot.push('\n');
         }
         shards.push(snapshot);
+        section_lines += nlines;
     }
     if lines.next().is_some() {
         return Err("trailing lines after the last shard snapshot".to_string());
@@ -2147,17 +2225,34 @@ pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
         cells.clone(),
     )
     .map_err(|e| format!("bad partition geometry: {e}"))?;
-    let (positions, _plan, clock) = rebuild_bookkeeping(&scenario, &ops);
+    let Some(clock) = arrivals.len().checked_sub(1) else {
+        return Err("arrivals must list the open slot".to_string());
+    };
     if clock > scenario.grid.num_slots {
         return Err(format!(
             "history ticks past the horizon: clock {clock} of {} slots",
             scenario.grid.num_slots
         ));
     }
-    let order = positions
+    // A shard section spends at least one line per task it holds, which
+    // bounds the runs before they are expanded.
+    let named = arrivals
         .iter()
-        .map(|pos| partition.cell_of(*pos) as u32)
-        .collect();
+        .flatten()
+        .fold(0usize, |total, &(_, count)| total.saturating_add(count));
+    if named > section_lines {
+        return Err(format!(
+            "arrival runs name {named} tasks, more than the {section_lines} lines of the shard sections hold"
+        ));
+    }
+    let mut plan = release_plan(&scenario);
+    let mut order = Vec::new();
+    for (slot, runs) in arrivals.iter().enumerate() {
+        order.extend(due_releases(&mut plan, slot).map(|pos| partition.cell_of(pos) as u32));
+        for &(cell, count) in runs {
+            order.extend(std::iter::repeat_n(cell, count));
+        }
+    }
     Ok(CompositeSnapshot {
         tenant,
         map_version,
@@ -2167,10 +2262,103 @@ pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
         halo,
         cells,
         scenario: scenario_text,
-        ops,
+        arrivals,
         shards,
         order,
     })
+}
+
+/// Rebuilds the accepted view of a restored tenant's operation log — the
+/// submissions and ticks `RESHARD` replays — from the restored engines
+/// and the document's arrival runs, checking each against the other.
+/// Slot by slot, every shard first holds the staged releases due in the
+/// slot, then the submissions the slot's runs name, in arrival order; a
+/// tick separates slots. Each task must carry the slot as its release
+/// slot and lie in the cell that holds it, a staged release must be the
+/// planned one, and every task of every section must be used exactly
+/// once. The specs are finite: engine restore validates every task.
+fn rebuild_accepted(
+    scenario: &Scenario,
+    partition: &Partition,
+    arrivals: &[Vec<(u32, usize)>],
+    engines: &[OnlineEngine],
+) -> Result<Vec<OpRecord>, String> {
+    let mut used = vec![0usize; engines.len()];
+    let mut plan = release_plan(scenario);
+    let mut records = Vec::with_capacity(
+        engines
+            .iter()
+            .map(|engine| engine.scenario().num_tasks())
+            .sum::<usize>()
+            + arrivals.len(),
+    );
+    for (slot, runs) in arrivals.iter().enumerate() {
+        if slot > 0 {
+            records.push(OpRecord::Tick);
+        }
+        for pos in due_releases(&mut plan, slot) {
+            let cell = partition.cell_of(pos);
+            if next_task(engines, &mut used, partition, cell, slot)?.device_pos != pos {
+                return Err(format!(
+                    "shard {cell} does not hold the staged release due in slot {slot} where the scenario plans it"
+                ));
+            }
+        }
+        for &(cell, count) in runs {
+            for _ in 0..count {
+                let task = next_task(engines, &mut used, partition, cell as usize, slot)?;
+                records.push(OpRecord::Submit(TaskSpec {
+                    device_pos: task.device_pos,
+                    device_facing: task.device_facing,
+                    end_slot: task.end_slot,
+                    required_energy: task.required_energy,
+                    weight: task.weight,
+                }));
+            }
+        }
+    }
+    for (cell, (engine, used)) in engines.iter().zip(&used).enumerate() {
+        if *used != engine.scenario().num_tasks() {
+            return Err(format!(
+                "shard {cell} task {used} is accounted for by no arrival run or staged release"
+            ));
+        }
+    }
+    Ok(records)
+}
+
+/// The next unused task of shard `cell` in [`rebuild_accepted`]'s walk,
+/// which must have been released in `slot` and lie in that cell.
+fn next_task<'a>(
+    engines: &'a [OnlineEngine],
+    used: &mut [usize],
+    partition: &Partition,
+    cell: usize,
+    slot: usize,
+) -> Result<&'a Task, String> {
+    let (Some(engine), Some(cursor)) = (engines.get(cell), used.get_mut(cell)) else {
+        return Err(format!("cell {cell} has no shard section"));
+    };
+    let Some(task) = engine.scenario().tasks.get(*cursor) else {
+        return Err(format!(
+            "the arrivals of slot {slot} name more tasks than shard {cell} holds ({})",
+            engine.scenario().num_tasks()
+        ));
+    };
+    if task.release_slot != slot {
+        return Err(format!(
+            "shard {cell} task {cursor} was released in slot {}, but its arrival is in slot {slot}",
+            task.release_slot
+        ));
+    }
+    let owner = partition.cell_of(task.device_pos);
+    if owner != cell {
+        return Err(format!(
+            "shard {cell} task {cursor} lies in cell {owner}, not in the cell that holds it"
+        ));
+    }
+    *cursor += 1;
+    Ok(task)
 }
 
 /// `RESTORE` on the router, two-phase so no failure can leave a partial
@@ -2179,8 +2367,10 @@ pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
 /// count), then overwrites its state wholesale. Phase 1 parses the
 /// composite document and restores every embedded engine *off to the
 /// side*, validating the set as a whole (per section parse/validate,
-/// clock consistency across the cut and against the operation history);
-/// any failure returns a structured `ERR` with all live state untouched.
+/// clock consistency across the cut and against the arrival runs), and
+/// rebuilds the operation log's accepted view from the engines in the
+/// runs' order, checking every task against its run; any failure returns
+/// a structured `ERR` with all live state untouched.
 /// Phase 2 commits: every shard installs its restored engine
 /// (in-process) or receives the snapshot text as its new baseline (child
 /// process — a push failure there just marks the child down, and the
@@ -2246,7 +2436,6 @@ fn restore_composite_state(
             ))
         }
     };
-    let (order, plan, ops_clock) = rebuild_bookkeeping(&scenario, &composite.ops);
     if composite.shards.len() != composite.cells.len() {
         return Err(Reply::Err(
             ErrCode::BadSnapshot,
@@ -2290,14 +2479,18 @@ fn restore_composite_state(
             "snapshot has no shards".to_string(),
         ));
     };
-    if slot != ops_clock {
+    let history_clock = composite.arrivals.len().saturating_sub(1);
+    if slot != history_clock {
         return Err(Reply::Err(
             ErrCode::BadSnapshot,
             format!(
-                "inconsistent cut: operation history reaches clock {ops_clock}, shards sit at {slot}"
+                "inconsistent cut: arrival history reaches clock {history_clock}, shards sit at {slot}"
             ),
         ));
     }
+    let records = rebuild_accepted(&scenario, &partition, &composite.arrivals, &engines)
+        .map_err(|reason| Reply::Err(ErrCode::BadSnapshot, reason))?;
+    let (order, plan) = rebuild_bookkeeping(&scenario, &records);
     // The document's tenant: create it (or rebuild its fleet) to the
     // document's cell count. Fresh slots are built before any live state
     // is replaced, so a spawn failure aborts cleanly.
@@ -2337,7 +2530,7 @@ fn restore_composite_state(
         .zip(engines)
         .zip(composite.shards.iter())
     {
-        shard.install_restored(engine, snapshot, composite.ops.len());
+        shard.install_restored(engine, snapshot, records.len());
     }
     for (index, shard) in tenant.shards.iter().enumerate() {
         shard.set_cell(index);
@@ -2345,7 +2538,7 @@ fn restore_composite_state(
     tenant.partition = Some(partition);
     tenant.map = RoutingMap::at_version(composite.map_version, count);
     tenant.scenario = Some(scenario);
-    tenant.log = OpLog::new(composite.ops);
+    tenant.log = OpLog::new(records);
     tenant.order = order;
     tenant.plan = plan;
     tenant.slots = slots;

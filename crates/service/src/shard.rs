@@ -15,7 +15,7 @@
 //! determinism contract.
 
 use haste_distributed::{AdmitError, OnlineConfig, OnlineEngine, TaskSpec};
-use haste_model::{evaluate_relaxed, CoverageMap, TaskId};
+use haste_model::TaskId;
 use parking_lot::Mutex;
 
 /// Outcome of `LOAD`/`RESTORE`: what the freshly installed engine holds.
@@ -283,26 +283,23 @@ impl Shard {
             None => Err(ShardError::NoScenario),
             Some(engine) => {
                 let full = engine.evaluate().total_utility;
-                let relaxed = engine.relaxed_value();
+                let relaxed = engine.relaxed_value().total_utility;
                 Ok((full, relaxed))
             }
         }
     }
 
     /// Per-task weighted utility terms in task-id order (see
-    /// [`UtilityParts`]). The relaxed terms re-evaluate with a coverage
-    /// map rebuilt from the scenario — bit-identical to the engine's own,
-    /// since coverage construction is deterministic in the scenario.
+    /// [`UtilityParts`]). Both evaluations run over the engine's own
+    /// coverage map.
     pub fn utility_parts(&self) -> Result<UtilityParts, ShardError> {
         let mut engine = self.engine.lock();
         match engine.as_mut() {
             None => Err(ShardError::NoScenario),
             Some(engine) => {
                 let report = engine.evaluate();
+                let relaxed_report = engine.relaxed_value();
                 let full = weighted(engine, &report.per_task_utility);
-                let coverage = CoverageMap::build(engine.scenario());
-                let relaxed_report =
-                    evaluate_relaxed(engine.scenario(), &coverage, engine.schedule());
                 let relaxed = weighted(engine, &relaxed_report.per_task_utility);
                 Ok(UtilityParts { full, relaxed })
             }

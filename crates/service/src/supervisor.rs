@@ -1066,9 +1066,9 @@ impl ShardSlot {
     /// Commits a checkpoint at log cursor `cursor` after a completed
     /// composite `SNAPSHOT` (no-op for in-process shards, which need no
     /// replay).
-    pub(crate) fn checkpoint(&self, snapshot: &str, cursor: usize) {
+    pub(crate) fn checkpoint(&self, snapshot: String, cursor: usize) {
         if let ShardSlot::Remote(shard) = self {
-            shard.checkpoint(snapshot.to_string(), cursor);
+            shard.checkpoint(snapshot, cursor);
         }
     }
 

@@ -8,16 +8,15 @@
 //! individually), a `TICK` slot close, a `RESHARD` split/merge, a
 //! `TENANT` quota change — in the exact order the router applied them
 //! (the router lock serializes both), written by the one record codec
-//! (`OpRecord`'s `Display` and [`OpRecord::parse`]) that the composite
-//! `ops` section uses too.
+//! (`OpRecord`'s `Display` and [`OpRecord::parse`]).
 //! `LOAD` and `RESTORE` do not append; they write a **checkpoint**: the
-//! tenant's composite v3 snapshot document (the same
+//! tenant's composite v4 snapshot document (the same
 //! [`crate::render_composite`] bytes the operator-facing `SNAPSHOT` verb
-//! returns), written to a temp file, fsynced, atomically renamed, after
-//! which the log truncates back to its header. Recovery is therefore
-//! always *newest valid checkpoint + replay of the log tail*, and the
-//! determinism contract makes the replayed tenant bit-identical to the
-//! one that crashed.
+//! returns, each task stored once), written to a temp file, fsynced,
+//! atomically renamed, after which the log truncates back to its
+//! header. Recovery is therefore always *newest valid checkpoint +
+//! replay of the log tail*, and the determinism contract makes the
+//! replayed tenant bit-identical to the one that crashed.
 //!
 //! The log format is designed for torn writes: a fixed text header
 //! followed by binary frames `len:u32_be | crc32:u32_be | payload`,
@@ -116,8 +115,11 @@ impl WalConfig {
 // workspace builds fully offline.
 // ----------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 tables: the first is the bytewise table, and each
+/// next one advances the previous by one more zero byte, so eight bytes
+/// fold in with eight independent lookups. 8 KB, built at compile time.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut base = [0u32; 256];
     let mut n = 0usize;
     while n < 256 {
         let mut c = n as u32;
@@ -130,20 +132,48 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[n] = c;
+        base[n] = c;
         n += 1;
     }
-    table
+    let mut tables = [base; 8];
+    let mut table = 1;
+    while table < 8 {
+        let mut n = 0usize;
+        while n < 256 {
+            let prev = tables[table - 1][n];
+            tables[table][n] = (prev >> 8) ^ base[(prev & 0xFF) as usize];
+            n += 1;
+        }
+        table += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// The IEEE CRC-32 of `bytes` (polynomial `0xEDB88320`, reflected,
-/// init/xorout `!0`) — the framing checksum of every log record.
+/// init/xorout `!0`) — the framing checksum of every log record and the
+/// checkpoint marker's document hash. Slicing-by-8: eight bytes per step,
+/// the tail bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = (c >> 8) ^ CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        if let [b0, b1, b2, b3, b4, b5, b6, b7] = *chunk {
+            let low = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
+            c = t7[(low & 0xFF) as usize]
+                ^ t6[((low >> 8) & 0xFF) as usize]
+                ^ t5[((low >> 16) & 0xFF) as usize]
+                ^ t4[(low >> 24) as usize]
+                ^ t3[usize::from(b4)]
+                ^ t2[usize::from(b5)]
+                ^ t1[usize::from(b6)]
+                ^ t0[usize::from(b7)];
+        }
+    }
+    for &b in chunks.remainder() {
+        c = (c >> 8) ^ t0[((c ^ u32::from(b)) & 0xFF) as usize];
     }
     !c
 }
@@ -578,6 +608,44 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"tick"), crc32(b"tick"));
         assert_ne!(crc32(b"tick"), crc32(b"tock"));
+    }
+
+    /// The one-lookup-per-byte CRC-32 the slicing form must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let [table, ..] = &CRC32_TABLES;
+        let mut c = !0u32;
+        for &b in bytes {
+            c = (c >> 8) ^ table[((c ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !c
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_bytewise_crc() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        // A seeded 1 MB buffer (64-bit LCG, high bytes).
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let buffer: Vec<u8> = (0..1 << 20)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect();
+        assert_eq!(crc32(&buffer), crc32_bytewise(&buffer));
+        // Every length 0–64 at every offset 0–7: each split of the
+        // eight-byte body and the bytewise tail, at every alignment.
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buffer[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset} length {len}"
+                );
+            }
+        }
     }
 
     /// Builds a log image in memory: header + framed records.

@@ -344,6 +344,44 @@ fn malformed_sequences_cannot_kill_the_connection() {
     server.shutdown();
 }
 
+/// A scenario task whose facing is `nan` or `inf` is refused at `LOAD`
+/// by the single-engine daemon and the router alike: `Task::validate`
+/// checks the facing, so no path — `LOAD`, engine restore, or a
+/// restored router's rebuilt history — can hold such a task.
+#[test]
+fn a_load_with_a_non_finite_facing_is_refused() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{SocketAddr, TcpStream};
+
+    fn load_reply(addr: SocketAddr, facing: &str) -> String {
+        let text = haste_model::io::write_scenario(&base_scenario(5, 2, 8));
+        let text = format!("{text}task 0 10 10 {facing} 0 3 700 1\n");
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        write!(stream, "LOAD {}\n{text}", text.lines().count()).unwrap();
+        stream.flush().unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply.trim_end().to_string()
+    }
+
+    let daemon = serve(ServerConfig::default()).unwrap();
+    let router = haste_service::serve_router(haste_service::RouterConfig::default()).unwrap();
+    for addr in [daemon.addr(), router.addr()] {
+        for facing in ["nan", "inf"] {
+            let reply = load_reply(addr, facing);
+            assert!(
+                reply.starts_with("ERR bad-request") && reply.contains("facing must be finite"),
+                "facing {facing}: {reply}"
+            );
+        }
+        // The same document with a finite facing loads.
+        assert!(load_reply(addr, "0.5").starts_with("OK "));
+    }
+    daemon.shutdown();
+    router.shutdown();
+}
+
 #[test]
 fn loadgen_smoke_run_verifies_replay() {
     let report = loadgen::run(&loadgen::LoadgenConfig {

@@ -329,6 +329,52 @@ fn tenant_quota_caps_accepted_submissions_per_slot() {
     single.shutdown();
 }
 
+/// `RESTORE` rebuilds the tenant's accepted history from the document,
+/// and a reshard is the one consumer of its cross-cell interleave: the
+/// rebuilt cell replays the submissions of both old cells in arrival
+/// order. A router restored mid-session — staged releases both released
+/// and still pending, live submissions interleaved across both cells —
+/// must merge (and split) exactly as the router that took the snapshot.
+#[test]
+fn a_restored_router_reshards_exactly_as_the_original() {
+    let scenario = splittable_scenario(101);
+    let trace = splittable_trace(102, 40);
+    for merge in [true, false] {
+        let original = serve_router(router_config()).unwrap();
+        let mut live = Client::connect(original.addr()).unwrap();
+        live.load(&scenario).unwrap();
+        drive_span(&mut live, &trace, 0, 3);
+        let document = live.snapshot().unwrap();
+
+        let copy = serve_router(router_config()).unwrap();
+        let mut restored = Client::connect(copy.addr()).unwrap();
+        assert_eq!(restored.restore(&document).unwrap(), 3);
+
+        let mut outcomes = Vec::new();
+        for client in [&mut live, &mut restored] {
+            if merge {
+                assert_eq!(client.reshard_merge(0, 1).unwrap(), (1, 2));
+            } else {
+                assert_eq!(client.reshard_split(0).unwrap(), (3, 2));
+            }
+            drive_span(client, &trace, 3, SLOTS);
+            let (schedule, utility, relaxed) = finish(client);
+            let snapshot = client.snapshot().unwrap();
+            outcomes.push((schedule, utility.to_bits(), relaxed.to_bits(), snapshot));
+        }
+        let (first, second) = (&outcomes[0], &outcomes[1]);
+        let what = if merge { "MERGE 0 1" } else { "SPLIT 0" };
+        assert_eq!(first.0, second.0, "{what}: schedules differ");
+        assert_eq!(first.1, second.1, "{what}: utility bits differ");
+        assert_eq!(first.2, second.2, "{what}: relaxed bits differ");
+        assert!(first.3 == second.3, "{what}: final snapshots differ");
+        live.bye().unwrap();
+        restored.bye().unwrap();
+        original.shutdown();
+        copy.shutdown();
+    }
+}
+
 #[test]
 fn reshard_failures_leave_the_live_topology_untouched() {
     let router = serve_router(router_config()).unwrap();

@@ -118,6 +118,65 @@ fn fingerprint(client: &mut Client) -> (usize, haste_model::Schedule, u64, u64, 
     )
 }
 
+/// Every fixture with the reason it must fail for: a substring of its
+/// `ERR bad-snapshot` message. Pinning the reason keeps each fixture
+/// testing its own defect, so none can quietly start failing on an
+/// earlier line instead (its version line, say).
+const FIXTURE_REASONS: &[(&str, &str)] = &[
+    ("bad-cell-rect.snap", "bad cell rect `0 0 100`"),
+    ("bad-field-line.snap", "bad field line"),
+    ("bad-grid-line.snap", "grid must be positive"),
+    ("bad-magic.snap", "missing magic line"),
+    ("bad-map-line.snap", "bad map version `x`"),
+    ("bad-op-line.snap", "bad arrivals line `0x1 1x`"),
+    ("bad-scenario.snap", "bad embedded scenario"),
+    ("bad-shard-header.snap", "bad shard header `shard 1 0`"),
+    ("bad-tenant-line.snap", "bad tenant line"),
+    ("cell-outside-field.snap", "bad partition geometry"),
+    ("corrupt-embedded-shard.snap", "shard 0: snapshot line"),
+    ("empty.snap", "missing magic line"),
+    // Counts far past the document, which once sized an allocation that
+    // aborted the router, or wrapped an index and panicked it.
+    (
+        "huge-block-count.snap",
+        "announces 18446744073709551615 lines",
+    ),
+    ("huge-cells-count.snap", "truncated cells section"),
+    (
+        "huge-schedule-dims.snap",
+        "embedded schedule: line 2: dimensions exceed the document",
+    ),
+    (
+        "huge-staged-count.snap",
+        "shard 0: snapshot line 17: expected a `task` line",
+    ),
+    ("nonfinite-op.snap", "device facing must be finite"),
+    (
+        "run-past-shard-tasks.snap",
+        "the arrivals of slot 0 name more tasks than shard 0 holds",
+    ),
+    ("task-in-another-cell.snap", "shard 0 task 0 lies in cell 1"),
+    (
+        "ticks-past-horizon.snap",
+        "history ticks past the horizon: clock 13 of 12 slots",
+    ),
+    (
+        "trailing-garbage.snap",
+        "trailing lines after the last shard",
+    ),
+    ("truncated-after-magic.snap", "truncated before tenant"),
+    ("truncated-shard-section.snap", "truncated shard 0 snapshot"),
+    (
+        "unaccounted-shard-task.snap",
+        "shard 0 task 0 is accounted for by no arrival run",
+    ),
+    (
+        "v3-document.snap",
+        "missing magic line `# haste-router snapshot v4`",
+    ),
+    ("zero-cells.snap", "cells must be positive"),
+];
+
 #[test]
 fn corrupted_fixture_documents_error_and_leave_live_state_untouched() {
     let router = serve_router(router_config()).unwrap();
@@ -127,32 +186,32 @@ fn corrupted_fixture_documents_error_and_leave_live_state_untouched() {
     let before = fingerprint(&mut client);
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/restore");
-    let mut fixtures: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+    let mut fixtures: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "snap"))
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".snap"))
         .collect();
     fixtures.sort();
-    assert!(
-        fixtures.len() >= 10,
-        "fixture corpus went missing: found {}",
-        fixtures.len()
-    );
+    let listed: Vec<&str> = FIXTURE_REASONS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(fixtures, listed, "every fixture needs a pinned reason");
 
-    for fixture in &fixtures {
-        let text = std::fs::read_to_string(fixture).unwrap();
+    for (fixture, reason) in FIXTURE_REASONS {
+        let text = std::fs::read_to_string(dir.join(fixture)).unwrap();
         let err = client
             .restore(&text)
-            .expect_err(&format!("fixture {} must be rejected", fixture.display()));
+            .expect_err(&format!("fixture {fixture} must be rejected"));
         assert_eq!(
             err.code(),
             Some("bad-snapshot"),
-            "fixture {}: wrong error: {err}",
-            fixture.display()
+            "fixture {fixture}: wrong error: {err}"
+        );
+        assert!(
+            err.to_string().contains(reason),
+            "fixture {fixture}: expected `{reason}`, got: {err}"
         );
         // Nothing restored, nothing lost: the live session is bitwise
         // intact after every rejected document.
-        assert_eq!(fingerprint(&mut client), before, "{}", fixture.display());
+        assert_eq!(fingerprint(&mut client), before, "{fixture}");
     }
 
     // The router is still fully serviceable: the session continues, and

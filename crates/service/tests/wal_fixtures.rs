@@ -336,6 +336,37 @@ fn damaged_directories_boot_and_resume_serving() {
     router.shutdown();
 }
 
+/// Only composite v4 is read. A durable router booting over a directory
+/// whose checkpoint is a v3 document skips that tenant — warning, files
+/// left in place untouched — and still recovers every other tenant.
+#[test]
+fn a_v3_checkpoint_is_skipped_and_its_files_are_left_in_place() {
+    let dir = scratch("v3-checkpoint");
+    let router = serve_router(durable_config(&dir)).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.tenant("acme", None).unwrap();
+    client.load(&partitionable_scenario(61)).unwrap();
+    drive_span(&mut client, &submission_trace(62, 12), 0, 4);
+    client.bye().unwrap();
+    router.shutdown();
+
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/restore");
+    let v3 = std::fs::read(fixtures.join("v3-document.snap")).unwrap();
+    assert!(v3.starts_with(b"# haste-router snapshot v3\n"));
+    std::fs::write(dir.join("default.ckpt"), &v3).unwrap();
+    std::fs::write(dir.join("default.wal"), WAL_MAGIC).unwrap();
+
+    let router = serve_router(durable_config(&dir)).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    assert_eq!(client.clock().unwrap_err().code(), Some("no-scenario"));
+    client.tenant("acme", None).unwrap();
+    assert_eq!(client.clock().unwrap().0, 4);
+    client.bye().unwrap();
+    router.shutdown();
+    assert_eq!(std::fs::read(dir.join("default.ckpt")).unwrap(), v3);
+    assert_eq!(std::fs::read(dir.join("default.wal")).unwrap(), WAL_MAGIC);
+}
+
 #[test]
 fn snapshot_replies_and_checkpoints_share_one_render_path() {
     let dir = scratch("pin");
