@@ -20,7 +20,7 @@ fn main() {
     // time and oracle calls go.
     let scenario = ScenarioSpec::paper_default().generate(config.ctx.base_seed);
     let cov_start = Instant::now();
-    let coverage = CoverageMap::build_par(&scenario, config.ctx.threads);
+    let coverage = CoverageMap::build(&scenario);
     let coverage_build = cov_start.elapsed();
     let mut result = solve_offline(
         &scenario,

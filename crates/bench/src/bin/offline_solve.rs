@@ -22,7 +22,7 @@ fn main() {
     let mut results = Vec::new();
     for t in [1usize, threads] {
         let cov_start = Instant::now();
-        let coverage = CoverageMap::build_par(&scenario, t);
+        let coverage = CoverageMap::build(&scenario);
         let coverage_build = cov_start.elapsed();
         let solve_start = Instant::now();
         let mut result = solve_offline(

@@ -120,9 +120,16 @@ pub struct OnlineEngine {
     /// Pre-loaded future releases (from a scenario file), stably sorted by
     /// release slot; injected into `scenario` when their slot opens.
     staged: VecDeque<Task>,
+    /// Chargeability over a prefix of `scenario`'s tasks, extended over
+    /// the arrivals when they are needed.
     coverage: CoverageMap,
-    /// How many tasks `coverage` was built over (lazy rebuild watermark).
-    coverage_tasks: usize,
+    /// The neighbor relation over exactly the tasks `coverage` holds.
+    graph: NeighborGraph,
+    /// Id of the open slot's first task: tasks `open_from..` arrived in
+    /// it (ids are arrival indices and release slots never decrease).
+    open_from: usize,
+    /// Chargeability pair tests run: chargers × tasks covered so far.
+    pair_tests: u64,
     config: OnlineConfig,
     max_pending: usize,
     /// Submissions admitted into the current open slot.
@@ -151,9 +158,12 @@ impl OnlineEngine {
         let threads = haste_parallel::resolve_threads(config.threads);
         let n = scenario.num_chargers();
         let num_slots = scenario.grid.num_slots;
+        let coverage = CoverageMap::build(&scenario);
         let mut engine = OnlineEngine {
-            coverage: CoverageMap::build(&scenario),
-            coverage_tasks: 0,
+            graph: NeighborGraph::build(&coverage),
+            coverage,
+            open_from: 0,
+            pair_tests: 0,
             scenario,
             staged: staged.into(),
             config,
@@ -187,15 +197,19 @@ impl OnlineEngine {
         }
     }
 
-    /// Rebuilds the coverage map if tasks arrived since the last build.
+    /// Extends the coverage map and the neighbor graph over the tasks
+    /// that arrived since the last refresh.
     fn refresh_coverage(&mut self) {
-        if self.coverage_tasks != self.scenario.num_tasks() {
-            // haste-lint: allow(D2) — phase timing feeds SolverMetrics, not algorithm state
-            let start = Instant::now();
-            self.coverage = CoverageMap::build(&self.scenario);
-            self.metrics.coverage_build += start.elapsed();
-            self.coverage_tasks = self.scenario.num_tasks();
+        let (from, to) = (self.coverage.num_tasks(), self.scenario.num_tasks());
+        if from == to {
+            return;
         }
+        // haste-lint: allow(D2) — phase timing feeds SolverMetrics, not algorithm state
+        let start = Instant::now();
+        self.coverage.extend(&self.scenario);
+        self.graph.extend(&self.coverage, from..to);
+        self.metrics.coverage_build += start.elapsed();
+        self.pair_tests += ((to - from) * self.scenario.num_chargers()) as u64;
     }
 
     /// Admits a task into the current open slot (its release slot becomes
@@ -250,21 +264,14 @@ impl OnlineEngine {
             return None;
         }
         let t = self.clock;
-        let arrived_now: Vec<usize> = self
-            .scenario
-            .tasks
-            .iter()
-            .filter(|task| task.release_slot == t)
-            .map(|task| task.id.index())
-            .collect();
-        if !arrived_now.is_empty() {
+        if self.open_from < self.scenario.num_tasks() {
             self.refresh_coverage();
-            let graph = NeighborGraph::build(&self.coverage);
+            let arrived_now: Vec<usize> = (self.open_from..self.scenario.num_tasks()).collect();
             let threads = self.metrics.threads;
             replan_event(
                 &self.scenario,
                 &self.coverage,
-                &graph,
+                &self.graph,
                 &self.config,
                 &mut self.schedule,
                 ReplanEvent {
@@ -284,6 +291,7 @@ impl OnlineEngine {
         }
         self.clock += 1;
         self.pending = 0;
+        self.open_from = self.scenario.num_tasks();
         self.release_due();
         Some(self.clock)
     }
@@ -368,6 +376,13 @@ impl OnlineEngine {
     #[inline]
     pub fn metrics(&self) -> &SolverMetrics {
         &self.metrics
+    }
+
+    /// Chargeability pair tests run so far: chargers × tasks covered, the
+    /// build of a [`restore`](OnlineEngine::restore) included.
+    #[inline]
+    pub fn coverage_pair_tests(&self) -> u64 {
+        self.pair_tests
     }
 
     /// `(admitted, rejected, pending-in-open-slot)` admission counters.
@@ -585,16 +600,25 @@ impl OnlineEngine {
         }
         let scenario = {
             let block = cursor.block("scenario")?;
-            io::read_scenario(&block.text).map_err(|e| SnapshotError {
+            let scenario = io::read_scenario(&block.text).map_err(|e| SnapshotError {
                 line: block.line_no,
                 reason: format!("embedded scenario: {e}"),
-            })?
+            })?;
+            // Arrived tasks are in arrival order: released no later than
+            // the clock, in non-decreasing release slots.
+            check_release_order(
+                scenario.tasks.iter().map(|task| (block.line_no, task)),
+                "arrived",
+                |slot| slot <= clock,
+                &format!("after the clock {clock}"),
+            )?;
+            scenario
         };
         let staged = {
             let (line_no, rest) = cursor.directive("staged")?;
             let count = parse_uints(rest, 1, line_no)?[0];
             // The count is untrusted: the lines that follow bound it.
-            let mut staged = VecDeque::new();
+            let mut staged = Vec::new();
             for index in 0..count {
                 let (line_no, line) = cursor.raw_line("staged task")?;
                 let fields: Vec<&str> = line.split_whitespace().collect();
@@ -612,9 +636,19 @@ impl OnlineEngine {
                     line: line_no,
                     reason: e.to_string(),
                 })?;
-                staged.push_back(task);
+                staged.push((line_no, task));
             }
+            // Staged tasks wait for a slot after the clock, in release order.
+            check_release_order(
+                staged.iter().map(|(line_no, task)| (*line_no, task)),
+                "staged",
+                |slot| slot > clock,
+                &format!("not after the clock {clock}"),
+            )?;
             staged
+                .into_iter()
+                .map(|(_, task)| task)
+                .collect::<VecDeque<_>>()
         };
         let schedule = {
             let block = cursor.block("schedule")?;
@@ -630,7 +664,7 @@ impl OnlineEngine {
                 reason: "schedule/scenario charger counts disagree".to_string(),
             });
         }
-        if scenario.grid.num_slots > 0 && schedule.num_slots() != scenario.grid.num_slots {
+        if schedule.num_slots() != scenario.grid.num_slots {
             return Err(SnapshotError {
                 line: 0,
                 reason: "schedule does not span the time grid".to_string(),
@@ -638,10 +672,13 @@ impl OnlineEngine {
         }
         let threads = haste_parallel::resolve_threads(config.threads);
         let coverage = CoverageMap::build(&scenario);
-        let coverage_tasks = scenario.num_tasks();
         Ok(OnlineEngine {
+            graph: NeighborGraph::build(&coverage),
             coverage,
-            coverage_tasks,
+            open_from: scenario
+                .tasks
+                .partition_point(|task| task.release_slot < clock),
+            pair_tests: (scenario.num_tasks() * scenario.num_chargers()) as u64,
             scenario,
             staged,
             config,
@@ -750,6 +787,34 @@ impl<'a> Cursor<'a> {
         self.pos += 1;
         Ok((line_no, line))
     }
+}
+
+/// Refuses a task sequence an engine never writes: each `(line, task)`
+/// must release in a slot `allowed` admits, no earlier than the task
+/// before it.
+fn check_release_order<'t>(
+    tasks: impl Iterator<Item = (usize, &'t Task)>,
+    which: &str,
+    allowed: impl Fn(usize) -> bool,
+    refusal: &str,
+) -> Result<(), SnapshotError> {
+    let mut previous = 0;
+    for (index, (line, task)) in tasks.enumerate() {
+        let slot = task.release_slot;
+        let fault = if !allowed(slot) {
+            refusal
+        } else if slot < previous {
+            "before the task ahead of it"
+        } else {
+            previous = slot;
+            continue;
+        };
+        return Err(SnapshotError {
+            line,
+            reason: format!("{which} task {index} releases in slot {slot}, {fault}"),
+        });
+    }
+    Ok(())
 }
 
 /// Parses exactly `expected` whitespace-separated non-negative integers.
@@ -1046,6 +1111,150 @@ mod tests {
         let bad = snap.replace("delays", "dleays");
         let err = OnlineEngine::restore(&bad).unwrap_err();
         assert!(err.reason.contains("embedded scenario"), "{err}");
+    }
+
+    #[test]
+    fn a_streamed_session_tests_each_charger_task_pair_once() {
+        let s = random_scenario(11, 5, 12, 1);
+        let engine = stream(&s, &OnlineConfig::default());
+        assert_eq!(engine.coverage_pair_tests(), 5 * 12);
+    }
+
+    #[test]
+    fn a_mid_slot_restore_continues_bit_identically() {
+        // Staged tasks release in slots 0..5; two submissions arrive in
+        // each of the first six slots.
+        let s = random_scenario(53, 5, 14, 1);
+        let specs: Vec<TaskSpec> = random_scenario(54, 5, 12, 1)
+            .tasks
+            .iter()
+            .map(|task| TaskSpec {
+                end_slot: 12,
+                ..spec_of(task)
+            })
+            .collect();
+        let chunks: Vec<&[TaskSpec]> = specs.chunks(2).collect();
+        let mut live = OnlineEngine::new(s, OnlineConfig::default(), usize::MAX);
+        for (slot, chunk) in chunks[..3].iter().enumerate() {
+            if slot > 0 {
+                live.tick().unwrap();
+            }
+            for spec in *chunk {
+                live.submit(*spec).unwrap();
+            }
+        }
+        // Slot 2 is open with submissions pending and staged releases due.
+        let restored = OnlineEngine::restore(&live.snapshot()).unwrap();
+        assert_eq!((restored.clock(), restored.counters().2), (2, 2));
+        let open = restored.scenario().tasks.iter();
+        assert!(open.filter(|task| task.release_slot == 2).count() > 2);
+        let run_out = |mut engine: OnlineEngine| {
+            for chunk in &chunks[3..] {
+                engine.tick().unwrap();
+                for spec in *chunk {
+                    engine.submit(*spec).unwrap();
+                }
+            }
+            while engine.tick().is_some() {}
+            let pair_tests = engine.coverage_pair_tests();
+            (engine.snapshot(), pair_tests, engine.finish())
+        };
+        let (live_snapshot, live_pairs, a) = run_out(live);
+        let (restored_snapshot, restored_pairs, b) = run_out(restored);
+        assert_eq!(live_snapshot, restored_snapshot);
+        assert_eq!(a.schedule, b.schedule);
+        assert_eq!(
+            a.report.total_utility.to_bits(),
+            b.report.total_utility.to_bits()
+        );
+        assert_eq!(a.relaxed_value.to_bits(), b.relaxed_value.to_bits());
+        assert_eq!(a.stats.per_slot_messages, b.stats.per_slot_messages);
+        // Restore's one build counts: both ran chargers × tasks tests.
+        assert_eq!((live_pairs, restored_pairs), (5 * 26, 5 * 26));
+    }
+
+    #[test]
+    fn a_chargerless_engine_snapshot_round_trips() {
+        let mut s = random_scenario(61, 3, 6, 1);
+        s.chargers.clear();
+        let mut engine = OnlineEngine::new(s, OnlineConfig::default(), usize::MAX);
+        engine.tick().unwrap();
+        let snap = engine.snapshot();
+        let mut restored = OnlineEngine::restore(&snap).unwrap();
+        assert_eq!(restored.snapshot(), snap);
+        engine.tick().unwrap();
+        restored.tick().unwrap();
+        assert_eq!(restored.snapshot(), engine.snapshot());
+    }
+
+    /// An engine at slot 2 whose tasks released in slots 0, 1, 1 and 2
+    /// and whose staged tasks release in slots 3 and 4.
+    fn engine_at_slot_2() -> OnlineEngine {
+        let mut s = random_scenario(41, 4, 6, 1);
+        for (task, release) in s.tasks.iter_mut().zip([0, 1, 1, 2, 3, 4]) {
+            task.release_slot = release;
+            task.end_slot = 8;
+        }
+        let mut engine = OnlineEngine::new(s, OnlineConfig::default(), usize::MAX);
+        engine.tick().unwrap();
+        engine.tick().unwrap();
+        engine
+    }
+
+    /// Why restore refuses the snapshot of [`engine_at_slot_2`] with the
+    /// release slot of its `nth` task line (arrived tasks first, then
+    /// staged ones) set to `slot`.
+    fn refusal(nth: usize, slot: usize) -> String {
+        let snap = engine_at_slot_2().snapshot();
+        assert!(OnlineEngine::restore(&snap).is_ok());
+        let mut seen = 0;
+        let mut edited = String::new();
+        for line in snap.lines() {
+            let mut fields: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+            if fields.first().map(String::as_str) == Some("task") {
+                if seen == nth {
+                    fields[5] = slot.to_string();
+                }
+                seen += 1;
+                edited.push_str(&fields.join(" "));
+            } else {
+                edited.push_str(line);
+            }
+            edited.push('\n');
+        }
+        OnlineEngine::restore(&edited).unwrap_err().reason
+    }
+
+    #[test]
+    fn restore_refuses_arrived_tasks_out_of_release_order() {
+        assert_eq!(
+            refusal(3, 0),
+            "arrived task 3 releases in slot 0, before the task ahead of it"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_an_arrived_task_released_after_the_clock() {
+        assert_eq!(
+            refusal(3, 3),
+            "arrived task 3 releases in slot 3, after the clock 2"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_staged_tasks_out_of_release_order() {
+        assert_eq!(
+            refusal(4, 5),
+            "staged task 1 releases in slot 4, before the task ahead of it"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_staged_task_due_by_the_clock() {
+        assert_eq!(
+            refusal(4, 2),
+            "staged task 0 releases in slot 2, not after the clock 2"
+        );
     }
 
     #[test]

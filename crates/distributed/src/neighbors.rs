@@ -4,7 +4,9 @@
 //! task (Section 6.1). The paper assumes the communication range is at least
 //! twice the charging range, so neighbors can always talk directly.
 
-use haste_model::{ChargerId, CoverageMap};
+use std::ops::Range;
+
+use haste_model::{CoverageMap, TaskId};
 
 /// Adjacency structure over chargers.
 #[derive(Debug, Clone)]
@@ -15,17 +17,35 @@ pub struct NeighborGraph {
 impl NeighborGraph {
     /// Builds the graph from precomputed coverage.
     pub fn build(coverage: &CoverageMap) -> Self {
-        let n = coverage.num_chargers();
-        let mut adj = vec![Vec::new(); n];
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if coverage.are_neighbors(ChargerId(a as u32), ChargerId(b as u32)) {
-                    adj[a].push(b);
-                    adj[b].push(a);
+        let mut graph = NeighborGraph {
+            adj: vec![Vec::new(); coverage.num_chargers()],
+        };
+        graph.extend(coverage, 0..coverage.num_tasks());
+        graph
+    }
+
+    /// Adds the edges `tasks` contribute: every pair of chargers able to
+    /// charge one of them becomes neighbors. Edges are only ever added, so
+    /// extending over a map's tasks chunk by chunk yields the graph
+    /// [`NeighborGraph::build`] gives over the whole map.
+    pub fn extend(&mut self, coverage: &CoverageMap, tasks: Range<usize>) {
+        for task in tasks {
+            let chargers = coverage.chargers_of(TaskId(task as u32));
+            for (k, a) in chargers.iter().enumerate() {
+                for b in &chargers[k + 1..] {
+                    self.connect(a.index(), b.index());
                 }
             }
         }
-        NeighborGraph { adj }
+    }
+
+    /// Adds the edge `a`–`b`, keeping both adjacency lists sorted.
+    fn connect(&mut self, a: usize, b: usize) {
+        for (from, to) in [(a, b), (b, a)] {
+            if let Err(at) = self.adj[from].binary_search(&to) {
+                self.adj[from].insert(at, to);
+            }
+        }
     }
 
     /// Number of chargers.
@@ -99,6 +119,66 @@ mod tests {
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.max_degree(), 2);
         assert!((g.average_degree() - 4.0 / 3.0).abs() < 1e-12);
+    }
+
+    mod extend_properties {
+        use super::*;
+        use haste_model::ChargerId;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A graph extended over a random chunking of a map's tasks is
+            /// the pairwise `are_neighbors` relation, each list ascending.
+            #[test]
+            fn chunked_extend_equals_pairwise_relation(
+                chargers in collection::vec((0.0f64..60.0, 0.0f64..60.0), 1..8),
+                tasks in collection::vec((0.0f64..60.0, 0.0f64..60.0, 0.0f64..std::f64::consts::TAU), 0..40),
+                cuts in collection::vec(0usize..40, 0..6),
+            ) {
+                let s = Scenario::new(
+                    ChargingParams::simulation_default().with_receiving_angle(std::f64::consts::PI),
+                    TimeGrid::minutes(4),
+                    chargers
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(x, y))| Charger::new(i as u32, Vec2::new(x, y)))
+                        .collect(),
+                    tasks
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &(x, y, facing))| {
+                            Task::new(j as u32, Vec2::new(x, y), Angle::from_radians(facing), 0, 4, 1000.0, 1.0)
+                        })
+                        .collect(),
+                    0.0,
+                    0,
+                )
+                .unwrap();
+                let coverage = CoverageMap::build(&s);
+                let m = coverage.num_tasks();
+                let mut cuts: Vec<usize> = cuts.iter().map(|&cut| cut.min(m)).collect();
+                cuts.push(m);
+                cuts.sort_unstable();
+                let mut graph = NeighborGraph::build(&CoverageMap::build(&Scenario {
+                    tasks: Vec::new(),
+                    ..s.clone()
+                }));
+                let mut from = 0;
+                for cut in cuts {
+                    graph.extend(&coverage, from..cut);
+                    from = cut;
+                }
+                let n = s.num_chargers();
+                for a in 0..n {
+                    let pairwise: Vec<usize> = (0..n)
+                        .filter(|&b| coverage.are_neighbors(ChargerId(a as u32), ChargerId(b as u32)))
+                        .collect();
+                    prop_assert_eq!(graph.neighbors(a), pairwise.as_slice());
+                }
+            }
+        }
     }
 
     #[test]

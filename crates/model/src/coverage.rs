@@ -33,41 +33,47 @@ pub struct CoverageMap {
 impl CoverageMap {
     /// Builds the map for a scenario. `O(n · m)` pair tests.
     pub fn build(scenario: &Scenario) -> Self {
-        Self::build_par(scenario, 1)
+        let mut map = CoverageMap {
+            per_charger: vec![Vec::new(); scenario.num_chargers()],
+            per_task: Vec::new(),
+        };
+        map.extend(scenario);
+        map
     }
 
-    /// Like [`CoverageMap::build`], with the per-charger pair tests spread
-    /// over `threads` workers. Chargers are independent rows of the map and
-    /// each row is computed in full by one worker, so the result is
-    /// identical to the sequential build for every thread count.
-    pub fn build_par(scenario: &Scenario, threads: usize) -> Self {
-        let m = scenario.num_tasks();
-        let rows = haste_parallel::par_map(&scenario.chargers, threads, |_, charger| {
-            scenario
-                .tasks
-                .iter()
-                .filter(|task| power::chargeable(&scenario.params, charger, task))
-                .map(|task| {
-                    let d = charger.pos.distance(task.device_pos);
-                    CandidateTask {
-                        task: task.id,
-                        azimuth: power::azimuth_to(charger, task),
-                        power: power::range_power(&scenario.params, d)
-                            * power::receiver_gain_factor(&scenario.params, charger, task),
-                    }
-                })
-                .collect::<Vec<_>>()
-        });
-        // Reverse index, derived sequentially so charger ids stay sorted.
-        let mut per_task = vec![Vec::new(); m];
-        for (charger, row) in scenario.chargers.iter().zip(&rows) {
-            for cand in row {
-                per_task[cand.task.index()].push(charger.id);
-            }
+    /// Appends the candidates of tasks `self.num_tasks()..scenario.num_tasks()`
+    /// — `n` pair tests per new task. `scenario` must be the scenario the
+    /// map was built over, grown only by appending tasks (its ids are
+    /// positions). New ids exceed every id already in a row, so each row
+    /// stays sorted by task id, and the charger-major loop lists each
+    /// task's chargers in ascending order: the result equals
+    /// [`CoverageMap::build`] over the grown scenario, bit for bit.
+    pub fn extend(&mut self, scenario: &Scenario) {
+        debug_assert_eq!(self.per_charger.len(), scenario.num_chargers());
+        let new = &scenario.tasks[self.per_task.len()..];
+        let starts: Vec<usize> = self.per_charger.iter().map(Vec::len).collect();
+        for (charger, row) in scenario.chargers.iter().zip(&mut self.per_charger) {
+            row.extend(
+                new.iter()
+                    .filter(|task| power::chargeable(&scenario.params, charger, task))
+                    .map(|task| {
+                        let d = charger.pos.distance(task.device_pos);
+                        CandidateTask {
+                            task: task.id,
+                            azimuth: power::azimuth_to(charger, task),
+                            power: power::range_power(&scenario.params, d)
+                                * power::receiver_gain_factor(&scenario.params, charger, task),
+                        }
+                    }),
+            );
         }
-        CoverageMap {
-            per_charger: rows,
-            per_task,
+        // Reverse index of the new candidates, charger by charger.
+        self.per_task.resize_with(scenario.num_tasks(), Vec::new);
+        let rows = scenario.chargers.iter().zip(&self.per_charger).zip(starts);
+        for ((charger, row), from) in rows {
+            for cand in &row[from..] {
+                self.per_task[cand.task.index()].push(charger.id);
+            }
         }
     }
 
@@ -199,13 +205,70 @@ mod tests {
         assert!(map2.are_neighbors(ChargerId(1), ChargerId(0)));
     }
 
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let s = scenario();
-        let seq = CoverageMap::build(&s);
-        let par = CoverageMap::build_par(&s, 4);
-        assert_eq!(seq.per_charger, par.per_charger);
-        assert_eq!(seq.per_task, par.per_task);
+    mod extend_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Every row and the reverse index, floats as their bits.
+        type Bits = (Vec<Vec<(TaskId, u64, u64)>>, Vec<Vec<ChargerId>>);
+
+        fn bits(map: &CoverageMap) -> Bits {
+            let rows = map
+                .per_charger
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|c| (c.task, c.azimuth.radians().to_bits(), c.power.to_bits()))
+                        .collect()
+                })
+                .collect();
+            (rows, map.per_task.clone())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Extending a map over a random chunking of a random
+            /// scenario's tasks equals building it at once, bit for bit.
+            #[test]
+            fn chunked_extend_equals_build(
+                chargers in collection::vec((0.0f64..40.0, 0.0f64..40.0), 1..7),
+                tasks in collection::vec((0.0f64..40.0, 0.0f64..40.0, 0.0f64..std::f64::consts::TAU), 0..40),
+                cuts in collection::vec(0usize..40, 0..6),
+                receiving_angle in 0.5f64..std::f64::consts::TAU,
+            ) {
+                let mut s = Scenario::new(
+                    ChargingParams::simulation_default().with_receiving_angle(receiving_angle),
+                    TimeGrid::minutes(4),
+                    chargers
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(x, y))| Charger::new(i as u32, Vec2::new(x, y)))
+                        .collect(),
+                    tasks
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &(x, y, facing))| {
+                            Task::new(j as u32, Vec2::new(x, y), Angle::from_radians(facing), 0, 4, 1000.0, 1.0)
+                        })
+                        .collect(),
+                    0.0,
+                    0,
+                )
+                .unwrap();
+                let full = CoverageMap::build(&s);
+                let all = std::mem::take(&mut s.tasks);
+                let mut cuts: Vec<usize> = cuts.iter().map(|&cut| cut.min(all.len())).collect();
+                cuts.push(all.len());
+                cuts.sort_unstable();
+                let mut map = CoverageMap::build(&s);
+                for cut in cuts {
+                    s.tasks.extend_from_slice(&all[s.tasks.len()..cut]);
+                    map.extend(&s);
+                }
+                prop_assert_eq!(bits(&map), bits(&full));
+            }
+        }
     }
 
     use haste_geometry::Angle;

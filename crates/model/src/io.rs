@@ -264,8 +264,9 @@ pub fn read_schedule(text: &str) -> Result<Schedule, ParseError> {
                 }
                 let (n, k) = (v[0] as usize, v[1] as usize);
                 // Each charger takes a row line and each of its slots at
-                // least a byte of it: the text bounds the allocation.
-                if n > text.len() || k > text.len() || n.saturating_mul(k) > text.len() {
+                // least a byte of it: the text bounds the allocation. A
+                // schedule without chargers allocates nothing per slot.
+                if n > text.len() || n.saturating_mul(k) > text.len() {
                     return Err(bad("dimensions exceed the document"));
                 }
                 dims = Some((n, k));
@@ -275,7 +276,7 @@ pub fn read_schedule(text: &str) -> Result<Schedule, ParseError> {
             "row" => {
                 let (n, k) = dims.ok_or_else(|| bad("`row` before `schedule` line"))?;
                 let schedule = schedule.as_mut().expect("dims implies schedule");
-                if rest.len() != k + 1 {
+                if rest.len() != k.saturating_add(1) {
                     return Err(bad(&format!(
                         "expected charger id + {k} entries, got {} fields",
                         rest.len()
@@ -534,6 +535,8 @@ mod tests {
         assert_eq!(read_schedule(&write_schedule(&s)).unwrap(), s);
         let s = Schedule::empty(2, 0);
         assert_eq!(read_schedule(&write_schedule(&s)).unwrap(), s);
+        let s = Schedule::empty(0, 7);
+        assert_eq!(read_schedule(&write_schedule(&s)).unwrap(), s);
     }
 
     #[test]
@@ -580,11 +583,7 @@ mod tests {
             Err(ParseError::BadLine { line: 2, .. })
         ));
         // Dimensions the text cannot hold are refused before allocating.
-        for dims in [
-            "100000000000 100000000000",
-            "0 100000000000",
-            "100000000000 0",
-        ] {
+        for dims in ["100000000000 100000000000", "100000000000 0"] {
             match read_schedule(&format!("schedule {dims}\n")) {
                 Err(ParseError::BadLine { line: 1, reason }) => {
                     assert!(reason.contains("exceed"), "{dims}: {reason}")
@@ -592,6 +591,17 @@ mod tests {
                 other => panic!("{dims}: expected BadLine, got {other:?}"),
             }
         }
+        // Without chargers nothing is allocated per slot, so any length
+        // parses; a stray row is still refused.
+        let long = read_schedule("schedule 0 100000000000\n").unwrap();
+        assert_eq!(
+            (long.num_chargers(), long.num_slots()),
+            (0, 100_000_000_000)
+        );
+        assert!(matches!(
+            read_schedule(&format!("schedule 0 {}\nrow", usize::MAX)),
+            Err(ParseError::BadLine { line: 2, .. })
+        ));
     }
 
     #[test]

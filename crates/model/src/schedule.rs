@@ -18,13 +18,18 @@ pub type Orientation = Option<Angle>;
 pub struct Schedule {
     /// `orientations[i][k]` is charger `i`'s orientation in slot `k`.
     orientations: Vec<Vec<Orientation>>,
+    /// The length of every row, kept apart so a schedule without chargers
+    /// still spans its grid.
+    num_slots: usize,
 }
 
 impl Schedule {
     /// An empty schedule (`n` chargers, `k` slots, everything unassigned).
     pub fn empty(num_chargers: usize, num_slots: usize) -> Self {
         Schedule {
-            orientations: vec![vec![None; num_slots]; num_chargers],
+            // Row by row: `vec![row; 0]` would still allocate `row`.
+            orientations: (0..num_chargers).map(|_| vec![None; num_slots]).collect(),
+            num_slots,
         }
     }
 
@@ -37,7 +42,7 @@ impl Schedule {
     /// Number of slots.
     #[inline]
     pub fn num_slots(&self) -> usize {
-        self.orientations.first().map_or(0, Vec::len)
+        self.num_slots
     }
 
     /// The orientation of charger `i` in slot `k`.

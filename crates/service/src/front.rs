@@ -11,14 +11,15 @@
 //! [`Service`].
 //!
 //! Plain `std::net` blocking sockets — no async runtime. Each accept loop
-//! runs on one thread in non-blocking mode, polling a shutdown flag;
-//! accepted connections are handled on a [`haste_parallel::ThreadPool`].
-//! Handlers use short read timeouts so an idle connection notices
-//! shutdown promptly. Only shutdown ends an accept loop: a failed
-//! `accept` is retried, never fatal.
+//! runs on one thread, blocked in `accept`; accepted connections are
+//! handled on a [`haste_parallel::ThreadPool`]. Shutdown sets a flag and
+//! wakes each loop with a connection to its own listener. Handlers use
+//! short read timeouts so an idle connection notices shutdown promptly.
+//! Only shutdown ends an accept loop: a failed `accept` is retried after
+//! a pause, never fatal.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -41,9 +42,12 @@ const READ_POLL: Duration = Duration::from_millis(25);
 /// fail the connection, not wedge its handler thread forever.
 const WRITE_STALL: Duration = Duration::from_secs(30);
 
-/// How long an accept loop sleeps when no connection is pending, or
-/// after a failed `accept`, before it polls again.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long an accept loop pauses after a failed `accept` before it
+/// retries, so a persistent failure (`EMFILE`) cannot spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(5);
+
+/// Deadline of the connection that wakes an accept loop at shutdown.
+const WAKE_DEADLINE: Duration = Duration::from_secs(1);
 
 /// A daemon's request semantics: what the front door hands every parsed
 /// request and every `OP_BATCH` frame to.
@@ -70,8 +74,9 @@ pub(crate) trait Service: Send + Sync + 'static {
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// One accept thread per listener; each owns its handler pool.
-    threads: Vec<JoinHandle<()>>,
+    /// One accept thread per listener, each owning its handler pool, with
+    /// the address to dial to wake it at shutdown.
+    loops: Vec<(JoinHandle<()>, SocketAddr)>,
 }
 
 /// The handle [`crate::serve_router`] returns: the same type as
@@ -89,7 +94,7 @@ impl ServerHandle {
         let mut handle = ServerHandle {
             addr: listener.local_addr()?,
             shutdown: Arc::new(AtomicBool::new(false)),
-            threads: Vec::new(),
+            loops: Vec::new(),
         };
         let shutdown = Arc::clone(&handle.shutdown);
         handle.listen(listener, workers, (READ_POLL, WRITE_STALL), move |stream| {
@@ -112,14 +117,21 @@ impl ServerHandle {
     where
         F: Fn(TcpStream) + Send + Sync + 'static,
     {
-        listener.set_nonblocking(true)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            let loopback: IpAddr = match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            };
+            wake.set_ip(loopback);
+        }
         let shutdown = Arc::clone(&self.shutdown);
         let thread = std::thread::Builder::new()
             .name("haste-accept".to_string())
             .spawn(move || {
                 accept_loop(|| listener.accept(), workers, deadlines, &shutdown, serve);
             })?;
-        self.threads.push(thread);
+        self.loops.push((thread, wake));
         Ok(())
     }
 
@@ -132,7 +144,7 @@ impl ServerHandle {
     /// for the foreground daemon binaries this serves until the process
     /// ends.
     pub fn join(mut self) {
-        for thread in self.threads.drain(..) {
+        for (thread, _) in self.loops.drain(..) {
             let _ = thread.join();
         }
     }
@@ -147,14 +159,16 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
-        for thread in self.threads.drain(..) {
+        for (thread, wake) in self.loops.drain(..) {
+            // The loop sees the flag once its blocked `accept` returns.
+            let _ = TcpStream::connect_timeout(&wake, WAKE_DEADLINE);
             let _ = thread.join();
         }
     }
 }
 
 /// Accepts connections until shutdown. `accept` is the listener's
-/// non-blocking accept (a test substitutes its own to inject failures).
+/// blocking accept (a test substitutes its own to inject failures).
 fn accept_loop<A, F>(
     mut accept: A,
     workers: usize,
@@ -169,8 +183,13 @@ fn accept_loop<A, F>(
     // The pool lives (and on exit drains and joins) inside the accept
     // thread, so joining the accept thread joins everything.
     let pool = ThreadPool::new(workers);
-    while !shutdown.load(Ordering::Acquire) {
-        match accept() {
+    loop {
+        let accepted = accept();
+        // Past shutdown the connection is the wake-up (or races it).
+        if shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let armed = stream
                     .set_read_timeout(Some(read))
@@ -181,10 +200,10 @@ fn accept_loop<A, F>(
                     pool.execute(move || serve(stream));
                 }
             }
-            // Nothing pending (`WouldBlock`), or a failed accept:
-            // `ECONNABORTED`, `EMFILE`/`ENFILE`, or one of the pending
-            // network errors accept(2) says to retry like `EAGAIN`.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            // A failed accept: `ECONNABORTED`, `EMFILE`/`ENFILE`, or one
+            // of the pending network errors accept(2) says to retry like
+            // `EAGAIN`.
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
 }
@@ -498,9 +517,6 @@ mod tests {
     #[test]
     fn a_failed_accept_does_not_end_the_listener() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
-        listener
-            .set_nonblocking(true)
-            .expect("non-blocking listener");
         let addr = listener
             .local_addr()
             .expect("bound listener has an address");
@@ -528,7 +544,37 @@ mod tests {
             .expect("the connection after a failed accept is served");
         assert_eq!(peer, client.local_addr().ok());
         shutdown.store(true, Ordering::Release);
+        TcpStream::connect(addr).expect("wake the accept loop");
         acceptor.join().expect("accept loop thread");
+    }
+
+    #[test]
+    fn shutting_down_an_idle_handle_returns_promptly() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let daemon = crate::serve(crate::ServerConfig {
+                addr: bind.to_string(),
+                ..crate::ServerConfig::default()
+            })
+            .expect("serve the daemon");
+            // The router adds its HTTP scrape listener to the handle.
+            let router = crate::serve_router(crate::RouterConfig {
+                addr: bind.to_string(),
+                metrics_addr: Some(bind.to_string()),
+                ..crate::RouterConfig::default()
+            })
+            .expect("serve the router");
+            for handle in [daemon, router] {
+                let (done, finished) = std::sync::mpsc::channel();
+                let stopper = std::thread::spawn(move || {
+                    handle.shutdown();
+                    let _ = done.send(());
+                });
+                finished
+                    .recv_timeout(Duration::from_secs(5))
+                    .unwrap_or_else(|_| panic!("shutdown of a handle bound to {bind} hangs"));
+                stopper.join().expect("shutdown thread");
+            }
+        }
     }
 
     #[test]

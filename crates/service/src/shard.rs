@@ -98,6 +98,8 @@ pub struct ShardStatus {
     pub oracle_marginals: u64,
     /// Optimizer state commits.
     pub oracle_commits: u64,
+    /// Charger–task chargeability tests run building the coverage map.
+    pub coverage_pair_tests: u64,
     /// Negotiation messages sent.
     pub messages: u64,
     /// Negotiation rounds executed.
@@ -325,6 +327,7 @@ impl Shard {
                     threads: metrics.threads,
                     oracle_marginals: metrics.oracle_marginals,
                     oracle_commits: metrics.oracle_commits,
+                    coverage_pair_tests: engine.coverage_pair_tests(),
                     messages: stats.messages,
                     rounds: stats.rounds,
                     instance_build_us: metrics.instance_build.as_micros(),

@@ -172,6 +172,11 @@ pub(crate) fn engine_alias_snapshot(status: &ShardStatus, snap: &mut Snapshot) {
         u128::from(status.oracle_commits),
     );
     snap.set_counter(
+        "haste_engine_coverage_pair_tests_total",
+        &[],
+        u128::from(status.coverage_pair_tests),
+    );
+    snap.set_counter(
         "haste_engine_negotiation_messages_total",
         &[],
         u128::from(status.messages),
@@ -347,6 +352,7 @@ mod tests {
             threads: 8,
             oracle_marginals: 100,
             oracle_commits: 10,
+            coverage_pair_tests: 40,
             messages: 50,
             rounds: 5,
             instance_build_us: 1000,

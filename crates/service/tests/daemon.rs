@@ -3,7 +3,7 @@
 
 use haste_distributed::{replay_trace, OnlineEngine, TaskSpec};
 use haste_geometry::{Angle, Vec2};
-use haste_model::{Charger, ChargingParams, Scenario, TimeGrid};
+use haste_model::{Charger, ChargingParams, Scenario, Task, TimeGrid};
 use haste_service::{loadgen, serve, Client, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -380,6 +380,47 @@ fn a_load_with_a_non_finite_facing_is_refused() {
     }
     daemon.shutdown();
     router.shutdown();
+}
+
+/// An engine snapshot whose staged tasks are out of release order is
+/// refused: no engine writes one, and the engine would inject the late
+/// task slots after its release.
+#[test]
+fn a_restore_with_staged_tasks_out_of_release_order_is_refused() {
+    let mut scenario = base_scenario(9, 3, 8);
+    scenario.tasks = (0..2)
+        .map(|j| {
+            Task::new(
+                j,
+                Vec2::new(10.0, 10.0),
+                Angle::ZERO,
+                3 + j as usize,
+                7,
+                800.0,
+                1.0,
+            )
+        })
+        .collect();
+    let server = serve(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.load(&scenario).unwrap();
+    let snapshot = client.snapshot().unwrap();
+    let mut early = scenario.tasks[1];
+    early.release_slot = 2;
+    let line = haste_model::io::task_line(&scenario.tasks[1]);
+    assert_eq!(snapshot.matches(&line).count(), 1, "{snapshot}");
+    let reordered = snapshot.replace(&line, &haste_model::io::task_line(&early));
+    let err = client.restore(&reordered).unwrap_err();
+    assert_eq!(err.code(), Some("bad-snapshot"), "{err}");
+    assert!(
+        err.to_string()
+            .contains("staged task 1 releases in slot 2, before the task ahead of it"),
+        "{err}"
+    );
+    // The unedited snapshot still restores.
+    assert_eq!(client.restore(&snapshot).unwrap(), 0);
+    client.bye().unwrap();
+    server.shutdown();
 }
 
 #[test]

@@ -259,6 +259,51 @@ fn router_session_survives_kill_and_restore_bit_identically() {
     assert_eq!(final_a, final_b);
 }
 
+/// `partitionable_scenario` with every charger moved into cell 0, so
+/// cell 1's shard holds tasks but no charger.
+fn chargerless_cell_scenario(seed: u64) -> Scenario {
+    let mut scenario = partitionable_scenario(seed);
+    for charger in &mut scenario.chargers {
+        if charger.pos.x > 100.0 {
+            charger.pos.x -= 100.0;
+        }
+    }
+    scenario
+}
+
+#[test]
+fn a_router_with_a_chargerless_cell_restores_its_own_snapshot() {
+    let scenario = chargerless_cell_scenario(41);
+    let trace = submission_trace(42, 16);
+    let router = serve_router(router_config()).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.load(&scenario).unwrap();
+    let mut next = 0;
+    for slot in 0..SLOTS / 2 {
+        while next < trace.len() && trace[next].0 == slot {
+            client.submit(&trace[next].1).unwrap();
+            next += 1;
+        }
+        client.tick(1).unwrap();
+    }
+    let mid = client.snapshot().unwrap();
+
+    let fresh = serve_router(router_config()).unwrap();
+    let mut restored = Client::connect(fresh.addr()).unwrap();
+    assert_eq!(restored.restore(&mid).unwrap(), SLOTS / 2);
+    assert_eq!(restored.snapshot().unwrap(), mid);
+    // Both finish the trace in the same state.
+    let a = drive(&mut client, &trace, SLOTS / 2);
+    let b = drive(&mut restored, &trace, SLOTS / 2);
+    assert_eq!(a.0, b.0);
+    assert_eq!(a.1.to_bits(), b.1.to_bits());
+    assert_eq!(client.snapshot().unwrap(), restored.snapshot().unwrap());
+    client.bye().unwrap();
+    restored.bye().unwrap();
+    router.shutdown();
+    fresh.shutdown();
+}
+
 #[test]
 fn hello_v2_advertises_topology_and_shards_reports_per_shard_state() {
     let router = serve_router(router_config()).unwrap();

@@ -301,6 +301,39 @@ fn a_restarted_router_resumes_bit_identically_in_process() {
     router.shutdown();
 }
 
+#[test]
+fn a_restarted_router_keeps_a_tenant_with_a_chargerless_cell() {
+    let config = |dir: &Path| RouterConfig {
+        cells: (2, 1),
+        field: (200.0, 100.0),
+        wal: Some(WalConfig::new(dir)),
+        ..RouterConfig::default()
+    };
+    // Every charger in cell 0: cell 1's shard holds tasks but no charger.
+    let mut scenario = partitionable_scenario(73);
+    for charger in &mut scenario.chargers {
+        if charger.pos.x > 100.0 {
+            charger.pos.x -= 100.0;
+        }
+    }
+    let trace = submission_trace(74, 16);
+    let dir = scratch("chargerless");
+    let router = serve_router(config(&dir)).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.load(&scenario).unwrap();
+    drive_span(&mut client, &trace, 0, 6);
+    let mid = finish(&mut client);
+    client.bye().unwrap();
+    router.shutdown();
+
+    let router = serve_router(config(&dir)).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    assert_eq!(client.clock().unwrap().0, 6);
+    assert_eq!(finish(&mut client), mid);
+    client.bye().unwrap();
+    router.shutdown();
+}
+
 // ----------------------------------------------------------------------
 // kill -9 over real TCP: two tenants, a live RESHARD, a real SIGKILL
 // ----------------------------------------------------------------------

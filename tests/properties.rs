@@ -255,13 +255,6 @@ proptest! {
         }
         .generate(seed);
         let coverage = CoverageMap::build(&scenario);
-        let coverage_par = CoverageMap::build_par(&scenario, threads);
-        for charger in &scenario.chargers {
-            prop_assert_eq!(
-                coverage_par.tasks_of(charger.id),
-                coverage.tasks_of(charger.id)
-            );
-        }
         for colors in [1usize, 4] {
             let base = haste::core::solve_offline(
                 &scenario,
