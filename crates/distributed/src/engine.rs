@@ -109,8 +109,10 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The incremental online scheduler. See the [module docs](self) for the
-/// lifecycle and determinism contract.
+/// The incremental online scheduler: [`submit`](OnlineEngine::submit)
+/// admits a task into the open slot, [`tick`](OnlineEngine::tick) closes
+/// the slot and replans, and [`replay_trace`] of the arrived tasks
+/// reproduces a streamed session bit for bit.
 #[derive(Debug, Clone)]
 pub struct OnlineEngine {
     /// The evolving instance: `tasks` holds exactly the *arrived* tasks, in
@@ -396,6 +398,12 @@ impl OnlineEngine {
     #[inline]
     pub fn staged_len(&self) -> usize {
         self.staged.len()
+    }
+
+    /// The staged tasks themselves, in injection order, as the base
+    /// scenario numbered them.
+    pub fn staged(&self) -> impl Iterator<Item = &Task> {
+        self.staged.iter()
     }
 
     /// The scheduling configuration this engine runs under.

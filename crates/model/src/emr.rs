@@ -1,7 +1,7 @@
 //! Electromagnetic radiation (EMR) field computation.
 //!
 //! The paper's related-work line (the authors' *Safe Charging* / SCAPE
-//! papers, refs. [42]–[48]) constrains charger scheduling so the aggregate
+//! papers, refs. \[42\]–\[48\]) constrains charger scheduling so the aggregate
 //! EMR intensity never exceeds a safety threshold anywhere in the field.
 //! This module provides the field model those constraints need: the EMR
 //! intensity at a point is proportional to the total charging power

@@ -43,7 +43,7 @@ pub use coverage::{CandidateTask, CoverageMap};
 pub use error::ModelError;
 pub use eval::{evaluate, evaluate_relaxed, slot_energy, EvalOptions, EvalReport};
 pub use params::{ChargingParams, ReceiverGain};
-pub use partition::{CellAssignment, CellRect, Partition, PartitionError, RoutingMap};
+pub use partition::{CellAssignment, CellRect, Partition, PartitionError};
 pub use scenario::{Scenario, UtilityModel};
 pub use schedule::{Orientation, Schedule};
 pub use task::{Charger, ChargerId, Task, TaskId};

@@ -23,9 +23,9 @@
 //! [`Partition::split_cell`] halves a hot cell along its longer axis and
 //! [`Partition::merge_cells`] re-joins two rect-adjacent cells, both
 //! producing renumbered partitions whose halo invariant still holds.
-//! [`RoutingMap`] versions the cell → shard assignment so a router can
-//! swap topologies atomically and observers can tell which map served a
-//! given reply.
+//! Cell indices are positions in the rect list, so a router that serves
+//! cell `i` with shard `i` needs no cell → shard table: a counter of
+//! topology swaps (its map version) tells which tiling served a reply.
 //!
 //! The preserved relative order of chargers and tasks inside each cell is
 //! what keeps the per-cell sub-problems bit-compatible with the original:
@@ -606,63 +606,6 @@ impl Partition {
     }
 }
 
-/// A **versioned** cell → shard assignment. The router consults the map on
-/// every route and bumps the version atomically when a split or merge
-/// swaps the topology, so `SHARDS?` output (and any future cached client
-/// routing) can be checked against the map that actually served a request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoutingMap {
-    version: u64,
-    shard_of: Vec<u32>,
-}
-
-impl RoutingMap {
-    /// The identity map over `cells` cells (cell `i` → shard `i`),
-    /// version 1 — the state of a freshly loaded topology.
-    pub fn identity(cells: usize) -> RoutingMap {
-        RoutingMap {
-            version: 1,
-            shard_of: (0..cells as u32).collect(),
-        }
-    }
-
-    /// The map's version; bumped by one on every swap.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The shard serving `cell`.
-    #[inline]
-    pub fn shard_of(&self, cell: usize) -> u32 {
-        self.shard_of[cell]
-    }
-
-    /// Number of cells the map covers.
-    #[inline]
-    pub fn num_cells(&self) -> usize {
-        self.shard_of.len()
-    }
-
-    /// The identity map over a renumbered topology of `cells` cells, with
-    /// the version advanced — what a split or merge installs when it swaps
-    /// the routing map between ticks.
-    pub fn renumbered(&self, cells: usize) -> RoutingMap {
-        RoutingMap {
-            version: self.version + 1,
-            shard_of: (0..cells as u32).collect(),
-        }
-    }
-
-    /// Restores a map at an explicit version (snapshot restore path).
-    pub fn at_version(version: u64, cells: usize) -> RoutingMap {
-        RoutingMap {
-            version,
-            shard_of: (0..cells as u32).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,18 +772,5 @@ mod tests {
         assert!(q.merge_cells(0, 1).is_ok());
         assert!(q.merge_cells(0, 2).is_ok());
         assert!(q.merge_cells(2, 0).is_ok());
-    }
-
-    #[test]
-    fn routing_map_versions_swaps() {
-        let m = RoutingMap::identity(2);
-        assert_eq!(m.version(), 1);
-        assert_eq!(m.num_cells(), 2);
-        assert_eq!(m.shard_of(1), 1);
-        let m2 = m.renumbered(3);
-        assert_eq!(m2.version(), 2);
-        assert_eq!(m2.num_cells(), 3);
-        assert_eq!(m2.shard_of(2), 2);
-        assert_eq!(RoutingMap::at_version(7, 3).version(), 7);
     }
 }

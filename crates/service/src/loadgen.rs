@@ -80,7 +80,7 @@ pub enum ArrivalProfile {
     /// Homogeneous Poisson: every slot is equally likely (the
     /// order-statistics draw the module doc describes).
     Uniform,
-    /// Inhomogeneous Poisson on the [`DIURNAL_CURVE`]: slot `s` takes
+    /// Inhomogeneous Poisson on the `DIURNAL_CURVE`: slot `s` takes
     /// the curve weight at step `(s % period) · 288 / period`, so
     /// `period` slots span one synthetic day (runs longer than one
     /// period wrap around). The report gains peak-band and trough-band

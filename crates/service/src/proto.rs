@@ -60,8 +60,9 @@ pub enum ErrCode {
     Unavailable,
     /// A request-level deadline expired before the reply arrived. Never
     /// sent by a daemon: clients and the router's shard supervisor
-    /// synthesize it when [`TcpStream::set_read_timeout`] fires, so the
-    /// code shares the protocol's error namespace.
+    /// synthesize it when a socket read deadline
+    /// ([`TcpStream::set_read_timeout`](std::net::TcpStream::set_read_timeout))
+    /// fires, so the code shares the protocol's error namespace.
     Timeout,
     /// Unsupported protocol version in `HELLO`.
     Version,

@@ -5,7 +5,8 @@
 //! with a charger-reach halo). `LOAD` splits the scenario into per-cell
 //! sub-scenarios — rejecting unpartitionable inputs with
 //! `ERR unpartitionable` — and `SUBMIT` routes each task to the shard
-//! owning its device position through a versioned [`RoutingMap`].
+//! of the cell holding its device position: shard `i` serves cell `i`,
+//! and a map version counts the topology swaps.
 //! `TICK` and `UTILITY?` fan out to every shard of the session's tenant;
 //! `SHARDS?` and `EXPORT?` span all tenants. This file is those request
 //! semantics; the transport under them — listeners, connection loops,
@@ -13,7 +14,7 @@
 //! ([`crate::front`]) the single-engine daemon runs on too.
 //!
 //! **Multi-tenancy.** Each tenant owns a full routing universe: its own
-//! partition, shard fleet, routing map, operation log, and (optionally)
+//! partition, shard fleet, map version, operation log, and (optionally)
 //! a per-slot admission quota. `TENANT <id> [<quota>]`
 //! binds a connection's session to a tenant; `LOAD` creates the tenant
 //! on first use (spawning its fleet in process mode), and every other
@@ -29,8 +30,8 @@
 //! the affected cell(s) are built off to the side — baseline sub-scenario
 //! load plus a replay of the accepted submissions and ticks in the
 //! tenant's operation log — and
-//! the routing map swaps atomically under the router mutex, bumping its
-//! version. Unaffected shards are untouched. Because replay repeats
+//! the fleet and tiling swap atomically under the router mutex, bumping
+//! the map version. Unaffected shards are untouched. Because replay repeats
 //! exactly the accepted submissions and ticks in arrival order, and
 //! localized replanning is per-cell-deterministic, the rebuilt cells'
 //! engine state is bitwise what a fresh run under the new partition
@@ -70,13 +71,14 @@
 //! negotiation of Alg. 3 never crosses a partition boundary, so each
 //! shard's schedule is bitwise the restriction of the single-engine
 //! schedule. The router reconstructs the single engine's totals exactly:
-//! it records the **global arrival order** of tasks (initial release-0
-//! tasks, then staged releases and live submissions as slots open) and
-//! sums per-task `wⱼ·Uⱼ` terms in that order — the same addends in the
-//! same sequence as the single engine's evaluator, hence the same bits.
-//! Arrival order is stored as device *positions*, so it survives cell
-//! renumbering: owners are re-derived from the current partition on
-//! every merge.
+//! it sums per-task `wⱼ·Uⱼ` terms in the **global arrival order** of
+//! tasks (each slot's staged releases, then its live submissions) — the
+//! same addends in the same sequence as the single engine's evaluator,
+//! hence the same bits. That order is never stored: every merge derives
+//! each task's owner from the loaded scenario's staged releases and the
+//! accepted submissions of the operation log, against the current
+//! partition, so it survives cell renumbering. The same derivation gives
+//! a parsed composite document its [`CompositeSnapshot::order`].
 //!
 //! **Consistent cut.** All request handling serializes on one router
 //! mutex and `TICK` advances every shard in lockstep inside it — the
@@ -101,9 +103,11 @@
 //! stores each accepted task once, in its cell's shard section, plus the
 //! cells of each slot's submissions in arrival order; `RESTORE` rebuilds
 //! the log's accepted view from the restored engines in that order and
-//! checks the two halves against each other.
+//! checks the two halves against each other — down to each section
+//! being its cell's split of the document's scenario, so the scenario's
+//! time grid is the tenant's horizon.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
@@ -111,8 +115,7 @@ use std::time::Duration;
 use haste_distributed::{OnlineConfig, OnlineEngine, TaskSpec};
 use haste_geometry::{Angle, Vec2};
 use haste_model::{
-    io as model_io, CellRect, ChargerId, Partition, PartitionError, RoutingMap, Scenario, Schedule,
-    Task,
+    io as model_io, CellRect, ChargerId, Partition, PartitionError, Scenario, Schedule, Task,
 };
 use parking_lot::Mutex;
 
@@ -122,7 +125,7 @@ use crate::front::{RouterHandle, Service};
 use crate::oplog::{OpLog, OpRecord};
 use crate::proto::{ErrCode, Reply, Request};
 use crate::server::{hello_reply, parts_payload, shard_err, shard_err_parts, shard_line};
-use crate::shard::{Shard, UtilityParts};
+use crate::shard::{Shard, ShardError, UtilityParts};
 use crate::supervisor::{
     resolve_shardd, Launcher, ProcessShardConfig, RemoteShard, ShardSlot, SlotError,
 };
@@ -200,30 +203,21 @@ impl Default for RouterConfig {
     }
 }
 
-/// Everything one tenant owns: its shard fleet, partition, versioned
-/// routing map, operation log, global arrival bookkeeping, admission
-/// quota, and (on a durable router) write-ahead log. Arrival order and
-/// the staged-release plan store device *positions* — owners are derived
-/// from the current partition on demand, so they survive cell
-/// renumbering across resharding.
+/// Everything one tenant owns: its shard fleet, loaded state, operation
+/// log, clock, admission quota, and (on a durable router) write-ahead
+/// log. The global arrival order is not among them: every merge derives
+/// it from the loaded scenario and the log (see [`arrival_owners`]).
 struct TenantCore {
+    /// Shard `i` serves cell `i` of the loaded partition.
     shards: Vec<ShardSlot>,
-    /// Built at `LOAD`/`RESTORE` (the halo is the scenario's radius).
-    partition: Option<Partition>,
-    /// Versioned cell → shard assignment; bumped on every reshard.
-    map: RoutingMap,
-    /// The loaded scenario, kept verbatim: reshard baselines re-split it.
-    scenario: Option<Scenario>,
+    /// `None` until `LOAD`/`RESTORE`; read through [`Loaded::of`].
+    loaded: Option<Loaded>,
     /// Every record applied since `LOAD` (see [`crate::oplog`]).
     log: OpLog,
-    /// Device position of every materialized task, in global arrival
-    /// order. Shard-local task ids follow by per-shard counting.
-    order: Vec<Vec2>,
-    /// Staged tasks not yet released: `(release_slot, position)` in the
-    /// single engine's injection order (stable by release slot).
-    plan: VecDeque<(usize, Vec2)>,
-    /// Time-grid length, for merging schedules.
-    slots: usize,
+    /// Tasks materialized so far — the staged releases of every opened
+    /// slot plus the accepted submissions — so the global id of the next
+    /// accepted submission.
+    materialized: usize,
     /// The tenant's virtual clock. This is the authority — healthy shards
     /// follow it in lockstep, and a down shard rejoins *to it* by replay —
     /// so it stays correct even while children are dead.
@@ -247,13 +241,9 @@ impl TenantCore {
         let cells = shards.len();
         TenantCore {
             shards,
-            partition: None,
-            map: RoutingMap::identity(cells.max(1)),
-            scenario: None,
+            loaded: None,
             log: OpLog::default(),
-            order: Vec::new(),
-            plan: VecDeque::new(),
-            slots: 0,
+            materialized: 0,
             clock: 0,
             quota: None,
             quota_used: 0,
@@ -263,22 +253,46 @@ impl TenantCore {
         }
     }
 
-    /// Appends to `order` every planned staged release for slots up to and
-    /// including `clock` (the single engine injects staged tasks the
-    /// moment their slot opens, before any live submission of that slot).
-    fn drain_plan(&mut self, clock: usize) {
-        self.order.extend(due_releases(&mut self.plan, clock));
-    }
-
-    /// Whether the tenant's grid still has open slots.
-    fn open(&self) -> bool {
-        self.clock < self.slots
-    }
-
     /// Whether the tenant's write-ahead log is in the fail-stop state
     /// (see [`WalHandle`]).
     fn poisoned(&self) -> bool {
         matches!(self.wal, Some(WalHandle::Poisoned))
+    }
+}
+
+/// What `LOAD` (or `RESTORE`) gives a tenant.
+struct Loaded {
+    /// The loaded scenario, kept verbatim: reshard baselines re-split it,
+    /// its staged releases open the arrival order of each slot, and its
+    /// time grid is the tenant's horizon.
+    scenario: Scenario,
+    /// The current tiling (the halo is the scenario's radius).
+    partition: Partition,
+    /// Routing-map version: 1 at `LOAD`, bumped by every reshard.
+    map_version: u64,
+}
+
+impl Loaded {
+    /// A tenant's loaded state, or the `no-scenario` refusal every verb
+    /// that needs one makes before `LOAD`/`RESTORE`. It takes the
+    /// tenant's field rather than the tenant, so the caller may still
+    /// mutate the tenant's other fields.
+    fn of(loaded: &Option<Loaded>) -> Result<&Loaded, ShardError> {
+        loaded.as_ref().ok_or(ShardError::NoScenario)
+    }
+
+    /// The time-grid length: slots `0..slots()` open in turn.
+    fn slots(&self) -> usize {
+        self.scenario.grid.num_slots
+    }
+
+    /// How many staged tasks the scenario releases when `slot` opens.
+    fn released_in(&self, slot: usize) -> usize {
+        self.scenario
+            .tasks
+            .iter()
+            .filter(|task| task.release_slot == slot)
+            .count()
     }
 }
 
@@ -632,6 +646,17 @@ fn tenant_ref<'a>(core: &'a RouterCore, id: &str) -> Result<&'a TenantCore, Repl
     }
 }
 
+/// The session's tenant with its loaded state, for the verbs that read
+/// it: `ERR unknown-tenant`, or `ERR no-scenario` before `LOAD`.
+fn loaded_tenant<'a>(
+    core: &'a RouterCore,
+    id: &str,
+) -> Result<(&'a TenantCore, &'a Loaded), Reply> {
+    let tenant = tenant_ref(core, id)?;
+    let loaded = Loaded::of(&tenant.loaded).map_err(shard_err)?;
+    Ok((tenant, loaded))
+}
+
 /// The session's tenant for a mutation: [`tenant_mut`], refused with the
 /// fail-stop reply while its write-ahead log is poisoned.
 fn writable_tenant<'a>(core: &'a mut RouterCore, id: &str) -> Result<&'a mut TenantCore, Reply> {
@@ -690,11 +715,11 @@ fn ensure_tenant<'a>(
 }
 
 /// The shared `SUBMIT` path (text, batch and WAL replay): finiteness
-/// check, quota gate, cell routing through the tenant's routing map,
-/// shard admission, then the bookkeeping — the outcome's record on the
-/// operation log, and for an acceptance the arrival order (position),
-/// quota usage, and the per-cell submission gauge that feeds the
-/// elastic-split trigger.
+/// check, quota gate, routing to the shard of the device's cell, shard
+/// admission, then the bookkeeping — the outcome's record on the
+/// operation log, and for an acceptance the materialized-task count (its
+/// global id), quota usage, and the per-cell submission gauge that feeds
+/// the elastic-split trigger.
 fn submit_routed(
     tenant: &mut TenantCore,
     tenant_id: &str,
@@ -709,11 +734,10 @@ fn submit_routed(
         // to log.
         return Err((ErrCode::BadTask, "non-finite position/facing".to_string()));
     }
-    let Some(partition) = tenant.partition.as_ref() else {
-        return Err(shard_err_parts(crate::shard::ShardError::NoScenario));
-    };
-    let cell = partition.cell_of(spec.device_pos);
-    let shard_index = tenant.map.shard_of(cell) as usize;
+    let cell = Loaded::of(&tenant.loaded)
+        .map_err(shard_err_parts)?
+        .partition
+        .cell_of(spec.device_pos);
     let outcome = match tenant.quota {
         Some(quota) if tenant.quota_used >= quota => {
             tenant.counters.quota_rejected.inc();
@@ -724,16 +748,16 @@ fn submit_routed(
                 ),
             ))
         }
-        _ => match tenant.shards.get(shard_index) {
+        _ => match tenant.shards.get(cell) {
             Some(shard) => shard.submit(spec).map_err(slot_err_parts),
-            None => Err(shard_err_parts(crate::shard::ShardError::NoScenario)),
+            None => Err((ErrCode::Internal, format!("cell {cell} has no shard"))),
         },
     };
     match outcome {
         Ok((_local, release)) => {
             tenant.log.push(OpRecord::Submit(spec));
-            let global = tenant.order.len();
-            tenant.order.push(spec.device_pos);
+            let global = tenant.materialized;
+            tenant.materialized += 1;
             tenant.quota_used += 1;
             if let Some(count) = tenant.cell_submits.get_mut(cell) {
                 *count += 1;
@@ -741,7 +765,7 @@ fn submit_routed(
             if tenant_id == DEFAULT_TENANT {
                 telemetry::count_cell_submit(shared.telemetry.registry(), cell);
             }
-            Ok((global, release, shard_index))
+            Ok((global, release, cell))
         }
         Err((code, message)) => {
             tenant.log.push(OpRecord::Reject { code, spec });
@@ -852,7 +876,8 @@ fn checkpoint(
     shared: &RouterShared,
     tenant_id: &str,
 ) -> Result<String, Reply> {
-    let text = composite_snapshot(tenant, tenant_id)?;
+    let loaded = Loaded::of(&tenant.loaded).map_err(shard_err)?;
+    let text = composite_snapshot(tenant, loaded, tenant_id)?;
     if let Some(WalHandle::Open(tenant_wal)) = &mut tenant.wal {
         if let Err(e) = tenant_wal.checkpoint(&text, tenant.quota) {
             eprintln!(
@@ -1139,13 +1164,11 @@ fn execute(request: Request, payload: &str, shared: &RouterShared, session: &mut
             let mut core = shared.core.lock();
             match writable_tenant(&mut core, &tenant_id) {
                 Err(reply) => reply,
-                Ok(tenant) if tenant.partition.is_none() => {
-                    shard_err(crate::shard::ShardError::NoScenario)
-                }
                 Ok(tenant) => {
                     // The load trigger fires between slots: a cell whose
                     // closing slot ran hot is split before the clock
-                    // moves (best effort).
+                    // moves (best effort; a tenant with no scenario has
+                    // no hot cell).
                     // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut under `core`; each child call is deadline-bounded
                     maybe_auto_split(tenant, &tenant_id, shared);
                     // haste-lint: allow(L2) — the lockstep pipelines deadline-bounded TICKs across cells under `core`; interleaving another request mid-round would fork the clock
@@ -1172,86 +1195,57 @@ fn execute(request: Request, payload: &str, shared: &RouterShared, session: &mut
             }
         }
         Request::Clock => {
-            let tenant_id = session.tenant.clone();
             let core = shared.core.lock();
-            match tenant_ref(&core, &tenant_id) {
+            match loaded_tenant(&core, &session.tenant) {
                 Err(reply) => reply,
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        shard_err(crate::shard::ShardError::NoScenario)
-                    } else {
-                        // The tenant clock is authoritative (healthy
-                        // shards track it in lockstep; down shards rejoin
-                        // to it), so CLOCK? answers even while children
-                        // are restarting.
-                        Reply::Ok(format!(
-                            "slot={} open={}",
-                            tenant.clock,
-                            u8::from(tenant.open())
-                        ))
-                    }
-                }
+                // The tenant clock is authoritative (healthy shards track
+                // it in lockstep; down shards rejoin to it), so CLOCK?
+                // answers even while children are restarting.
+                Ok((tenant, loaded)) => Reply::Ok(format!(
+                    "slot={} open={}",
+                    tenant.clock,
+                    u8::from(tenant.clock < loaded.slots())
+                )),
             }
         }
         Request::Schedule => {
-            let tenant_id = session.tenant.clone();
             let core = shared.core.lock();
-            match tenant_ref(&core, &tenant_id) {
+            match loaded_tenant(&core, &session.tenant) {
                 Err(reply) => reply,
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        shard_err(crate::shard::ShardError::NoScenario)
-                    } else {
-                        // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child SCHEDULE? is deadline-bounded
-                        match merged_schedule(tenant) {
-                            Ok(schedule) => Reply::Data(model_io::write_schedule(&schedule)),
-                            Err(reply) => reply,
-                        }
-                    }
-                }
+                // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child SCHEDULE? is deadline-bounded
+                Ok((tenant, loaded)) => match merged_schedule(tenant, loaded) {
+                    Ok(schedule) => Reply::Data(model_io::write_schedule(&schedule)),
+                    Err(reply) => reply,
+                },
             }
         }
         Request::Utility => {
-            let tenant_id = session.tenant.clone();
             let core = shared.core.lock();
-            match tenant_ref(&core, &tenant_id) {
+            match loaded_tenant(&core, &session.tenant) {
                 Err(reply) => reply,
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        shard_err(crate::shard::ShardError::NoScenario)
-                    } else {
-                        // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child PARTS? is deadline-bounded
-                        match merged_parts(tenant) {
-                            Ok(parts) => {
-                                // Sequential left-to-right sums over the
-                                // arrival order: the single engine's exact
-                                // addend sequence.
-                                let utility: f64 = parts.full.iter().sum();
-                                let relaxed: f64 = parts.relaxed.iter().sum();
-                                Reply::Ok(format!("utility={utility} relaxed={relaxed}"))
-                            }
-                            Err(reply) => reply,
-                        }
+                // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child PARTS? is deadline-bounded
+                Ok((tenant, loaded)) => match merged_parts(tenant, loaded) {
+                    Ok(parts) => {
+                        // Sequential left-to-right sums over the arrival
+                        // order: the single engine's exact addend
+                        // sequence.
+                        let utility: f64 = parts.full.iter().sum();
+                        let relaxed: f64 = parts.relaxed.iter().sum();
+                        Reply::Ok(format!("utility={utility} relaxed={relaxed}"))
                     }
-                }
+                    Err(reply) => reply,
+                },
             }
         }
         Request::Parts => {
-            let tenant_id = session.tenant.clone();
             let core = shared.core.lock();
-            match tenant_ref(&core, &tenant_id) {
+            match loaded_tenant(&core, &session.tenant) {
                 Err(reply) => reply,
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        shard_err(crate::shard::ShardError::NoScenario)
-                    } else {
-                        // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child PARTS? is deadline-bounded
-                        match merged_parts(tenant) {
-                            Ok(parts) => Reply::Data(parts_payload(&parts)),
-                            Err(reply) => reply,
-                        }
-                    }
-                }
+                // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child PARTS? is deadline-bounded
+                Ok((tenant, loaded)) => match merged_parts(tenant, loaded) {
+                    Ok(parts) => Reply::Data(parts_payload(&parts)),
+                    Err(reply) => reply,
+                },
             }
         }
         Request::Export => {
@@ -1333,11 +1327,11 @@ fn shards_payload(core: &RouterCore) -> Reply {
     let mut payload = String::new();
     let mut any = false;
     for (tenant_id, tenant) in core {
-        let Some(partition) = tenant.partition.as_ref() else {
+        let Some(loaded) = &tenant.loaded else {
             continue;
         };
         any = true;
-        let grid = partition.base_grid();
+        let grid = loaded.partition.base_grid();
         for (index, shard) in tenant.shards.iter().enumerate() {
             match shard.status_view() {
                 Ok((status, health, restarts, replay)) => {
@@ -1353,7 +1347,7 @@ fn shards_payload(core: &RouterCore) -> Reply {
                         restarts,
                         replay,
                         tenant_id,
-                        tenant.map.version(),
+                        loaded.map_version,
                     ));
                 }
                 Err(e) => return slot_err(e),
@@ -1361,14 +1355,14 @@ fn shards_payload(core: &RouterCore) -> Reply {
         }
     }
     if !any {
-        return shard_err(crate::shard::ShardError::NoScenario);
+        return shard_err(ShardError::NoScenario);
     }
     Reply::Data(payload)
 }
 
 /// `LOAD` on a tenant: parse, partition, split, install per-cell
-/// engines, and record the global bookkeeping (release-0 arrival order,
-/// staged release plan, the scenario itself for reshard baselines).
+/// engines, and keep the scenario and its partition as the tenant's
+/// loaded state.
 /// Totals come from the split itself (each charger and task belongs to
 /// exactly one cell), so the reply is correct even if a child shard is
 /// down — its baseline is recorded and the first tick's rejoin pass
@@ -1380,8 +1374,8 @@ fn load_scenario_text(
     shared: &RouterShared,
     payload: &str,
 ) -> Reply {
-    if tenant.partition.is_some() {
-        return shard_err(crate::shard::ShardError::AlreadyLoaded);
+    if tenant.loaded.is_some() {
+        return shard_err(ShardError::AlreadyLoaded);
     }
     let scenario = match model_io::read_scenario(payload) {
         Ok(scenario) => scenario,
@@ -1421,31 +1415,32 @@ fn load_scenario_text(
             Err(e) => return slot_err(e),
         }
     }
-    let (order, plan) = rebuild_bookkeeping(&scenario, &[]);
-    tenant.order = order;
-    tenant.plan = plan;
-    tenant.slots = scenario.grid.num_slots;
+    let loaded = Loaded {
+        scenario,
+        partition,
+        map_version: 1,
+    };
+    let reply = Reply::Ok(format!(
+        "chargers={total_chargers} staged={total_staged} slots={} shards={}",
+        loaded.slots(),
+        tenant.shards.len()
+    ));
+    tenant.materialized = loaded.released_in(0);
     tenant.clock = 0;
     tenant.log = OpLog::default();
-    tenant.map = RoutingMap::identity(tenant.shards.len());
     tenant.quota_used = 0;
     tenant.cell_submits = vec![0; tenant.shards.len()];
-    tenant.partition = Some(partition);
-    tenant.scenario = Some(scenario);
+    tenant.loaded = Some(loaded);
     TenantCounters::set_shards(shared.telemetry.registry(), tenant_id, tenant.shards.len());
     // Slot-0 fault directives mature the moment the grid opens.
     for shard in &tenant.shards {
         shard.apply_slot_faults(0);
     }
-    Reply::Ok(format!(
-        "chargers={total_chargers} staged={total_staged} slots={} shards={}",
-        tenant.slots,
-        tenant.shards.len()
-    ))
+    reply
 }
 
-/// Advances one tenant's lockstep one slot at a time, releasing staged
-/// arrivals into the global order as their slots open. Down shards do
+/// Advances one tenant's lockstep one slot at a time, counting the staged
+/// arrivals each opened slot releases. Down shards do
 /// not stall the fleet: each step first gives them a rejoin (restart +
 /// replay to the tenant clock), then ticks every shard, *pipelined*; the
 /// step's tick record lands on the operation log either way, so a shard
@@ -1460,7 +1455,7 @@ fn load_scenario_text(
 /// shard's engine mutex; an out-of-process shard's connection state, so a
 /// remote step is a concurrently-issued child request under the usual
 /// per-request deadline). The join below is the consistent-cut barrier —
-/// the tenant clock, the staged-release plan, and slot faults advance
+/// the tenant clock, the materialized-task count, and slot faults advance
 /// only after *every* shard has finished (or missed) the slot, so between
 /// requests all healthy shards still sit at the tenant's virtual slot.
 /// Replanning is per-shard-deterministic and shards share no state, so
@@ -1472,19 +1467,19 @@ fn tick_lockstep(
     n: usize,
     router_telemetry: &Telemetry,
 ) -> Result<(usize, bool), Reply> {
-    if !tenant.open() {
-        return Err(shard_err(crate::shard::ShardError::AtHorizon));
+    let loaded = Loaded::of(&tenant.loaded).map_err(shard_err)?;
+    let slots = loaded.slots();
+    if tenant.clock >= slots {
+        return Err(shard_err(ShardError::AtHorizon));
     }
     for _ in 0..n {
-        if !tenant.open() {
+        if tenant.clock >= slots {
             break;
         }
-        if let Some(partition) = &tenant.partition {
-            for (index, shard) in tenant.shards.iter().enumerate() {
-                shard.rejoin(tenant.clock, &tenant.log, |pos| {
-                    tenant.map.shard_of(partition.cell_of(pos)) as usize == index
-                });
-            }
+        for (index, shard) in tenant.shards.iter().enumerate() {
+            shard.rejoin(tenant.clock, &tenant.log, |pos| {
+                loaded.partition.cell_of(pos) == index
+            });
         }
         let step_start = telemetry::clock_start();
         let outcomes = haste_parallel::par_map(&tenant.shards, tenant.shards.len(), |_, shard| {
@@ -1520,7 +1515,7 @@ fn tick_lockstep(
         }
         tenant.clock += 1;
         tenant.log.push(OpRecord::Tick);
-        tenant.drain_plan(tenant.clock);
+        tenant.materialized += loaded.released_in(tenant.clock);
         tenant.quota_used = 0;
         for count in &mut tenant.cell_submits {
             *count = 0;
@@ -1529,7 +1524,7 @@ fn tick_lockstep(
             shard.apply_slot_faults(tenant.clock);
         }
     }
-    Ok((tenant.clock, tenant.open()))
+    Ok((tenant.clock, tenant.clock < slots))
 }
 
 /// The elastic-split load trigger: if any cell accepted more than
@@ -1573,7 +1568,8 @@ enum ReshardOp {
 /// supervisor guard).
 ///
 /// Phase 2 swaps atomically: surviving shards are renumbered around the
-/// rebuilt ones, the routing map bumps its version, the per-cell
+/// rebuilt ones, the new tiling replaces the old with the map version
+/// bumped, the per-cell
 /// submission counters reset to the new width, and the operation log
 /// records the change. DESIGN.md §13 argues why the global utility is
 /// bit-identical across the swap.
@@ -1583,15 +1579,11 @@ fn reshard(
     op: ReshardOp,
     shared: &RouterShared,
 ) -> Result<(usize, u64), Reply> {
-    let Some(partition) = tenant.partition.as_ref() else {
-        return Err(shard_err(crate::shard::ShardError::NoScenario));
-    };
-    let Some(scenario) = tenant.scenario.as_ref() else {
-        return Err(shard_err(crate::shard::ShardError::NoScenario));
-    };
+    let loaded = Loaded::of(&tenant.loaded).map_err(shard_err)?;
+    let scenario = &loaded.scenario;
     let new_partition = match op {
-        ReshardOp::Split(cell) => partition.split_cell(cell),
-        ReshardOp::Merge(a, b) => partition.merge_cells(a, b),
+        ReshardOp::Split(cell) => loaded.partition.split_cell(cell),
+        ReshardOp::Merge(a, b) => loaded.partition.merge_cells(a, b),
     }
     .map_err(partition_err)?;
     if matches!(op, ReshardOp::Split(_)) {
@@ -1695,6 +1687,7 @@ fn reshard(
         child.rebase(tenant.log.len()).map_err(slot_err)?;
     }
     // Phase 2: the atomic swap. Everything fallible already happened.
+    let map_version = loaded.map_version + 1;
     let mut old: Vec<Option<ShardSlot>> = tenant.shards.drain(..).map(Some).collect();
     let mut fresh = children.into_iter();
     let mut new_shards = Vec::with_capacity(new_count);
@@ -1712,8 +1705,11 @@ fn reshard(
         shard.set_cell(index);
     }
     tenant.shards = new_shards;
-    tenant.partition = Some(new_partition);
-    tenant.map = tenant.map.renumbered(new_count);
+    tenant.loaded = tenant.loaded.take().map(|loaded| Loaded {
+        partition: new_partition,
+        map_version,
+        ..loaded
+    });
     tenant.cell_submits = vec![0; new_count];
     tenant.log.push(match op {
         ReshardOp::Split(cell) => OpRecord::ReshardSplit(cell),
@@ -1721,66 +1717,59 @@ fn reshard(
     });
     tenant.counters.reshards.inc();
     TenantCounters::set_shards(shared.telemetry.registry(), tenant_id, new_count);
-    Ok((new_count, tenant.map.version()))
+    Ok((new_count, map_version))
 }
 
 /// Re-merges shard schedules into original charger numbering. Bitwise
 /// faithful: orientations are copied, never recomputed. Charger owners
 /// are derived from positions against the *current* partition, so the
 /// merge is correct across any number of reshards.
-fn merged_schedule(tenant: &TenantCore) -> Result<Schedule, Reply> {
-    let (Some(partition), Some(scenario)) = (tenant.partition.as_ref(), tenant.scenario.as_ref())
-    else {
-        return Err(shard_err(crate::shard::ShardError::NoScenario));
-    };
+fn merged_schedule(tenant: &TenantCore, loaded: &Loaded) -> Result<Schedule, Reply> {
     let mut shard_schedules = Vec::with_capacity(tenant.shards.len());
     for shard in &tenant.shards {
         shard_schedules.push(shard.schedule().map_err(slot_err)?);
     }
-    let mut merged = Schedule::empty(scenario.chargers.len(), tenant.slots);
+    let slots = loaded.slots();
+    let mut merged = Schedule::empty(loaded.scenario.chargers.len(), slots);
     let mut locals = vec![0u32; tenant.shards.len()];
-    for (i, charger) in scenario.chargers.iter().enumerate() {
-        let shard = tenant.map.shard_of(partition.cell_of(charger.pos)) as usize;
-        let local = match locals.get_mut(shard) {
-            Some(counter) => {
-                let local = *counter;
-                *counter += 1;
-                local
-            }
-            None => return Err(internal("charger owner out of range")),
-        };
-        let Some(source) = shard_schedules.get(shard) else {
+    for (i, charger) in loaded.scenario.chargers.iter().enumerate() {
+        let cell = loaded.partition.cell_of(charger.pos);
+        let (Some(local), Some(source)) = (locals.get_mut(cell), shard_schedules.get(cell)) else {
             return Err(internal("charger owner out of range"));
         };
-        for slot in 0..tenant.slots {
+        for slot in 0..slots {
             merged.set(
                 ChargerId(i as u32),
                 slot,
-                source.get(ChargerId(local), slot),
+                source.get(ChargerId(*local), slot),
             );
         }
+        *local += 1;
     }
     Ok(merged)
 }
 
 /// Merges per-shard `wⱼ·Uⱼ` terms into the global arrival order — the
 /// exact addend sequence of a single engine's evaluator (see module
-/// docs). `UTILITY?` sums this; `PARTS?` serves it verbatim. Task owners
-/// are derived from the recorded arrival *positions* against the current
-/// partition, so the walk is correct across any number of reshards.
-fn merged_parts(tenant: &TenantCore) -> Result<UtilityParts, Reply> {
-    let Some(partition) = tenant.partition.as_ref() else {
-        return Err(shard_err(crate::shard::ShardError::NoScenario));
-    };
+/// docs). `UTILITY?` sums this; `PARTS?` serves it verbatim. Each task's
+/// owner is derived from the log against the current partition
+/// ([`arrival_owners`]), so the walk is correct across any number of
+/// reshards.
+fn merged_parts(tenant: &TenantCore, loaded: &Loaded) -> Result<UtilityParts, Reply> {
     let mut parts = Vec::with_capacity(tenant.shards.len());
     for shard in &tenant.shards {
         parts.push(shard.utility_parts().map_err(slot_err)?);
     }
+    let owners = arrival_owners(
+        &loaded.scenario,
+        &loaded.partition,
+        &arrival_runs(&tenant.log, &loaded.partition),
+    );
     let mut cursors = vec![0usize; tenant.shards.len()];
-    let mut full = Vec::with_capacity(tenant.order.len());
-    let mut relaxed = Vec::with_capacity(tenant.order.len());
-    for pos in &tenant.order {
-        let shard = tenant.map.shard_of(partition.cell_of(*pos)) as usize;
+    let mut full = Vec::with_capacity(owners.len());
+    let mut relaxed = Vec::with_capacity(owners.len());
+    for owner in owners {
+        let shard = owner as usize;
         let (Some(cursor), Some(part)) = (cursors.get_mut(shard), parts.get(shard)) else {
             return Err(internal("task owner out of range"));
         };
@@ -1812,11 +1801,12 @@ fn internal(reason: &str) -> Reply {
 /// Once the document is assembled, each section is committed as its
 /// shard's new replay baseline — never before, so a failed snapshot
 /// moves no baseline.
-fn composite_snapshot(tenant: &TenantCore, tenant_id: &str) -> Result<String, Reply> {
-    let (Some(partition), Some(scenario)) = (tenant.partition.as_ref(), tenant.scenario.as_ref())
-    else {
-        return Err(shard_err(crate::shard::ShardError::NoScenario));
-    };
+fn composite_snapshot(
+    tenant: &TenantCore,
+    loaded: &Loaded,
+    tenant_id: &str,
+) -> Result<String, Reply> {
+    let partition = &loaded.partition;
     let clock = tenant.clock;
     let sections = haste_parallel::par_map(&tenant.shards, tenant.shards.len(), |_, shard| {
         // Lockstep is an invariant (one mutex, ticks inside it); this
@@ -1835,13 +1825,13 @@ fn composite_snapshot(tenant: &TenantCore, tenant_id: &str) -> Result<String, Re
     let origin = partition.origin();
     let composite = CompositeSnapshot {
         tenant: tenant_id.to_string(),
-        map_version: tenant.map.version(),
+        map_version: loaded.map_version,
         grid: (partition.cells_x(), partition.cells_y()),
         origin: (origin.x, origin.y),
         field: partition.field(),
         halo: partition.halo(),
         cells: partition.cells().to_vec(),
-        scenario: model_io::write_scenario(scenario),
+        scenario: model_io::write_scenario(&loaded.scenario),
         arrivals: arrival_runs(&tenant.log, partition),
         shards: sections,
         // Derived when a document is parsed; rendering never reads it.
@@ -1879,6 +1869,33 @@ fn arrival_runs(log: &OpLog, partition: &Partition) -> Vec<Vec<(u32, usize)>> {
     }
     arrivals.push(runs);
     arrivals
+}
+
+/// The owning cell of every materialized task, in global arrival order:
+/// for each slot of `arrivals`, the scenario's staged tasks released in
+/// it (stable by release slot, as the single engine injects them the
+/// moment the slot opens), then the slot's runs of accepted submissions.
+/// The one derivation of the order, shared by `UTILITY?`/`PARTS?` (runs
+/// from [`arrival_runs`]) and [`parse_composite`] (runs from the
+/// document).
+fn arrival_owners(
+    scenario: &Scenario,
+    partition: &Partition,
+    arrivals: &[Vec<(u32, usize)>],
+) -> Vec<u32> {
+    let mut staged: Vec<&Task> = scenario.tasks.iter().collect();
+    staged.sort_by_key(|task| task.release_slot);
+    let mut staged = staged.into_iter().peekable();
+    let mut owners = Vec::new();
+    for (slot, runs) in arrivals.iter().enumerate() {
+        while let Some(task) = staged.next_if(|task| task.release_slot <= slot) {
+            owners.push(partition.cell_of(task.device_pos) as u32);
+        }
+        for &(cell, count) in runs {
+            owners.extend(std::iter::repeat_n(cell, count));
+        }
+    }
+    owners
 }
 
 /// A parsed composite router snapshot (format v4). [`parse_composite`]
@@ -1995,58 +2012,6 @@ fn valid_tenant_id(id: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.'))
 }
 
-/// Every task of a loaded scenario as `(release_slot, position)`, stable
-/// by release slot: the single engine's injection order, release-0 tasks
-/// first.
-fn release_plan(scenario: &Scenario) -> VecDeque<(usize, Vec2)> {
-    let mut plan: Vec<(usize, Vec2)> = scenario
-        .tasks
-        .iter()
-        .map(|t| (t.release_slot, t.device_pos))
-        .collect();
-    plan.sort_by_key(|&(slot, _)| slot);
-    plan.into()
-}
-
-/// Pops the positions of the staged releases due by `slot` off the front
-/// of `plan`.
-fn due_releases(
-    plan: &mut VecDeque<(usize, Vec2)>,
-    slot: usize,
-) -> impl Iterator<Item = Vec2> + '_ {
-    std::iter::from_fn(move || match plan.front() {
-        Some(&(release, pos)) if release <= slot => {
-            plan.pop_front();
-            Some(pos)
-        }
-        _ => None,
-    })
-}
-
-/// Rebuilds the arrival bookkeeping a history implies: the device
-/// positions of every materialized task in global arrival order, and the
-/// staged releases still pending. Pure — shared by `LOAD` (empty
-/// history) and `RESTORE` (the rebuilt accepted view).
-fn rebuild_bookkeeping(
-    scenario: &Scenario,
-    ops: &[OpRecord],
-) -> (Vec<Vec2>, VecDeque<(usize, Vec2)>) {
-    let mut plan = release_plan(scenario);
-    let mut order: Vec<Vec2> = due_releases(&mut plan, 0).collect();
-    let mut clock = 0usize;
-    for op in ops {
-        match op {
-            OpRecord::Tick => {
-                clock += 1;
-                order.extend(due_releases(&mut plan, clock));
-            }
-            OpRecord::Submit(spec) => order.push(spec.device_pos),
-            _ => {}
-        }
-    }
-    (order, plan)
-}
-
 /// The lines of the counted section `<header> <n>` that comes next.
 fn counted_section<'a>(
     lines: &mut std::str::Lines<'a>,
@@ -2102,6 +2067,12 @@ fn parse_arrivals(line: &str, cells: usize) -> Result<Vec<(u32, usize)>, String>
 /// the arrival-order owners from the scenario's staged releases, the
 /// arrival runs, and the cell rects.
 pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
+    parse_document(text).map(|(composite, _)| composite)
+}
+
+/// [`parse_composite`], also handing back the document's scenario and
+/// partition parsed: the loaded state `RESTORE` installs.
+fn parse_document(text: &str) -> Result<(CompositeSnapshot, Loaded), String> {
     let mut lines = text.lines();
     if lines.next() != Some(COMPOSITE_MAGIC) {
         return Err(format!("missing magic line `{COMPOSITE_MAGIC}`"));
@@ -2245,15 +2216,8 @@ pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
             "arrival runs name {named} tasks, more than the {section_lines} lines of the shard sections hold"
         ));
     }
-    let mut plan = release_plan(&scenario);
-    let mut order = Vec::new();
-    for (slot, runs) in arrivals.iter().enumerate() {
-        order.extend(due_releases(&mut plan, slot).map(|pos| partition.cell_of(pos) as u32));
-        for &(cell, count) in runs {
-            order.extend(std::iter::repeat_n(cell, count));
-        }
-    }
-    Ok(CompositeSnapshot {
+    let order = arrival_owners(&scenario, &partition, &arrivals);
+    let composite = CompositeSnapshot {
         tenant,
         map_version,
         grid,
@@ -2265,26 +2229,48 @@ pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
         arrivals,
         shards,
         order,
-    })
+    };
+    let loaded = Loaded {
+        scenario,
+        partition,
+        map_version,
+    };
+    Ok((composite, loaded))
 }
 
 /// Rebuilds the accepted view of a restored tenant's operation log — the
 /// submissions and ticks `RESHARD` replays — from the restored engines
-/// and the document's arrival runs, checking each against the other.
-/// Slot by slot, every shard first holds the staged releases due in the
-/// slot, then the submissions the slot's runs name, in arrival order; a
-/// tick separates slots. Each task must carry the slot as its release
-/// slot and lie in the cell that holds it, a staged release must be the
-/// planned one, and every task of every section must be used exactly
-/// once. The specs are finite: engine restore validates every task.
+/// and the document's arrival runs, and checks the document's two halves
+/// against each other: each section must be its cell of the scenario
+/// split over the document's tiling. Slot by slot, every shard first
+/// holds the staged releases its cell plans for the slot, then the
+/// submissions the slot's runs name, in arrival order; a tick separates
+/// slots. Each task must carry the slot as its release slot and lie in
+/// the cell that holds it, a staged release must be the planned task in
+/// every field but its id (an arrival index), and every task of every
+/// section must be used exactly once. Last, each section must hold its
+/// cell's params, time grid, delays, utility model and chargers, and the
+/// staged tasks not yet released, every field equal. The specs are
+/// finite: engine restore validates every task.
 fn rebuild_accepted(
-    scenario: &Scenario,
-    partition: &Partition,
+    loaded: &Loaded,
     arrivals: &[Vec<(u32, usize)>],
     engines: &[OnlineEngine],
 ) -> Result<Vec<OpRecord>, String> {
+    let partition = &loaded.partition;
+    let cells = partition
+        .split(&loaded.scenario)
+        .map_err(|e| format!("the scenario does not split over the cells: {e}"))?;
+    // Each cell's staged tasks in its engine's injection order.
+    let mut plans: Vec<_> = cells
+        .iter()
+        .map(|cell| {
+            let mut staged = cell.tasks.clone();
+            staged.sort_by_key(|task| task.release_slot);
+            staged.into_iter().peekable()
+        })
+        .collect();
     let mut used = vec![0usize; engines.len()];
-    let mut plan = release_plan(scenario);
     let mut records = Vec::with_capacity(
         engines
             .iter()
@@ -2296,12 +2282,19 @@ fn rebuild_accepted(
         if slot > 0 {
             records.push(OpRecord::Tick);
         }
-        for pos in due_releases(&mut plan, slot) {
-            let cell = partition.cell_of(pos);
-            if next_task(engines, &mut used, partition, cell, slot)?.device_pos != pos {
-                return Err(format!(
-                    "shard {cell} does not hold the staged release due in slot {slot} where the scenario plans it"
-                ));
+        for (cell, plan) in plans.iter_mut().enumerate() {
+            while let Some(planned) = plan.next_if(|task| task.release_slot <= slot) {
+                let task = next_task(engines, &mut used, partition, cell, slot)?;
+                // Released, a task takes its arrival index as its id.
+                let planned = Task {
+                    id: task.id,
+                    ..planned
+                };
+                if *task != planned {
+                    return Err(format!(
+                        "shard {cell} does not hold the staged release due in slot {slot} where the scenario plans it"
+                    ));
+                }
             }
         }
         for &(cell, count) in runs {
@@ -2321,6 +2314,22 @@ fn rebuild_accepted(
         if *used != engine.scenario().num_tasks() {
             return Err(format!(
                 "shard {cell} task {used} is accounted for by no arrival run or staged release"
+            ));
+        }
+    }
+    for (index, ((engine, cell), plan)) in engines.iter().zip(&cells).zip(plans).enumerate() {
+        let section = engine.scenario();
+        let differs = [
+            ("params", section.params != cell.params),
+            ("time grid", section.grid != cell.grid),
+            ("delays", (section.rho, section.tau) != (cell.rho, cell.tau)),
+            ("utility model", section.utility != cell.utility),
+            ("chargers", section.chargers != cell.chargers),
+            ("staged tasks", !plan.eq(engine.staged().copied())),
+        ];
+        if let Some((what, _)) = differs.iter().find(|(_, differ)| *differ) {
+            return Err(format!(
+                "shard {index} and cell {index} of the scenario differ in {what}"
             ));
         }
     }
@@ -2369,8 +2378,9 @@ fn next_task<'a>(
 /// side*, validating the set as a whole (per section parse/validate,
 /// clock consistency across the cut and against the arrival runs), and
 /// rebuilds the operation log's accepted view from the engines in the
-/// runs' order, checking every task against its run; any failure returns
-/// a structured `ERR` with all live state untouched.
+/// runs' order, checking every task against its run and every section
+/// against its cell of the document's scenario; any failure returns a
+/// structured `ERR` with all live state untouched.
 /// Phase 2 commits: every shard installs its restored engine
 /// (in-process) or receives the snapshot text as its new baseline (child
 /// process — a push failure there just marks the child down, and the
@@ -2412,40 +2422,11 @@ fn restore_composite_state(
     shared: &RouterShared,
     payload: &str,
 ) -> Result<RestoredTenant, Reply> {
-    let composite = match parse_composite(payload) {
-        Ok(composite) => composite,
-        Err(reason) => return Err(Reply::Err(ErrCode::BadSnapshot, reason)),
-    };
-    let partition = match Partition::from_rects(
-        Vec2::new(composite.origin.0, composite.origin.1),
-        composite.field.0,
-        composite.field.1,
-        composite.halo,
-        composite.grid,
-        composite.cells.clone(),
-    ) {
-        Ok(partition) => partition,
-        Err(e) => return Err(Reply::Err(ErrCode::BadSnapshot, e.to_string())),
-    };
-    let scenario = match model_io::read_scenario(&composite.scenario) {
-        Ok(scenario) => scenario,
-        Err(e) => {
-            return Err(Reply::Err(
-                ErrCode::BadSnapshot,
-                format!("bad embedded scenario: {e}"),
-            ))
-        }
-    };
-    if composite.shards.len() != composite.cells.len() {
-        return Err(Reply::Err(
-            ErrCode::BadSnapshot,
-            "shard count does not match cell count".to_string(),
-        ));
-    }
+    let (composite, loaded) =
+        parse_document(payload).map_err(|reason| Reply::Err(ErrCode::BadSnapshot, reason))?;
     // Phase 1: restore and validate every section without installing.
     let mut engines = Vec::with_capacity(composite.shards.len());
     let mut clock: Option<(usize, bool)> = None;
-    let mut slots = 0;
     for (index, snapshot) in composite.shards.iter().enumerate() {
         let engine = match OnlineEngine::restore(snapshot) {
             Ok(engine) => engine,
@@ -2457,7 +2438,6 @@ fn restore_composite_state(
             }
         };
         let seen = (engine.clock(), !engine.is_closed());
-        slots = slots.max(engine.scenario().grid.num_slots);
         match clock {
             None => clock = Some(seen),
             Some(common) if common == seen => {}
@@ -2488,9 +2468,8 @@ fn restore_composite_state(
             ),
         ));
     }
-    let records = rebuild_accepted(&scenario, &partition, &composite.arrivals, &engines)
+    let records = rebuild_accepted(&loaded, &composite.arrivals, &engines)
         .map_err(|reason| Reply::Err(ErrCode::BadSnapshot, reason))?;
-    let (order, plan) = rebuild_bookkeeping(&scenario, &records);
     // The document's tenant: create it (or rebuild its fleet) to the
     // document's cell count. Fresh slots are built before any live state
     // is replaced, so a spawn failure aborts cleanly.
@@ -2535,13 +2514,9 @@ fn restore_composite_state(
     for (index, shard) in tenant.shards.iter().enumerate() {
         shard.set_cell(index);
     }
-    tenant.partition = Some(partition);
-    tenant.map = RoutingMap::at_version(composite.map_version, count);
-    tenant.scenario = Some(scenario);
+    tenant.loaded = Some(loaded);
     tenant.log = OpLog::new(records);
-    tenant.order = order;
-    tenant.plan = plan;
-    tenant.slots = slots;
+    tenant.materialized = composite.order.len();
     tenant.clock = slot;
     tenant.quota_used = 0;
     tenant.cell_submits = vec![0; count];

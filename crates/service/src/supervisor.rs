@@ -8,12 +8,12 @@
 //! * [`resolve_shardd`] / `Launcher` — locating and spawning children
 //!   (piped stdin keeps the child alive; closing it on supervisor exit is
 //!   the orphan guard),
-//! * [`RemoteShard`] — one supervised child: a [`Client`] connection with
+//! * `RemoteShard` — one supervised child: a [`Client`] connection with
 //!   a per-request deadline, crash detection (EOF/timeout/reset/exit),
 //!   and the restart machinery,
 //! * [`FaultPlan`] — a deterministic, seedless schedule of injected
 //!   failures (`kill`, `stall`, `drop-conn`) so chaos runs reproduce,
-//! * [`ShardSlot`] — the router's uniform view over in-process and
+//! * `ShardSlot` — the router's uniform view over in-process and
 //!   out-of-process shards.
 //!
 //! **Failure policy.** The protocol has non-idempotent requests (`SUBMIT`,
@@ -34,7 +34,7 @@
 //! only, so its post-rebuild state becomes its baseline
 //! (`ShardSlot::rebase`).
 //!
-//! **Concurrency.** Every [`RemoteShard`] method takes `&self` and
+//! **Concurrency.** Every `RemoteShard` method takes `&self` and
 //! serializes through the shard's own mutex, so the router's pipelined
 //! lockstep (protocol v3) may issue `tick1` to *different* children
 //! concurrently: each request still runs under its own per-request
@@ -100,41 +100,7 @@ impl ProcessShardConfig {
 /// executable (with cargo's `deps/` directory normalized away, so test
 /// binaries resolve the workspace target directory).
 pub fn resolve_shardd(explicit: Option<&Path>) -> std::io::Result<PathBuf> {
-    if let Some(path) = explicit {
-        return Ok(path.to_path_buf());
-    }
-    if let Ok(path) = std::env::var("HASTE_SHARDD") {
-        if !path.is_empty() {
-            return Ok(PathBuf::from(path));
-        }
-    }
-    let exe = std::env::current_exe()?;
-    let mut dir = match exe.parent() {
-        Some(parent) => parent.to_path_buf(),
-        None => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                "current executable has no parent directory",
-            ))
-        }
-    };
-    if dir.file_name().map(|name| name == "deps") == Some(true) {
-        if let Some(parent) = dir.parent() {
-            dir = parent.to_path_buf();
-        }
-    }
-    let candidate = dir.join(format!("haste-shardd{}", std::env::consts::EXE_SUFFIX));
-    if candidate.is_file() {
-        Ok(candidate)
-    } else {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::NotFound,
-            format!(
-                "haste-shardd not found at {} (pass an explicit path or set HASTE_SHARDD)",
-                candidate.display()
-            ),
-        ))
-    }
+    resolve_binary(explicit, "haste-shardd", "HASTE_SHARDD")
 }
 
 /// Locates the `routerd` binary for drivers that spawn (and kill, and
@@ -143,10 +109,17 @@ pub fn resolve_shardd(explicit: Option<&Path>) -> std::io::Result<PathBuf> {
 /// the `HASTE_ROUTERD` environment variable, then a sibling of the
 /// current executable.
 pub fn resolve_routerd(explicit: Option<&Path>) -> std::io::Result<PathBuf> {
+    resolve_binary(explicit, "routerd", "HASTE_ROUTERD")
+}
+
+/// The one resolver behind [`resolve_shardd`] and [`resolve_routerd`]:
+/// `explicit`, else the environment variable `var` when set and
+/// non-empty, else the binary `name` beside the current executable.
+fn resolve_binary(explicit: Option<&Path>, name: &str, var: &str) -> std::io::Result<PathBuf> {
     if let Some(path) = explicit {
         return Ok(path.to_path_buf());
     }
-    if let Ok(path) = std::env::var("HASTE_ROUTERD") {
+    if let Ok(path) = std::env::var(var) {
         if !path.is_empty() {
             return Ok(PathBuf::from(path));
         }
@@ -161,19 +134,19 @@ pub fn resolve_routerd(explicit: Option<&Path>) -> std::io::Result<PathBuf> {
             ))
         }
     };
-    if dir.file_name().map(|name| name == "deps") == Some(true) {
+    if dir.file_name().map(|dir_name| dir_name == "deps") == Some(true) {
         if let Some(parent) = dir.parent() {
             dir = parent.to_path_buf();
         }
     }
-    let candidate = dir.join(format!("routerd{}", std::env::consts::EXE_SUFFIX));
+    let candidate = dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
     if candidate.is_file() {
         Ok(candidate)
     } else {
         Err(std::io::Error::new(
             std::io::ErrorKind::NotFound,
             format!(
-                "routerd not found at {} (pass an explicit path or set HASTE_ROUTERD)",
+                "{name} not found at {} (pass an explicit path or set {var})",
                 candidate.display()
             ),
         ))

@@ -2,8 +2,10 @@
 //! split (and the merge that inverts it) must leave the global schedule
 //! and utility bit-identical to an undisturbed single-engine run, in and
 //! out of process; concurrent tenants must be bit-identical to each
-//! running alone; quotas cap per-slot admissions; and the `SHARDS?` line
-//! grammar (tenant and routing-map fields included) is pinned.
+//! running alone; quotas cap per-slot admissions; the per-cell load
+//! trigger splits a hot cell with the same bits, durably; and the
+//! `SHARDS?` line grammar (tenant and routing-map fields included) is
+//! pinned.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -12,7 +14,8 @@ use std::time::Duration;
 
 use haste_distributed::{OnlineConfig, TaskSpec};
 use haste_geometry::{Angle, Vec2};
-use haste_model::{Charger, ChargingParams, Scenario, Task, TimeGrid};
+use haste_model::{Charger, ChargingParams, Scenario, Task, TaskId, TimeGrid};
+use haste_service::wal::WalConfig;
 use haste_service::{serve, serve_router, Client, ProcessShardConfig, RouterConfig, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,17 +108,27 @@ fn splittable_trace(seed: u64, count: usize) -> Vec<(usize, TaskSpec)> {
     trace
 }
 
+/// The `(task, release)` of every `SUBMIT` reply, in submission order.
+type SubmitIds = Vec<(TaskId, usize)>;
+
 /// Submits each spec in its slot and ticks from `from` up to (not
-/// including) slot `to`.
-fn drive_span(client: &mut Client, trace: &[(usize, TaskSpec)], from: usize, to: usize) {
+/// including) slot `to`; returns the `SUBMIT` replies.
+fn drive_span(
+    client: &mut Client,
+    trace: &[(usize, TaskSpec)],
+    from: usize,
+    to: usize,
+) -> SubmitIds {
+    let mut ids = Vec::new();
     let mut next = trace.partition_point(|(slot, _)| *slot < from);
     for slot in from..to {
         while next < trace.len() && trace[next].0 == slot {
-            client.submit(&trace[next].1).unwrap();
+            ids.push(client.submit(&trace[next].1).unwrap());
             next += 1;
         }
         client.tick(1).unwrap();
     }
+    ids
 }
 
 /// Reads back the session's final state.
@@ -125,11 +138,12 @@ fn finish(client: &mut Client) -> (haste_model::Schedule, f64, f64) {
     (schedule, utility, relaxed)
 }
 
-/// The undisturbed reference: one engine owning the whole field.
+/// The undisturbed reference: one engine owning the whole field. Returns
+/// its final state and its `SUBMIT` replies.
 fn single_engine_run(
     scenario: &Scenario,
     trace: &[(usize, TaskSpec)],
-) -> (haste_model::Schedule, f64, f64) {
+) -> ((haste_model::Schedule, f64, f64), SubmitIds) {
     let single = serve(ServerConfig {
         scheduling: localized(),
         ..ServerConfig::default()
@@ -137,11 +151,11 @@ fn single_engine_run(
     .unwrap();
     let mut client = Client::connect(single.addr()).unwrap();
     client.load(scenario).unwrap();
-    drive_span(&mut client, trace, 0, SLOTS);
+    let ids = drive_span(&mut client, trace, 0, SLOTS);
     let result = finish(&mut client);
     client.bye().unwrap();
     single.shutdown();
-    result
+    (result, ids)
 }
 
 fn router_config() -> RouterConfig {
@@ -167,12 +181,13 @@ fn process_router_config() -> RouterConfig {
 /// Drives a router session with a `SPLIT 0` after slot 6 and the
 /// inverting `MERGE 0 1` after slot 9, asserting the topology reports
 /// (shard count, routing-map version, owning tenant) at each stage.
+/// Returns the final state and the `SUBMIT` replies.
 fn drive_with_split_and_merge(
     client: &mut Client,
     trace: &[(usize, TaskSpec)],
     tenant: &str,
-) -> (haste_model::Schedule, f64, f64) {
-    drive_span(client, trace, 0, 6);
+) -> ((haste_model::Schedule, f64, f64), SubmitIds) {
+    let mut ids = drive_span(client, trace, 0, 6);
     assert_eq!(client.reshard_split(0).unwrap(), (3, 2));
     let shards = client.shards().unwrap();
     let mine: Vec<_> = shards.iter().filter(|s| s.tenant == tenant).collect();
@@ -180,51 +195,55 @@ fn drive_with_split_and_merge(
     assert!(mine.iter().all(|s| s.map_version == 2));
     assert!(mine.iter().all(|s| s.slot == 6));
 
-    drive_span(client, trace, 6, 9);
+    ids.extend(drive_span(client, trace, 6, 9));
     assert_eq!(client.reshard_merge(0, 1).unwrap(), (2, 3));
     let shards = client.shards().unwrap();
     let mine: Vec<_> = shards.iter().filter(|s| s.tenant == tenant).collect();
     assert_eq!(mine.len(), 2);
     assert!(mine.iter().all(|s| s.map_version == 3));
 
-    drive_span(client, trace, 9, SLOTS);
-    finish(client)
+    ids.extend(drive_span(client, trace, 9, SLOTS));
+    (finish(client), ids)
 }
 
 #[test]
 fn live_split_then_merge_matches_single_engine_bit_for_bit() {
     let scenario = splittable_scenario(71);
     let trace = splittable_trace(72, 24);
-    let (ref_schedule, ref_utility, ref_relaxed) = single_engine_run(&scenario, &trace);
+    let ((ref_schedule, ref_utility, ref_relaxed), ref_ids) = single_engine_run(&scenario, &trace);
 
     let router = serve_router(router_config()).unwrap();
     let mut client = Client::connect(router.addr()).unwrap();
     client.load(&scenario).unwrap();
-    let (schedule, utility, relaxed) = drive_with_split_and_merge(&mut client, &trace, "default");
+    let ((schedule, utility, relaxed), ids) =
+        drive_with_split_and_merge(&mut client, &trace, "default");
     client.bye().unwrap();
     router.shutdown();
 
     assert_eq!(schedule, ref_schedule);
     assert_eq!(utility.to_bits(), ref_utility.to_bits());
     assert_eq!(relaxed.to_bits(), ref_relaxed.to_bits());
+    assert_eq!(ids, ref_ids);
 }
 
 #[test]
 fn out_of_process_live_split_and_merge_match_single_engine_bit_for_bit() {
     let scenario = splittable_scenario(81);
     let trace = splittable_trace(82, 20);
-    let (ref_schedule, ref_utility, ref_relaxed) = single_engine_run(&scenario, &trace);
+    let ((ref_schedule, ref_utility, ref_relaxed), ref_ids) = single_engine_run(&scenario, &trace);
 
     let router = serve_router(process_router_config()).unwrap();
     let mut client = Client::connect(router.addr()).unwrap();
     client.load(&scenario).unwrap();
-    let (schedule, utility, relaxed) = drive_with_split_and_merge(&mut client, &trace, "default");
+    let ((schedule, utility, relaxed), ids) =
+        drive_with_split_and_merge(&mut client, &trace, "default");
     client.bye().unwrap();
     router.shutdown();
 
     assert_eq!(schedule, ref_schedule);
     assert_eq!(utility.to_bits(), ref_utility.to_bits());
     assert_eq!(relaxed.to_bits(), ref_relaxed.to_bits());
+    assert_eq!(ids, ref_ids);
 }
 
 #[test]
@@ -237,8 +256,8 @@ fn concurrent_tenants_are_bit_identical_to_running_alone() {
     // Solo references. A mid-run split does not change bits (the test
     // above), so one undisturbed single-engine run per tenant covers
     // both the resharded and the untouched tenant.
-    let (ref_schedule_a, ref_utility_a, _) = single_engine_run(&scenario_a, &trace_a);
-    let (ref_schedule_b, ref_utility_b, _) = single_engine_run(&scenario_b, &trace_b);
+    let ((ref_schedule_a, ref_utility_a, _), _) = single_engine_run(&scenario_a, &trace_a);
+    let ((ref_schedule_b, ref_utility_b, _), _) = single_engine_run(&scenario_b, &trace_b);
 
     // One router, two tenants, interleaved slot by slot; tenant `alpha`
     // additionally splits its hot cell mid-run while `beta` keeps
@@ -339,11 +358,12 @@ fn tenant_quota_caps_accepted_submissions_per_slot() {
 fn a_restored_router_reshards_exactly_as_the_original() {
     let scenario = splittable_scenario(101);
     let trace = splittable_trace(102, 40);
+    let (_, ref_ids) = single_engine_run(&scenario, &trace);
     for merge in [true, false] {
         let original = serve_router(router_config()).unwrap();
         let mut live = Client::connect(original.addr()).unwrap();
         live.load(&scenario).unwrap();
-        drive_span(&mut live, &trace, 0, 3);
+        let before = drive_span(&mut live, &trace, 0, 3);
         let document = live.snapshot().unwrap();
 
         let copy = serve_router(router_config()).unwrap();
@@ -357,10 +377,16 @@ fn a_restored_router_reshards_exactly_as_the_original() {
             } else {
                 assert_eq!(client.reshard_split(0).unwrap(), (3, 2));
             }
-            drive_span(client, &trace, 3, SLOTS);
+            let after = drive_span(client, &trace, 3, SLOTS);
             let (schedule, utility, relaxed) = finish(client);
             let snapshot = client.snapshot().unwrap();
-            outcomes.push((schedule, utility.to_bits(), relaxed.to_bits(), snapshot));
+            outcomes.push((
+                schedule,
+                utility.to_bits(),
+                relaxed.to_bits(),
+                snapshot,
+                after,
+            ));
         }
         let (first, second) = (&outcomes[0], &outcomes[1]);
         let what = if merge { "MERGE 0 1" } else { "SPLIT 0" };
@@ -368,6 +394,9 @@ fn a_restored_router_reshards_exactly_as_the_original() {
         assert_eq!(first.1, second.1, "{what}: utility bits differ");
         assert_eq!(first.2, second.2, "{what}: relaxed bits differ");
         assert!(first.3 == second.3, "{what}: final snapshots differ");
+        // Both number their submissions as the single engine does.
+        assert_eq!(first.4, second.4, "{what}: SUBMIT replies differ");
+        assert_eq!([before, first.4.clone()].concat(), ref_ids, "{what}");
         live.bye().unwrap();
         restored.bye().unwrap();
         original.shutdown();
@@ -486,4 +515,124 @@ fn shards_line_grammar_is_pinned() {
 
     client.bye().unwrap();
     router.shutdown();
+}
+
+/// [`router_config`] with the per-cell load trigger armed: a cell that
+/// accepted more than one submission in the closing slot splits at the
+/// `TICK` that closes it.
+fn auto_split_config(wal: Option<WalConfig>) -> RouterConfig {
+    RouterConfig {
+        split_threshold: Some(1),
+        wal,
+        ..router_config()
+    }
+}
+
+/// `(shard count, map version)` of the session tenant's topology.
+fn topology(client: &mut Client) -> (usize, u64) {
+    let shards = client.shards().unwrap();
+    let version = shards[0].map_version;
+    assert!(shards.iter().all(|s| s.map_version == version));
+    (shards.len(), version)
+}
+
+#[test]
+fn the_load_trigger_splits_a_hot_cell_with_the_single_engine_bits() {
+    let scenario = splittable_scenario(71);
+    let trace = splittable_trace(72, 40);
+    let ((ref_schedule, ref_utility, ref_relaxed), ref_ids) = single_engine_run(&scenario, &trace);
+
+    let router = serve_router(auto_split_config(None)).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.load(&scenario).unwrap();
+    let mut ids = drive_span(&mut client, &trace, 0, 1);
+    assert_eq!(topology(&mut client), (2, 1));
+    // The second TICK finds cell 0 hot and splits it; every later split
+    // attempt meets a charger in the new boundary's halo and refuses.
+    ids.extend(drive_span(&mut client, &trace, 1, 2));
+    assert_eq!(topology(&mut client), (3, 2));
+
+    // A document taken right after the split, while a rebuilt cell still
+    // stages tasks, restores into a fresh router at its map version, and
+    // both finish the trace alike.
+    let shards = client.shards().unwrap();
+    assert!(shards[..2].iter().any(|shard| shard.staged > 0));
+    let document = client.snapshot().unwrap();
+    let copy = serve_router(auto_split_config(None)).unwrap();
+    let mut restored = Client::connect(copy.addr()).unwrap();
+    assert_eq!(restored.restore(&document).unwrap(), 2);
+    assert_eq!(restored.snapshot().unwrap(), document);
+    assert_eq!(topology(&mut restored), (3, 2));
+    let tail = drive_span(&mut client, &trace, 2, SLOTS);
+    assert_eq!(drive_span(&mut restored, &trace, 2, SLOTS), tail);
+    ids.extend(tail);
+    assert_eq!(client.snapshot().unwrap(), restored.snapshot().unwrap());
+
+    let (schedule, utility, relaxed) = finish(&mut client);
+    assert_eq!(topology(&mut client), (3, 2));
+    assert_eq!(schedule, ref_schedule);
+    assert_eq!(utility.to_bits(), ref_utility.to_bits());
+    assert_eq!(relaxed.to_bits(), ref_relaxed.to_bits());
+    assert_eq!(ids, ref_ids);
+    client.bye().unwrap();
+    restored.bye().unwrap();
+    router.shutdown();
+    copy.shutdown();
+}
+
+#[test]
+fn an_automatic_split_survives_a_restart_over_the_write_ahead_log() {
+    let scenario = splittable_scenario(71);
+    let trace = splittable_trace(72, 40);
+    let dir = std::env::temp_dir().join(format!("haste-reshard-auto-split-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Undisturbed reference: the same trigger, no log.
+    let router = serve_router(auto_split_config(None)).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.load(&scenario).unwrap();
+    drive_span(&mut client, &trace, 0, 6);
+    let (utility, relaxed) = client.utility().unwrap();
+    let mid = (
+        6,
+        utility.to_bits(),
+        relaxed.to_bits(),
+        topology(&mut client),
+    );
+    drive_span(&mut client, &trace, 6, SLOTS);
+    let expected = finish(&mut client);
+    client.bye().unwrap();
+    router.shutdown();
+
+    // Durable run: a SNAPSHOT after the split checkpoints at map version
+    // 2, two more slots land on the log's tail, then the router stops.
+    let router = serve_router(auto_split_config(Some(WalConfig::new(&dir)))).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.load(&scenario).unwrap();
+    drive_span(&mut client, &trace, 0, 4);
+    client.snapshot().unwrap();
+    drive_span(&mut client, &trace, 4, 6);
+    client.bye().unwrap();
+    router.shutdown();
+
+    // The restart recovers the undisturbed clock, bits and topology, and
+    // finishes the trace on the undisturbed final state.
+    let router = serve_router(auto_split_config(Some(WalConfig::new(&dir)))).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    let (utility, relaxed) = client.utility().unwrap();
+    let recovered = (
+        client.clock().unwrap().0,
+        utility.to_bits(),
+        relaxed.to_bits(),
+        topology(&mut client),
+    );
+    assert_eq!(recovered, mid);
+    drive_span(&mut client, &trace, 6, SLOTS);
+    let (schedule, utility, relaxed) = finish(&mut client);
+    assert_eq!(schedule, expected.0);
+    assert_eq!(utility.to_bits(), expected.1.to_bits());
+    assert_eq!(relaxed.to_bits(), expected.2.to_bits());
+    client.bye().unwrap();
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

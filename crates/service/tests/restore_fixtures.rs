@@ -155,6 +155,21 @@ const FIXTURE_REASONS: &[(&str, &str)] = &[
         "run-past-shard-tasks.snap",
         "the arrivals of slot 0 name more tasks than shard 0 holds",
     ),
+    // Each section must be its cell of the document's scenario: these
+    // once restored, then broke the tenant (a `SCHEDULE?` panic, a
+    // horizon cut short, an arrival order past the shards' tasks).
+    (
+        "section-chargers-differ.snap",
+        "shard 0 and cell 0 of the scenario differ in chargers",
+    ),
+    (
+        "section-grid-differs.snap",
+        "shard 0 and cell 0 of the scenario differ in time grid",
+    ),
+    (
+        "staged-task-unheld.snap",
+        "shard 0 and cell 0 of the scenario differ in staged tasks",
+    ),
     ("task-in-another-cell.snap", "shard 0 task 0 lies in cell 1"),
     (
         "ticks-past-horizon.snap",

@@ -4,7 +4,7 @@
 
 use haste_distributed::{OnlineConfig, TaskSpec};
 use haste_geometry::{Angle, Vec2};
-use haste_model::{Charger, ChargingParams, Scenario, Task, TimeGrid};
+use haste_model::{Charger, ChargingParams, Scenario, Task, TaskId, TimeGrid};
 use haste_service::{loadgen, serve, serve_router, Client, RouterConfig, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,17 +86,22 @@ fn submission_trace(seed: u64, count: usize) -> Vec<(usize, TaskSpec)> {
     trace
 }
 
+/// The `(task, release)` of every `SUBMIT` reply, in submission order.
+type SubmitIds = Vec<(TaskId, usize)>;
+
 /// Drives a session from `from_slot` to the horizon, submitting each spec
-/// in its slot; returns (merged schedule, utility, relaxed utility).
+/// in its slot; returns (merged schedule, utility, relaxed utility,
+/// `SUBMIT` replies).
 fn drive(
     client: &mut Client,
     trace: &[(usize, TaskSpec)],
     from_slot: usize,
-) -> (haste_model::Schedule, f64, f64) {
+) -> (haste_model::Schedule, f64, f64, SubmitIds) {
+    let mut ids = Vec::new();
     let mut next = trace.partition_point(|(slot, _)| *slot < from_slot);
     for slot in from_slot..SLOTS {
         while next < trace.len() && trace[next].0 == slot {
-            client.submit(&trace[next].1).unwrap();
+            ids.push(client.submit(&trace[next].1).unwrap());
             next += 1;
         }
         client.tick(1).unwrap();
@@ -104,7 +109,7 @@ fn drive(
     assert_eq!(next, trace.len());
     let schedule = client.schedule().unwrap();
     let (utility, relaxed) = client.utility().unwrap();
-    (schedule, utility, relaxed)
+    (schedule, utility, relaxed, ids)
 }
 
 fn router_config() -> RouterConfig {
@@ -129,7 +134,7 @@ fn router_with_two_shards_matches_single_engine_bit_for_bit() {
     .unwrap();
     let mut ref_client = Client::connect(single.addr()).unwrap();
     ref_client.load(&scenario).unwrap();
-    let (ref_schedule, ref_utility, ref_relaxed) = drive(&mut ref_client, &trace, 0);
+    let (ref_schedule, ref_utility, ref_relaxed, ref_ids) = drive(&mut ref_client, &trace, 0);
     ref_client.bye().unwrap();
     single.shutdown();
 
@@ -137,15 +142,18 @@ fn router_with_two_shards_matches_single_engine_bit_for_bit() {
     let router = serve_router(router_config()).unwrap();
     let mut client = Client::connect(router.addr()).unwrap();
     client.load(&scenario).unwrap();
-    let (schedule, utility, relaxed) = drive(&mut client, &trace, 0);
+    let (schedule, utility, relaxed, ids) = drive(&mut client, &trace, 0);
     client.bye().unwrap();
     router.shutdown();
 
     // The merged schedule is the single engine's, bit for bit; so are the
-    // streamed utility totals (same addends, same summation order).
+    // streamed utility totals (same addends, same summation order) and
+    // every SUBMIT's global task id and release slot, which skip the
+    // staged releases exactly as the engine's do.
     assert_eq!(schedule, ref_schedule);
     assert_eq!(utility.to_bits(), ref_utility.to_bits());
     assert_eq!(relaxed.to_bits(), ref_relaxed.to_bits());
+    assert_eq!(ids, ref_ids);
 }
 
 /// Drives a session like [`drive`], but over one v3 binary-framed
@@ -156,7 +164,8 @@ fn drive_batched(
     client: &mut Client,
     trace: &[(usize, TaskSpec)],
     batch: usize,
-) -> (haste_model::Schedule, f64, f64) {
+) -> (haste_model::Schedule, f64, f64, SubmitIds) {
+    let mut ids = Vec::new();
     let mut next = 0;
     for slot in 0..SLOTS {
         let mut specs = Vec::new();
@@ -166,7 +175,7 @@ fn drive_batched(
         }
         for chunk in specs.chunks(batch) {
             for ack in client.submit_batch(chunk).unwrap() {
-                ack.unwrap();
+                ids.push(ack.unwrap());
             }
         }
         client.tick(1).unwrap();
@@ -174,7 +183,7 @@ fn drive_batched(
     assert_eq!(next, trace.len());
     let schedule = client.schedule().unwrap();
     let (utility, relaxed) = client.utility().unwrap();
-    (schedule, utility, relaxed)
+    (schedule, utility, relaxed, ids)
 }
 
 #[test]
@@ -190,7 +199,7 @@ fn binary_batched_router_matches_single_engine_bit_for_bit() {
     .unwrap();
     let mut ref_client = Client::connect(single.addr()).unwrap();
     ref_client.load(&scenario).unwrap();
-    let (ref_schedule, ref_utility, ref_relaxed) = drive(&mut ref_client, &trace, 0);
+    let (ref_schedule, ref_utility, ref_relaxed, ref_ids) = drive(&mut ref_client, &trace, 0);
     ref_client.bye().unwrap();
     single.shutdown();
 
@@ -202,13 +211,14 @@ fn binary_batched_router_matches_single_engine_bit_for_bit() {
     assert!(client.is_binary());
     assert_eq!(topology.shards, 2);
     client.load(&scenario).unwrap();
-    let (schedule, utility, relaxed) = drive_batched(&mut client, &trace, 5);
+    let (schedule, utility, relaxed, ids) = drive_batched(&mut client, &trace, 5);
     client.bye().unwrap();
     router.shutdown();
 
     assert_eq!(schedule, ref_schedule);
     assert_eq!(utility.to_bits(), ref_utility.to_bits());
     assert_eq!(relaxed.to_bits(), ref_relaxed.to_bits());
+    assert_eq!(ids, ref_ids);
 }
 
 #[test]
@@ -216,11 +226,23 @@ fn router_session_survives_kill_and_restore_bit_identically() {
     let scenario = partitionable_scenario(31);
     let trace = submission_trace(32, 20);
 
+    // Reference for the SUBMIT replies: one engine owning the whole field.
+    let single = serve(ServerConfig {
+        scheduling: localized(),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut ref_client = Client::connect(single.addr()).unwrap();
+    ref_client.load(&scenario).unwrap();
+    let ref_ids = drive(&mut ref_client, &trace, 0).3;
+    ref_client.bye().unwrap();
+    single.shutdown();
+
     // Run A: one router, uninterrupted.
     let router_a = serve_router(router_config()).unwrap();
     let mut client_a = Client::connect(router_a.addr()).unwrap();
     client_a.load(&scenario).unwrap();
-    let (schedule_a, utility_a, relaxed_a) = drive(&mut client_a, &trace, 0);
+    let (schedule_a, utility_a, relaxed_a, ids_a) = drive(&mut client_a, &trace, 0);
     let final_a = client_a.snapshot().unwrap();
     client_a.bye().unwrap();
     router_a.shutdown();
@@ -230,10 +252,11 @@ fn router_session_survives_kill_and_restore_bit_identically() {
     let router_b1 = serve_router(router_config()).unwrap();
     let mut client_b = Client::connect(router_b1.addr()).unwrap();
     client_b.load(&scenario).unwrap();
+    let mut ids_b = Vec::new();
     let mut next = 0;
     for slot in 0..SLOTS / 2 {
         while next < trace.len() && trace[next].0 == slot {
-            client_b.submit(&trace[next].1).unwrap();
+            ids_b.push(client_b.submit(&trace[next].1).unwrap());
             next += 1;
         }
         client_b.tick(1).unwrap();
@@ -246,7 +269,8 @@ fn router_session_survives_kill_and_restore_bit_identically() {
     let mut client_b2 = Client::connect(router_b2.addr()).unwrap();
     let restored_clock = client_b2.restore(&mid).unwrap();
     assert_eq!(restored_clock, SLOTS / 2);
-    let (schedule_b, utility_b, relaxed_b) = drive(&mut client_b2, &trace, SLOTS / 2);
+    let (schedule_b, utility_b, relaxed_b, ids_after) = drive(&mut client_b2, &trace, SLOTS / 2);
+    ids_b.extend(ids_after);
     let final_b = client_b2.snapshot().unwrap();
     client_b2.bye().unwrap();
     router_b2.shutdown();
@@ -257,6 +281,10 @@ fn router_session_survives_kill_and_restore_bit_identically() {
     // The full composite documents agree: every shard's engine state,
     // the arrival order and the staged-release plan restored exactly.
     assert_eq!(final_a, final_b);
+    // The restored router numbers its submissions on from where the
+    // document left off, as the single engine does.
+    assert_eq!(ids_a, ref_ids);
+    assert_eq!(ids_b, ref_ids);
 }
 
 /// `partitionable_scenario` with every charger moved into cell 0, so
