@@ -132,6 +132,16 @@ pub struct OnlineEngine {
     open_from: usize,
     /// Chargeability pair tests run: chargers × tasks covered so far.
     pair_tests: u64,
+    /// The `scenario` section of [`snapshot`](OnlineEngine::snapshot) as
+    /// far as it is rendered: the scenario's head lines, then the `task`
+    /// lines of the first `rendered` arrived tasks. Arrived tasks are
+    /// append-only and never change, so the text is only ever extended,
+    /// the way `coverage` is. Empty until the first snapshot.
+    scenario_text: String,
+    /// Arrived tasks whose `task` line `scenario_text` holds.
+    rendered: usize,
+    /// Arrived-task lines formatted into `scenario_text` so far.
+    task_lines: u64,
     config: OnlineConfig,
     max_pending: usize,
     /// Submissions admitted into the current open slot.
@@ -166,6 +176,9 @@ impl OnlineEngine {
             coverage,
             open_from: 0,
             pair_tests: 0,
+            scenario_text: String::new(),
+            rendered: 0,
+            task_lines: 0,
             scenario,
             staged: staged.into(),
             config,
@@ -387,6 +400,17 @@ impl OnlineEngine {
         self.pair_tests
     }
 
+    /// Arrived-task `task` lines formatted for snapshots so far: each
+    /// arrived task's line is formatted once per engine, by the first
+    /// [`snapshot`](OnlineEngine::snapshot) after it arrived. A
+    /// [`restore`](OnlineEngine::restore)d engine starts at zero, so its
+    /// first snapshot formats every arrived task. Staged tasks' lines are
+    /// formatted at each snapshot and not counted.
+    #[inline]
+    pub fn task_lines_formatted(&self) -> u64 {
+        self.task_lines
+    }
+
     /// `(admitted, rejected, pending-in-open-slot)` admission counters.
     /// Staged releases count as admitted when injected.
     #[inline]
@@ -437,9 +461,26 @@ impl OnlineEngine {
     /// are wall-clock measurements, not algorithm state. Charging
     /// parameters beyond the five the scenario text carries reset to
     /// simulation defaults, mirroring `model::io`.
-    pub fn snapshot(&self) -> String {
+    ///
+    /// Takes `&mut self`, as [`evaluate`](OnlineEngine::evaluate) does:
+    /// the engine keeps the rendered `task` lines of its arrived tasks and
+    /// extends them here with the tasks that arrived since the last
+    /// snapshot, so each line is formatted once per engine and a snapshot
+    /// formats only its new arrivals (see
+    /// [`task_lines_formatted`](OnlineEngine::task_lines_formatted)). The
+    /// bytes are exactly those of a render from scratch.
+    pub fn snapshot(&mut self) -> String {
+        let mut out = String::with_capacity(self.snapshot_len_hint());
+        self.write_snapshot(&mut out);
+        out
+    }
+
+    /// Appends the [`snapshot`](OnlineEngine::snapshot) document to `out`,
+    /// so a caller assembling several documents into one buffer (the
+    /// router's composite snapshot) copies nothing twice.
+    pub fn write_snapshot(&mut self, out: &mut String) {
         use std::fmt::Write as _;
-        let mut out = String::new();
+        self.render_arrived();
         let _ = writeln!(out, "# haste-service snapshot v1");
         let _ = writeln!(out, "clock {}", self.clock);
         let _ = writeln!(
@@ -480,17 +521,49 @@ impl OnlineEngine {
             }
             out.push('\n');
         }
-        let scenario_text = io::write_scenario(&self.scenario);
-        let _ = writeln!(out, "scenario {}", scenario_text.lines().count());
-        out.push_str(&scenario_text);
+        let _ = writeln!(out, "scenario {}", io::scenario_lines(&self.scenario));
+        out.push_str(&self.scenario_text);
         let _ = writeln!(out, "staged {}", self.staged.len());
         for task in &self.staged {
-            let _ = writeln!(out, "{}", io::task_line(task));
+            io::push_task_line(out, task);
         }
-        let schedule_text = io::write_schedule(&self.schedule);
-        let _ = writeln!(out, "schedule {}", schedule_text.lines().count());
-        out.push_str(&schedule_text);
-        out
+        let _ = writeln!(out, "schedule {}", io::schedule_lines(&self.schedule));
+        io::push_schedule(out, &self.schedule);
+    }
+
+    /// The number of lines [`write_snapshot`](OnlineEngine::write_snapshot)
+    /// appends: seven fixed lines, the three section headers, and the
+    /// sections themselves.
+    pub fn snapshot_lines(&self) -> usize {
+        10 + io::scenario_lines(&self.scenario)
+            + self.staged.len()
+            + io::schedule_lines(&self.schedule)
+    }
+
+    /// About the bytes [`write_snapshot`](OnlineEngine::write_snapshot)
+    /// appends, to size a buffer up front: exact for the `task` lines
+    /// already rendered, estimated for the other lines and entries.
+    pub fn snapshot_len_hint(&self) -> usize {
+        let lines = self.scenario.num_chargers() + self.scenario.num_tasks() - self.rendered
+            + self.staged.len();
+        let entries = self.schedule.num_chargers() * self.schedule.num_slots()
+            + self.stats.per_slot_messages.len()
+            + self.stats.per_slot_rounds.len();
+        1024 + self.scenario_text.len() + LINE_BYTES * lines + ENTRY_BYTES * entries
+    }
+
+    /// Extends `scenario_text` over the tasks that arrived since the last
+    /// snapshot (rendering the head lines first, on the first one).
+    fn render_arrived(&mut self) {
+        if self.scenario_text.is_empty() {
+            io::push_scenario_head(&mut self.scenario_text, &self.scenario);
+        }
+        for task in &self.scenario.tasks[self.rendered..] {
+            io::push_task_line(&mut self.scenario_text, task);
+        }
+        let arrived = self.scenario.num_tasks();
+        self.task_lines += (arrived - self.rendered) as u64;
+        self.rendered = arrived;
     }
 
     /// Reconstructs an engine from [`snapshot`](OnlineEngine::snapshot)
@@ -687,6 +760,9 @@ impl OnlineEngine {
                 .tasks
                 .partition_point(|task| task.release_slot < clock),
             pair_tests: (scenario.num_tasks() * scenario.num_chargers()) as u64,
+            scenario_text: String::new(),
+            rendered: 0,
+            task_lines: 0,
             scenario,
             staged,
             config,
@@ -706,6 +782,14 @@ impl OnlineEngine {
         })
     }
 }
+
+/// Bytes assumed per line still to be rendered when sizing a snapshot
+/// buffer (a `task` line of shortest-roundtrip floats runs about 95).
+const LINE_BYTES: usize = 100;
+
+/// Bytes assumed per schedule entry or per-slot counter: a space and a
+/// shortest-roundtrip float or an integer.
+const ENTRY_BYTES: usize = 20;
 
 /// Replays a submission trace in batch: every task of `scenario` is staged
 /// and injected at its release slot, and the engine runs to the end of the
@@ -1043,9 +1127,9 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_is_stable() {
         let s = random_scenario(5, 4, 8, 1);
-        let engine = OnlineEngine::new(s, OnlineConfig::default(), 32);
+        let mut engine = OnlineEngine::new(s, OnlineConfig::default(), 32);
         let snap = engine.snapshot();
-        let restored = OnlineEngine::restore(&snap).unwrap();
+        let mut restored = OnlineEngine::restore(&snap).unwrap();
         assert_eq!(restored.snapshot(), snap);
     }
 
@@ -1263,6 +1347,99 @@ mod tests {
             refusal(4, 2),
             "staged task 0 releases in slot 2, not after the clock 2"
         );
+    }
+
+    /// One step of a scripted session.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Submit(TaskSpec),
+        Snapshot,
+        Tick,
+    }
+
+    /// Runs `steps`, checking every snapshot against a cold render: the
+    /// engine [`OnlineEngine::restore`]d from it (whose line cache is
+    /// empty) must render the same bytes, and its scenario section must
+    /// be `write_scenario` of the engine's scenario. Returns the snapshots.
+    fn run_steps(engine: &mut OnlineEngine, steps: &[Step]) -> Vec<String> {
+        let mut snapshots = Vec::new();
+        for step in steps {
+            match step {
+                Step::Submit(spec) => {
+                    engine.submit(*spec).unwrap();
+                }
+                Step::Tick => {
+                    engine.tick();
+                }
+                Step::Snapshot => {
+                    let snap = engine.snapshot();
+                    assert_eq!(snap.lines().count(), engine.snapshot_lines());
+                    let mut cold = OnlineEngine::restore(&snap).unwrap();
+                    assert_eq!(cold.task_lines_formatted(), 0);
+                    assert_eq!(cold.snapshot(), snap);
+                    let scenario = io::write_scenario(engine.scenario());
+                    let block =
+                        format!("\nscenario {}\n{scenario}staged ", scenario.lines().count());
+                    assert!(snap.contains(&block), "scenario block differs");
+                    snapshots.push(snap);
+                }
+            }
+        }
+        snapshots
+    }
+
+    #[test]
+    fn the_line_cache_renders_what_a_cold_engine_renders() {
+        // Staged tasks release in slots 0..5; three submissions arrive in
+        // each of the first 14 slots. Snapshots are taken as each slot
+        // opens, after its first submission and before its tick.
+        let s = random_scenario(71, 5, 14, 1);
+        let specs: Vec<TaskSpec> = random_scenario(72, 5, 42, 1)
+            .tasks
+            .iter()
+            .map(|task| TaskSpec {
+                end_slot: 16,
+                ..spec_of(task)
+            })
+            .collect();
+        let mut steps = Vec::new();
+        for chunk in specs.chunks(3) {
+            steps.push(Step::Snapshot);
+            for (i, spec) in chunk.iter().enumerate() {
+                steps.push(Step::Submit(*spec));
+                if i == 0 {
+                    steps.push(Step::Snapshot);
+                }
+            }
+            steps.extend([Step::Snapshot, Step::Tick]);
+        }
+        steps.extend([Step::Tick, Step::Tick, Step::Snapshot]);
+        // Seven steps a slot: split in slot 7, after the snapshot that
+        // follows its first submission.
+        let split = 7 * 7 + 3;
+        assert!(matches!(steps[split - 1], Step::Snapshot));
+
+        let mut engine = OnlineEngine::new(s.clone(), OnlineConfig::default(), usize::MAX);
+        run_steps(&mut engine, &steps[..split]);
+        let mut twin = engine.clone();
+        let rest = run_steps(&mut engine, &steps[split..]);
+        assert_eq!(run_steps(&mut twin, &steps[split..]), rest);
+        assert!(engine.is_closed());
+        // An engine that never snapshotted renders the same final bytes.
+        let mut plain = OnlineEngine::new(s, OnlineConfig::default(), usize::MAX);
+        let unsnapshotted: Vec<Step> = steps
+            .iter()
+            .copied()
+            .filter(|step| !matches!(step, Step::Snapshot))
+            .collect();
+        run_steps(&mut plain, &unsnapshotted);
+        assert_eq!(plain.snapshot(), *rest.last().unwrap());
+        // Each arrived task's line was formatted once, by every engine.
+        let tasks = engine.scenario().num_tasks() as u64;
+        assert_eq!(tasks, 14 + 42);
+        for e in [&engine, &twin, &plain] {
+            assert_eq!(e.task_lines_formatted(), tasks);
+        }
     }
 
     #[test]

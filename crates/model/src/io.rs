@@ -59,6 +59,17 @@ impl std::error::Error for ParseError {}
 /// Renders a scenario in the text format.
 pub fn write_scenario(scenario: &Scenario) -> String {
     let mut out = String::new();
+    push_scenario_head(&mut out, scenario);
+    for t in &scenario.tasks {
+        push_task_line(&mut out, t);
+    }
+    out
+}
+
+/// Appends the lines of [`write_scenario`]'s document that come before
+/// its `task` lines: the magic line, `params`, `grid`, `delays`,
+/// `utility`, and one `charger` line per charger.
+pub fn push_scenario_head(out: &mut String, scenario: &Scenario) {
     let p = &scenario.params;
     let _ = writeln!(out, "# haste scenario v1");
     let _ = writeln!(
@@ -83,17 +94,21 @@ pub fn write_scenario(scenario: &Scenario) -> String {
     for c in &scenario.chargers {
         let _ = writeln!(out, "charger {} {} {}", c.id.0, c.pos.x, c.pos.y);
     }
-    for t in &scenario.tasks {
-        let _ = writeln!(out, "{}", task_line(t));
-    }
-    out
 }
 
-/// Renders one task as a `task ...` directive line (no trailing newline) —
-/// the exact syntax [`read_scenario`] accepts. Exposed so other text
-/// formats (e.g. daemon snapshots) can embed tasks verbatim.
-pub fn task_line(t: &Task) -> String {
-    format!(
+/// The number of lines [`write_scenario`] renders: the five fixed lines
+/// of [`push_scenario_head`], one per charger and one per task.
+pub fn scenario_lines(scenario: &Scenario) -> usize {
+    5 + scenario.num_chargers() + scenario.num_tasks()
+}
+
+/// Appends one task as a newline-terminated `task ...` directive line,
+/// the exact syntax [`read_scenario`] accepts. The one task writer:
+/// [`write_scenario`], [`task_line`] and other text formats that embed
+/// tasks (daemon snapshots) all format through it.
+pub fn push_task_line(out: &mut String, t: &Task) {
+    let _ = writeln!(
+        out,
         "task {} {} {} {} {} {} {} {}",
         t.id.0,
         t.device_pos.x,
@@ -103,7 +118,16 @@ pub fn task_line(t: &Task) -> String {
         t.end_slot,
         t.required_energy,
         t.weight
-    )
+    );
+}
+
+/// Renders one task as a `task ...` directive line (no trailing newline);
+/// see [`push_task_line`].
+pub fn task_line(t: &Task) -> String {
+    let mut line = String::new();
+    push_task_line(&mut line, t);
+    line.pop();
+    line
 }
 
 /// Parses the fields of a `task` directive (everything after the `task`
@@ -211,6 +235,12 @@ pub fn read_scenario(text: &str) -> Result<Scenario, ParseError> {
 /// formatting, so [`read_schedule`] reconstructs the schedule bit-exactly.
 pub fn write_schedule(schedule: &Schedule) -> String {
     let mut out = String::new();
+    push_schedule(&mut out, schedule);
+    out
+}
+
+/// Appends [`write_schedule`]'s document to `out`.
+pub fn push_schedule(out: &mut String, schedule: &Schedule) {
     let _ = writeln!(out, "# haste schedule v1");
     let _ = writeln!(
         out,
@@ -230,7 +260,12 @@ pub fn write_schedule(schedule: &Schedule) -> String {
         }
         out.push('\n');
     }
-    out
+}
+
+/// The number of lines [`write_schedule`] renders: two fixed lines and
+/// one row per charger.
+pub fn schedule_lines(schedule: &Schedule) -> usize {
+    2 + schedule.num_chargers()
 }
 
 /// Parses a schedule from the text format. Every charger row must be
@@ -642,6 +677,27 @@ mod tests {
         let fields: Vec<&str> = line.split_whitespace().skip(1).collect();
         let parsed = parse_task_fields(&fields).unwrap();
         assert_eq!(parsed, t);
+    }
+
+    #[test]
+    fn line_counts_match_the_rendered_documents() {
+        let mut s = sample();
+        s.utility = UtilityModel::ConcavePower(0.5);
+        assert_eq!(scenario_lines(&s), write_scenario(&s).lines().count());
+        s.chargers.clear();
+        s.tasks.clear();
+        assert_eq!(scenario_lines(&s), write_scenario(&s).lines().count());
+        for (n, k) in [(0, 0), (3, 5), (0, 7)] {
+            let schedule = Schedule::empty(n, k);
+            assert_eq!(
+                schedule_lines(&schedule),
+                write_schedule(&schedule).lines().count()
+            );
+        }
+        let task = &sample().tasks[1];
+        let mut appended = String::from("x\n");
+        push_task_line(&mut appended, task);
+        assert_eq!(appended, format!("x\n{}\n", task_line(task)));
     }
 
     mod schedule_roundtrip_properties {

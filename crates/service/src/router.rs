@@ -1227,10 +1227,12 @@ fn execute(request: Request, payload: &str, shared: &RouterShared, session: &mut
                 Ok((tenant, loaded)) => match merged_parts(tenant, loaded) {
                     Ok(parts) => {
                         // Sequential left-to-right sums over the arrival
-                        // order: the single engine's exact addend
-                        // sequence.
-                        let utility: f64 = parts.full.iter().sum();
-                        let relaxed: f64 = parts.relaxed.iter().sum();
+                        // order from +0, as the single engine sums: the
+                        // same addends in the same sequence. (`Iterator::sum`
+                        // starts from -0, so a task-free tenant would
+                        // answer `-0`.)
+                        let total = |terms: &[f64]| terms.iter().fold(0.0, |sum, term| sum + term);
+                        let (utility, relaxed) = (total(&parts.full), total(&parts.relaxed));
                         Reply::Ok(format!("utility={utility} relaxed={relaxed}"))
                     }
                     Err(reply) => reply,
@@ -1795,12 +1797,16 @@ fn internal(reason: &str) -> Reply {
 /// and every shard's embedded engine snapshot. Every shard must be up
 /// and sitting on the tenant clock (a down shard's state is mid-replay
 /// by definition, so `SNAPSHOT` in degraded mode fails with
-/// `ERR unavailable`). The sections render at the same time, as
-/// [`tick_lockstep`] replans: a local engine on a scoped thread, a remote
-/// child as a concurrently issued `SNAPSHOT` under its own deadline.
-/// Once the document is assembled, each section is committed as its
-/// shard's new replay baseline — never before, so a failed snapshot
-/// moves no baseline.
+/// `ERR unavailable`).
+///
+/// The document is one buffer, sized up front. Out-of-process children
+/// render first, concurrently, each answering `SNAPSHOT` under its own
+/// deadline; then, on the calling thread, each in-process engine writes
+/// its section straight into the buffer, formatting only the `task`
+/// lines of tasks that arrived since its last snapshot (see
+/// [`OnlineEngine::snapshot`]). Once the document is assembled, each
+/// child's text is committed as its new replay baseline — never before,
+/// so a failed snapshot moves no baseline.
 fn composite_snapshot(
     tenant: &TenantCore,
     loaded: &Loaded,
@@ -1808,22 +1814,35 @@ fn composite_snapshot(
 ) -> Result<String, Reply> {
     let partition = &loaded.partition;
     let clock = tenant.clock;
-    let sections = haste_parallel::par_map(&tenant.shards, tenant.shards.len(), |_, shard| {
-        // Lockstep is an invariant (one mutex, ticks inside it); this
-        // re-checks it so a corrupt snapshot can never be emitted
-        // silently, and surfaces `unavailable` for down shards.
-        let (slot, _open) = shard.clock().map_err(slot_err)?;
-        if slot != clock {
-            return Err(internal(&format!(
+    // Lockstep is an invariant (one mutex, ticks inside it); this
+    // re-checks it so a corrupt snapshot can never be emitted silently,
+    // and surfaces `unavailable` for down shards.
+    let in_lockstep = |slot: usize| {
+        if slot == clock {
+            Ok(())
+        } else {
+            Err(internal(&format!(
                 "shards out of lockstep: slot={slot} vs tenant clock {clock}"
-            )));
+            )))
         }
-        shard.snapshot().map_err(slot_err)
+    };
+    let children = tenant
+        .shards
+        .iter()
+        .filter(|shard| matches!(shard, ShardSlot::Remote(_)))
+        .count();
+    // One thread per child, none for in-process shards.
+    let fetched = haste_parallel::par_map(&tenant.shards, children, |_, shard| match shard {
+        ShardSlot::Local(_) => Ok(None),
+        ShardSlot::Remote(child) => {
+            in_lockstep(child.clock().map_err(slot_err)?.0)?;
+            child.snapshot().map(Some).map_err(slot_err)
+        }
     })
     .into_iter()
-    .collect::<Result<Vec<String>, Reply>>()?;
+    .collect::<Result<Vec<Option<String>>, Reply>>()?;
     let origin = partition.origin();
-    let composite = CompositeSnapshot {
+    let head = CompositeSnapshot {
         tenant: tenant_id.to_string(),
         map_version: loaded.map_version,
         grid: (partition.cells_x(), partition.cells_y()),
@@ -1833,15 +1852,45 @@ fn composite_snapshot(
         cells: partition.cells().to_vec(),
         scenario: model_io::write_scenario(&loaded.scenario),
         arrivals: arrival_runs(&tenant.log, partition),
-        shards: sections,
+        // Written straight into the document below.
+        shards: Vec::new(),
         // Derived when a document is parsed; rendering never reads it.
         order: Vec::new(),
     };
-    let text = render_composite(&composite);
-    // Commit: the cut is complete, so each section becomes its shard's
+    // Each shard has a fetched section (a child) or an engine here.
+    let mut capacity = head_len_hint(&head);
+    for (shard, section) in tenant.shards.iter().zip(&fetched) {
+        capacity += SECTION_HEADER_BYTES;
+        if let Some(section) = section {
+            capacity += section.len();
+        } else if let ShardSlot::Local(shard) = shard {
+            capacity += shard
+                .with_engine(|engine| engine.snapshot_len_hint())
+                .map_err(shard_err)?;
+        }
+    }
+    let mut text = String::with_capacity(capacity);
+    push_head(&mut text, &head, model_io::scenario_lines(&loaded.scenario));
+    for (index, (shard, section)) in tenant.shards.iter().zip(&fetched).enumerate() {
+        if let Some(section) = section {
+            push_section(&mut text, index, section);
+        } else if let ShardSlot::Local(shard) = shard {
+            shard
+                .with_engine(|engine| {
+                    in_lockstep(engine.clock())?;
+                    push_section_header(&mut text, index, engine.snapshot_lines());
+                    engine.write_snapshot(&mut text);
+                    Ok(())
+                })
+                .map_err(shard_err)??;
+        }
+    }
+    // Commit: the cut is complete, so each child's section becomes its
     // replay baseline at the log's end (bounding replay depth).
-    for (shard, section) in tenant.shards.iter().zip(composite.shards) {
-        shard.checkpoint(section, tenant.log.len());
+    for (shard, section) in tenant.shards.iter().zip(fetched) {
+        if let Some(section) = section {
+            shard.checkpoint(section, tenant.log.len());
+        }
     }
     Ok(text)
 }
@@ -1938,21 +1987,42 @@ pub struct CompositeSnapshot {
 
 /// Renders a composite snapshot into the v4 wire document. Inverse of
 /// [`parse_composite`]: `render(parse(text)) == text` for any document
-/// `parse_composite` accepts.
+/// `parse_composite` accepts. The router's own `SNAPSHOT` writes the same
+/// bytes without going through a [`CompositeSnapshot`] (see
+/// `composite_snapshot`); this is for tooling that holds one.
 pub fn render_composite(composite: &CompositeSnapshot) -> String {
+    let sections = composite
+        .shards
+        .iter()
+        .map(|s| s.len() + SECTION_HEADER_BYTES)
+        .sum::<usize>();
+    let mut text = String::with_capacity(head_len_hint(composite) + sections);
+    push_head(&mut text, composite, composite.scenario.lines().count());
+    for (index, section) in composite.shards.iter().enumerate() {
+        push_section(&mut text, index, section);
+    }
+    text
+}
+
+/// Room for one `shard <index> <lines>` header line.
+const SECTION_HEADER_BYTES: usize = 32;
+
+/// About the bytes [`push_head`] writes: the fixed lines, 100 bytes per
+/// rect line, the scenario and 16 bytes per arrival run.
+fn head_len_hint(composite: &CompositeSnapshot) -> usize {
+    512 + 100 * composite.cells.len()
+        + composite.scenario.len()
+        + composite
+            .arrivals
+            .iter()
+            .map(|runs| 2 + 16 * runs.len())
+            .sum::<usize>()
+}
+
+/// Writes everything of the v4 document before its shard sections;
+/// `scenario_lines` counts the lines of `composite.scenario`.
+fn push_head(text: &mut String, composite: &CompositeSnapshot, scenario_lines: usize) {
     use std::fmt::Write as _;
-    // One allocation: the fixed lines, 100 bytes per rect line, 16 per
-    // run, and each section with its header line.
-    let mut text = String::with_capacity(
-        512 + 100 * composite.cells.len()
-            + composite.scenario.len()
-            + composite
-                .arrivals
-                .iter()
-                .map(|runs| 2 + 16 * runs.len())
-                .sum::<usize>()
-            + composite.shards.iter().map(|s| s.len() + 32).sum::<usize>(),
-    );
     text.push_str(COMPOSITE_MAGIC);
     text.push('\n');
     // Writing into a `String` cannot fail.
@@ -1972,8 +2042,8 @@ pub fn render_composite(composite: &CompositeSnapshot) -> String {
     for rect in &composite.cells {
         let _ = writeln!(text, "{} {} {} {}", rect.x0, rect.y0, rect.x1, rect.y1);
     }
-    let _ = writeln!(text, "scenario {}", composite.scenario.lines().count());
-    push_block(&mut text, &composite.scenario);
+    let _ = writeln!(text, "scenario {scenario_lines}");
+    push_block(text, &composite.scenario);
     let _ = writeln!(text, "arrivals {}", composite.arrivals.len());
     for runs in &composite.arrivals {
         if runs.is_empty() {
@@ -1987,11 +2057,19 @@ pub fn render_composite(composite: &CompositeSnapshot) -> String {
         }
         text.push('\n');
     }
-    for (index, snapshot) in composite.shards.iter().enumerate() {
-        let _ = writeln!(text, "shard {index} {}", snapshot.lines().count());
-        push_block(&mut text, snapshot);
-    }
-    text
+}
+
+/// Writes a shard section's header line.
+fn push_section_header(text: &mut String, index: usize, lines: usize) {
+    use std::fmt::Write as _;
+    let _ = writeln!(text, "shard {index} {lines}");
+}
+
+/// Writes a shard section already rendered as text (a child's reply, or
+/// a parsed document's), counting its lines for the header.
+fn push_section(text: &mut String, index: usize, section: &str) {
+    push_section_header(text, index, section.lines().count());
+    push_block(text, section);
 }
 
 /// Appends an embedded document, newline-terminated.

@@ -100,6 +100,8 @@ pub struct ShardStatus {
     pub oracle_commits: u64,
     /// Charger–task chargeability tests run building the coverage map.
     pub coverage_pair_tests: u64,
+    /// Arrived-task lines formatted for snapshots (each once per engine).
+    pub task_lines_formatted: u64,
     /// Negotiation messages sent.
     pub messages: u64,
     /// Negotiation rounds executed.
@@ -328,6 +330,7 @@ impl Shard {
                     oracle_marginals: metrics.oracle_marginals,
                     oracle_commits: metrics.oracle_commits,
                     coverage_pair_tests: engine.coverage_pair_tests(),
+                    task_lines_formatted: engine.task_lines_formatted(),
                     messages: stats.messages,
                     rounds: stats.rounds,
                     instance_build_us: metrics.instance_build.as_micros(),
@@ -341,9 +344,19 @@ impl Shard {
 
     /// The lossless engine snapshot document.
     pub fn snapshot(&self) -> Result<String, ShardError> {
-        match self.engine.lock().as_ref() {
+        self.with_engine(OnlineEngine::snapshot)
+    }
+
+    /// Runs `f` on the engine under the shard's lock — how the router
+    /// writes an in-process shard's snapshot straight into its composite
+    /// document.
+    pub(crate) fn with_engine<R>(
+        &self,
+        f: impl FnOnce(&mut OnlineEngine) -> R,
+    ) -> Result<R, ShardError> {
+        match self.engine.lock().as_mut() {
             None => Err(ShardError::NoScenario),
-            Some(engine) => Ok(engine.snapshot()),
+            Some(engine) => Ok(f(engine)),
         }
     }
 

@@ -1001,13 +1001,6 @@ impl ShardSlot {
         }
     }
 
-    pub(crate) fn snapshot(&self) -> Result<String, SlotError> {
-        match self {
-            ShardSlot::Local(shard) => shard.snapshot().map_err(SlotError::Shard),
-            ShardSlot::Remote(shard) => shard.snapshot(),
-        }
-    }
-
     pub(crate) fn load_scenario(&self, cell: Scenario) -> Result<(), SlotError> {
         match self {
             ShardSlot::Local(shard) => shard

@@ -177,6 +177,11 @@ pub(crate) fn engine_alias_snapshot(status: &ShardStatus, snap: &mut Snapshot) {
         u128::from(status.coverage_pair_tests),
     );
     snap.set_counter(
+        "haste_engine_task_lines_formatted_total",
+        &[],
+        u128::from(status.task_lines_formatted),
+    );
+    snap.set_counter(
         "haste_engine_negotiation_messages_total",
         &[],
         u128::from(status.messages),
@@ -353,6 +358,7 @@ mod tests {
             oracle_marginals: 100,
             oracle_commits: 10,
             coverage_pair_tests: 40,
+            task_lines_formatted: 7,
             messages: 50,
             rounds: 5,
             instance_build_us: 1000,

@@ -10,9 +10,9 @@
 //! (the router lock serializes both), written by the one record codec
 //! (`OpRecord`'s `Display` and [`OpRecord::parse`]).
 //! `LOAD` and `RESTORE` do not append; they write a **checkpoint**: the
-//! tenant's composite v4 snapshot document (the same
-//! [`crate::render_composite`] bytes the operator-facing `SNAPSHOT` verb
-//! returns, each task stored once), written to a temp file, fsynced,
+//! tenant's composite v4 snapshot document (the very bytes the
+//! operator-facing `SNAPSHOT` verb returns, each task stored once),
+//! written to a temp file, fsynced,
 //! atomically renamed, after which the log truncates back to its
 //! header. Recovery is therefore always *newest valid checkpoint +
 //! replay of the log tail*, and the determinism contract makes the
@@ -182,10 +182,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// `len:u32_be | crc32:u32_be | payload`.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
+    push_frame(&mut out, payload);
+    out
+}
+
+/// Appends one [`frame`] of `payload` to `out`.
+fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(&crc32(payload).to_be_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// What a scan of raw log bytes found: the records of the valid prefix,
@@ -354,9 +359,15 @@ impl TenantWal {
     /// point from the [`WalSync`] policy). One `write_all` per call, so
     /// a batch tears at most once.
     pub fn append(&mut self, records: &[OpRecord]) -> io::Result<()> {
-        let mut bytes = Vec::new();
+        use std::fmt::Write as _;
+        // Each record renders into one reused line and frames straight
+        // into the batch (a `submit` frame runs about 90 bytes).
+        let mut bytes = Vec::with_capacity(records.len() * 96);
+        let mut line = String::new();
         for record in records {
-            bytes.extend_from_slice(&frame(record.to_string().as_bytes()));
+            line.clear();
+            let _ = write!(line, "{record}");
+            push_frame(&mut bytes, line.as_bytes());
         }
         self.file.write_all(&bytes)?;
         self.ops_since_checkpoint += records.len();

@@ -444,6 +444,9 @@ fn out_of_process_export_carries_the_in_process_engine_families() {
         client.tick(1).unwrap();
         // `drive` fails the test on any refused submission.
         drive(&mut client, &trace, 1);
+        // A composite snapshot formats each arrived task's line once,
+        // in the child's engine or the router's own.
+        client.snapshot().unwrap();
         observed.push((mid_slot, observe(&mut client)));
         let retired = raw_reply(router.addr(), "METRICS?");
         assert!(retired.starts_with("ERR bad-request"), "{retired}");
@@ -452,8 +455,8 @@ fn out_of_process_export_carries_the_in_process_engine_families() {
     }
     assert_eq!(observed[0], observed[1]);
     let ((mid_engine, _), (end_engine, _)) = &observed[0];
-    // 16 cataloged engine families minus the 4 timers.
-    assert_eq!(end_engine.len(), 12, "{end_engine:?}");
+    // 17 cataloged engine families minus the 4 timers.
+    assert_eq!(end_engine.len(), 13, "{end_engine:?}");
     let value = |families: &[(String, haste_metrics::Value)], name: &str| {
         families
             .iter()
@@ -468,6 +471,12 @@ fn out_of_process_export_carries_the_in_process_engine_families() {
     // accepted SUBMIT once.
     assert_eq!(
         value(end_engine, "haste_engine_admitted_total"),
+        Some(haste_metrics::Value::Counter(
+            (scenario.tasks.len() + trace.len()) as u128
+        ))
+    );
+    assert_eq!(
+        value(end_engine, "haste_engine_task_lines_formatted_total"),
         Some(haste_metrics::Value::Counter(
             (scenario.tasks.len() + trace.len()) as u128
         ))

@@ -332,6 +332,51 @@ fn a_router_with_a_chargerless_cell_restores_its_own_snapshot() {
     fresh.shutdown();
 }
 
+/// The `UTILITY?` reply line after `LOAD`ing `scenario` on a fresh v1
+/// session, raw: the client's parsed floats would hide the sign of zero.
+fn raw_utility(addr: std::net::SocketAddr, scenario: &Scenario) -> String {
+    use std::io::{BufRead, Write};
+    let text = haste_model::io::write_scenario(scenario);
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let request = format!(
+        "HELLO v1\nLOAD {}\n{text}UTILITY?\nBYE\n",
+        text.lines().count()
+    );
+    (&stream).write_all(request.as_bytes()).unwrap();
+    let mut replies = Vec::new();
+    for _ in 0..3 {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        replies.push(reply.trim_end().to_string());
+    }
+    assert!(replies[1].starts_with("OK "), "LOAD: {}", replies[1]);
+    replies.pop().unwrap()
+}
+
+#[test]
+fn a_task_free_tenant_answers_utility_like_the_single_engine() {
+    // One charger in each cell and no task at all: both totals are empty
+    // sums, which the single engine starts from +0.
+    let mut scenario = partitionable_scenario(51);
+    scenario.chargers.truncate(2);
+    scenario.tasks.clear();
+    let single = serve(ServerConfig {
+        scheduling: localized(),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let router = serve_router(router_config()).unwrap();
+    let expected = raw_utility(single.addr(), &scenario);
+    assert_eq!(expected, "OK utility=0 relaxed=0");
+    assert_eq!(raw_utility(router.addr(), &scenario), expected);
+    single.shutdown();
+    router.shutdown();
+}
+
 #[test]
 fn hello_v2_advertises_topology_and_shards_reports_per_shard_state() {
     let router = serve_router(router_config()).unwrap();

@@ -334,6 +334,71 @@ fn a_restarted_router_keeps_a_tenant_with_a_chargerless_cell() {
     router.shutdown();
 }
 
+/// `(tasks materialized, arrived-task lines formatted, checkpoints
+/// written)` as the router's `EXPORT?` reports them.
+fn line_counts(client: &mut Client) -> (u128, u128, u128) {
+    let export = haste_metrics::Snapshot::parse(&client.export().unwrap()).unwrap();
+    let value = |name: &str, labels: &[(&str, &str)]| match export.get(name, labels) {
+        Some(haste_metrics::Value::Counter(n) | haste_metrics::Value::Gauge(n)) => *n,
+        other => panic!("{name}: {other:?}"),
+    };
+    (
+        value("haste_engine_active_tasks", &[]),
+        value("haste_engine_task_lines_formatted_total", &[]),
+        value("haste_wal_checkpoints_total", &[("tenant", "default")]),
+    )
+}
+
+#[test]
+fn a_durable_tenant_formats_each_task_line_once() {
+    let config = |dir: &Path| RouterConfig {
+        cells: (2, 1),
+        field: (200.0, 100.0),
+        wal: Some(WalConfig {
+            checkpoint_every: 6,
+            ..WalConfig::new(dir)
+        }),
+        ..RouterConfig::default()
+    };
+    let scenario = partitionable_scenario(75);
+    let trace = submission_trace(76, 40);
+    let dir = scratch("task-lines");
+    let router = serve_router(config(&dir)).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.load(&scenario).unwrap();
+    drive_span(&mut client, &trace, 0, 6);
+    let mid = client.snapshot().unwrap();
+    // `LOAD`'s checkpoint, the automatic ones and `SNAPSHOT`'s formatted
+    // each arrived task's line once between them.
+    let (at_mid, lines, checkpoints) = line_counts(&mut client);
+    assert!(checkpoints >= 4, "{checkpoints} checkpoints");
+    assert_eq!(lines, at_mid);
+    drive_span(&mut client, &trace, 6, 9);
+    client.snapshot().unwrap();
+    let (tasks, lines, _) = line_counts(&mut client);
+    assert!(tasks > at_mid);
+    assert_eq!(lines, tasks);
+    // `RESTORE` installs engines with empty caches and checkpoints them:
+    // one cold render of the document's tasks.
+    assert_eq!(client.restore(&mid).unwrap(), 6);
+    assert_eq!(line_counts(&mut client).1, at_mid);
+    drive_span(&mut client, &trace, 6, SLOTS);
+    let last = client.snapshot().unwrap();
+    let (tasks, lines, _) = line_counts(&mut client);
+    assert_eq!(lines, tasks);
+    client.bye().unwrap();
+    router.shutdown();
+
+    // Recovery starts cold as well, and renders the same bytes.
+    let router = serve_router(config(&dir)).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    assert_eq!(client.snapshot().unwrap(), last);
+    assert_eq!(line_counts(&mut client).1, tasks);
+    client.bye().unwrap();
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ----------------------------------------------------------------------
 // kill -9 over real TCP: two tenants, a live RESHARD, a real SIGKILL
 // ----------------------------------------------------------------------
