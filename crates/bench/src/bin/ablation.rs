@@ -102,17 +102,15 @@ fn main() {
 
     // 3. Localized versus global online renegotiation.
     {
-        use haste::distributed::{solve_online, OnlineConfig};
+        use haste::distributed::{replay_trace, OnlineConfig};
         let mut g = (0.0, 0u64);
         let mut l = (0.0, 0u64);
         for &seed in &seeds {
             let s = spec.generate(seed);
-            let cov = CoverageMap::build(&s);
-            let global = solve_online(&s, &cov, &OnlineConfig::default());
-            let local = solve_online(
-                &s,
-                &cov,
-                &OnlineConfig {
+            let global = replay_trace(s.clone(), OnlineConfig::default());
+            let local = replay_trace(
+                s,
+                OnlineConfig {
                     localized: true,
                     ..OnlineConfig::default()
                 },

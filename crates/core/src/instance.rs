@@ -45,9 +45,6 @@ pub struct InstanceOptions {
     pub scope: Option<DominantScope>,
     /// Decision slots (default `0 .. scenario.active_horizon()`).
     pub slot_range: Option<Range<Slot>>,
-    /// Only tasks with `known[j]` participate (default: all). The online
-    /// scheduler uses this to hide not-yet-released tasks.
-    pub known_tasks: Option<Vec<bool>>,
     /// Energy each task already holds before the first decision slot
     /// (default zeros). Marginals are computed on top of this; the
     /// objective still reports *gain* (`f(∅) = 0`).
@@ -117,29 +114,21 @@ impl<'a> HasteRInstance<'a> {
         let n = scenario.num_chargers();
         let scope = options.scope.unwrap_or(DominantScope::PerSlot);
         let slot_range = options.slot_range.unwrap_or(0..scenario.active_horizon());
-        let known = options.known_tasks;
         let visibility_delay = options.visibility_delay.unwrap_or(0);
         let slot_seconds = scenario.grid.slot_seconds;
         let threads = options.threads.map_or(1, haste_parallel::resolve_threads);
 
         let usable = |task_idx: usize, k: Slot| -> bool {
             let task = &scenario.tasks[task_idx];
-            task.active_at(k)
-                && known.as_ref().is_none_or(|kn| kn[task_idx])
-                && k >= task.release_slot + visibility_delay
+            task.active_at(k) && k >= task.release_slot + visibility_delay
         };
 
         // Global extraction reuses one dominant family per charger.
         let charger_ids: Vec<usize> = (0..n).collect();
         let global_sets: Vec<Vec<DominantSet>> = if scope == DominantScope::Global {
             haste_parallel::par_map(&charger_ids, threads, |_, &i| {
-                let candidates: Vec<_> = coverage
-                    .tasks_of(ChargerId(i as u32))
-                    .iter()
-                    .filter(|c| known.as_ref().is_none_or(|kn| kn[c.task.index()]))
-                    .copied()
-                    .collect();
-                extract_dominant_sets(&candidates, scenario.params.charging_angle)
+                let candidates = coverage.tasks_of(ChargerId(i as u32));
+                extract_dominant_sets(candidates, scenario.params.charging_angle)
             })
         } else {
             Vec::new()
@@ -579,27 +568,6 @@ mod tests {
         assert!((g_primed - 80.0 / 480.0).abs() < 1e-9);
         // Normalization still holds.
         assert_eq!(primed.value(&primed.new_state()), 0.0);
-    }
-
-    #[test]
-    fn unknown_tasks_are_invisible() {
-        let s = scenario();
-        let cov = CoverageMap::build(&s);
-        let inst = HasteRInstance::build_with(
-            &s,
-            &cov,
-            InstanceOptions {
-                known_tasks: Some(vec![true, false]),
-                ..InstanceOptions::default()
-            },
-        );
-        // With task 1 hidden, every slot offers only the task-0 policy.
-        for p in 0..inst.num_partitions() {
-            assert!(inst.num_choices(p) <= 1);
-            for pol in inst.policies(p) {
-                assert!(pol.deliveries.iter().all(|&(t, _)| t == 0));
-            }
-        }
     }
 
     #[test]

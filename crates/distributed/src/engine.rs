@@ -1,18 +1,18 @@
-//! The incremental **online engine**: the event loop of [`solve_online`]
-//! re-packaged as a long-lived state machine that a daemon can drive.
+//! The **online engine**: Algorithm 3's event loop as a long-lived state
+//! machine, the one implementation of the online scheduler.
 //!
-//! [`solve_online`](crate::solve_online) consumes a scenario whose future is
-//! fully known (task releases are data) and replays the arrival events in
-//! one call. A scheduling *service* cannot do that: tasks arrive over a
-//! wire, one at a time, while the virtual clock advances. [`OnlineEngine`]
+//! Tasks arrive one at a time while the virtual clock advances, whether
+//! over a wire (a scheduling daemon) or from a scenario's release slots
+//! ([`replay_trace`], which every batch experiment runs). [`OnlineEngine`]
 //! holds the evolving scenario, schedule and negotiation state between
 //! arrivals:
 //!
 //! * [`OnlineEngine::submit`] admits a task into the **current open slot**
 //!   (with backpressure once `max_pending` submissions accumulate),
-//! * [`OnlineEngine::tick`] closes the slot — if tasks arrived, the
-//!   affected chargers re-negotiate exactly as in Algorithm 3 (rescheduling
-//!   delay `τ`, switching delay `ρ` at evaluation) — and opens the next,
+//! * [`OnlineEngine::tick`] closes the slot — if tasks arrived or a charger
+//!   died in it, the affected chargers re-negotiate exactly as in
+//!   Algorithm 3 (rescheduling delay `τ`, switching delay `ρ` at
+//!   evaluation) — and opens the next,
 //! * [`OnlineEngine::snapshot`] / [`OnlineEngine::restore`] round-trip the
 //!   full engine state through a text format, so a restarted daemon resumes
 //!   bit-deterministically.
@@ -21,17 +21,19 @@
 //!
 //! A streamed session and [`replay_trace`] of its submission trace produce
 //! **bit-identical** schedules and utilities: both grow the scenario in the
-//! same arrival order and fire the same re-negotiation events. The engine
-//! also matches [`solve_online`](crate::solve_online) bitwise when every
-//! task releases at slot 0 (then both negotiate over the same coverage).
-//! With staggered releases the batch solver is *not* the reference: it
-//! builds its coverage map and neighbor graph over all tasks — including
-//! ones the online system has not seen yet — whereas the engine only ever
-//! knows arrived tasks, which is the honest online information model.
+//! same arrival order and fire the same re-negotiation events.
 //!
-//! The engine ignores [`OnlineConfig::failures`]; injected charger failures
-//! are a batch-experiment feature (a daemon would learn of failures through
-//! its own channel, which this crate does not model yet).
+//! # Causality
+//!
+//! A replan sees only the tasks that have arrived: the coverage map, the
+//! neighbor graph and the planning horizon all grow with the arrivals. So
+//! dropping every task released after slot `t` changes neither the
+//! schedule nor the per-slot negotiation counters of slots `..= t + τ`.
+//!
+//! Injected charger failures ([`OnlineConfig::failures`]) are honoured: a
+//! dead charger is blanked from its death slot on and disabled in every
+//! later replan, and the slot it dies in replans. Snapshots do not carry
+//! them (see [`OnlineEngine::snapshot`]).
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -270,19 +272,28 @@ impl OnlineEngine {
         Ok(TaskId(id as u32))
     }
 
-    /// Closes the current slot and opens the next. If tasks arrived in the
-    /// closing slot the chargers re-negotiate (one event, exactly as in
-    /// [`solve_online`](crate::solve_online)); otherwise the plan stands.
-    /// Returns the newly opened slot, or `None` once the grid is exhausted.
+    /// Closes the current slot and opens the next. If tasks arrived or a
+    /// charger died in the closing slot the chargers re-negotiate (one
+    /// event for both); otherwise the plan stands. Returns the newly opened
+    /// slot, or `None` once the grid is exhausted.
     pub fn tick(&mut self) -> Option<usize> {
         if self.is_closed() {
             return None;
         }
         let t = self.clock;
-        if self.open_from < self.scenario.num_tasks() {
+        let failed_now: Vec<usize> = self
+            .config
+            .failures
+            .iter()
+            .filter(|failure| failure.slot == t)
+            .map(|failure| failure.charger.index())
+            .collect();
+        if self.open_from < self.scenario.num_tasks() || !failed_now.is_empty() {
             self.refresh_coverage();
             let arrived_now: Vec<usize> = (self.open_from..self.scenario.num_tasks()).collect();
             let threads = self.metrics.threads;
+            // The prefix the replan freezes holds no dead charger's slots.
+            let disabled = self.blank_dead();
             replan_event(
                 &self.scenario,
                 &self.coverage,
@@ -291,16 +302,16 @@ impl OnlineEngine {
                 &mut self.schedule,
                 ReplanEvent {
                     slot: t,
-                    horizon: self.scenario.active_horizon(),
-                    known: None,
-                    disabled: &vec![false; self.scenario.num_chargers()],
+                    disabled: &disabled,
                     arrived_now: &arrived_now,
-                    failed_now: &[],
+                    failed_now: &failed_now,
                     threads,
                 },
                 &mut self.stats,
                 &mut self.metrics,
             );
+            // Holding orientations must never resurrect a dead charger.
+            self.blank_dead();
             self.metrics.oracle_marginals = self.stats.oracle_marginals;
             self.metrics.oracle_commits = self.stats.oracle_commits;
         }
@@ -311,10 +322,23 @@ impl OnlineEngine {
         Some(self.clock)
     }
 
+    /// Blanks every charger dead by the open slot, from its death slot on
+    /// (a dead charger stops emitting the moment it dies, however long its
+    /// replan takes), and returns which chargers are dead.
+    fn blank_dead(&mut self) -> Vec<bool> {
+        let mut dead = vec![false; self.schedule.num_chargers()];
+        for failure in self.config.failures.iter().filter(|f| f.slot <= self.clock) {
+            dead[failure.charger.index()] = true;
+            for k in failure.slot..self.schedule.num_slots() {
+                self.schedule.set(failure.charger, k, None);
+            }
+        }
+        dead
+    }
+
     /// Ticks through every remaining slot (releasing all staged tasks on
     /// the way), then evaluates the executed schedule under the full P1
-    /// model and returns the same [`OnlineResult`] shape as
-    /// [`solve_online`](crate::solve_online).
+    /// model.
     pub fn finish(mut self) -> OnlineResult {
         while self.tick().is_some() {}
         self.refresh_coverage();
@@ -460,7 +484,9 @@ impl OnlineEngine {
     /// which is lossless). Phase *timings* reset to zero on restore — they
     /// are wall-clock measurements, not algorithm state. Charging
     /// parameters beyond the five the scenario text carries reset to
-    /// simulation defaults, mirroring `model::io`.
+    /// simulation defaults, mirroring `model::io`. Injected charger
+    /// failures ([`OnlineConfig::failures`]) are not carried either: a
+    /// restored engine runs without them.
     ///
     /// Takes `&mut self`, as [`evaluate`](OnlineEngine::evaluate) does:
     /// the engine keeps the rendered `task` lines of its arrived tasks and
@@ -791,13 +817,28 @@ const LINE_BYTES: usize = 100;
 /// shortest-roundtrip float or an integer.
 const ENTRY_BYTES: usize = 20;
 
-/// Replays a submission trace in batch: every task of `scenario` is staged
-/// and injected at its release slot, and the engine runs to the end of the
-/// grid. A streamed session whose final scenario equals `scenario` (which
-/// is exactly what [`OnlineEngine::scenario`] returns) produces the same
-/// schedule and utility **bit for bit**.
+/// Runs the online algorithm over a scenario whose tasks carry their
+/// release slots: every task is staged and injected at its release slot,
+/// and the engine runs to the end of the grid. This is the batch entry
+/// point every online experiment uses. A streamed session whose final
+/// scenario equals `scenario` (which is exactly what
+/// [`OnlineEngine::scenario`] returns) produces the same schedule and
+/// utility **bit for bit**.
+///
+/// The report's `per_task_energy` and `per_task_utility` follow
+/// `scenario`'s task order; the engine itself numbers tasks in arrival
+/// order, which is the same order for a trace.
 pub fn replay_trace(scenario: Scenario, config: OnlineConfig) -> OnlineResult {
-    OnlineEngine::new(scenario, config, usize::MAX).finish()
+    let mut arrival: Vec<usize> = (0..scenario.num_tasks()).collect();
+    arrival.sort_by_key(|&j| scenario.tasks[j].release_slot);
+    let mut result = OnlineEngine::new(scenario, config, usize::MAX).finish();
+    let report = &mut result.report;
+    for per_task in [&mut report.per_task_energy, &mut report.per_task_utility] {
+        for (&j, value) in arrival.iter().zip(per_task.clone()) {
+            per_task[j] = value;
+        }
+    }
+    result
 }
 
 /// Line cursor over a snapshot document (top-level comments/blanks are
@@ -932,7 +973,6 @@ fn parse_uints(text: &str, expected: usize, line_no: usize) -> Result<Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve_online;
     use haste_geometry::{Angle, Vec2};
     use haste_model::{Charger, ChargingParams, TimeGrid};
     use rand::rngs::StdRng;
@@ -1043,31 +1083,89 @@ mod tests {
         );
     }
 
-    #[test]
-    fn all_release_zero_matches_solve_online_bitwise() {
-        // When every task releases at slot 0 the engine's arrived-only
-        // coverage equals the batch solver's full coverage, so the two
-        // must agree bit for bit.
-        let mut s = random_scenario(7, 5, 10, 1);
-        for task in &mut s.tasks {
-            let d = task.end_slot - task.release_slot;
-            task.release_slot = 0;
-            task.end_slot = d;
+    /// FNV-1a over every (charger, slot) entry's orientation bits.
+    fn schedule_digest(schedule: &Schedule) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..schedule.num_chargers() {
+            for k in 0..schedule.num_slots() {
+                let word = schedule
+                    .get(haste_model::ChargerId(i as u32), k)
+                    .map_or(u64::MAX, |angle| angle.radians().to_bits());
+                for byte in word.to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
         }
-        s.validate().unwrap();
-        let config = OnlineConfig::default();
-        let cov = CoverageMap::build(&s);
-        let batch = solve_online(&s, &cov, &config);
-        let incremental = replay_trace(s, config);
-        assert_eq!(batch.schedule, incremental.schedule);
-        assert_eq!(
-            batch.report.total_utility.to_bits(),
-            incremental.report.total_utility.to_bits()
-        );
-        assert_eq!(
-            batch.relaxed_value.to_bits(),
-            incremental.relaxed_value.to_bits()
-        );
+        hash
+    }
+
+    /// `(seed, localized, failures, utility bits, relaxed bits, messages,
+    /// rounds, schedule digest)` of one release-0 run.
+    type Golden = (u64, bool, bool, u64, u64, u64, u64, u64);
+
+    /// What the batch loop this engine replaced computed on the release-0
+    /// scenarios of `release_zero_replays_keep_the_batch_loops_bits`.
+    #[rustfmt::skip]
+    const BATCH_LOOP_GOLDENS: [Golden; 16] = [
+        (7, false, false, 0x3fc7484a6a130d2c, 0x3fc79f6d72c6b7d8, 62, 21, 0x5fa5e8d0eaf27a56),
+        (7, false, true, 0x3fc110c750c9587c, 0x3fc14a178a36844f, 108, 55, 0x08cf0f40d1b91db5),
+        (7, true, false, 0x3fc7484a6a130d2c, 0x3fc79f6d72c6b7d8, 62, 21, 0x5fa5e8d0eaf27a56),
+        (7, true, true, 0x3fc110c750c9587c, 0x3fc14a178a36844f, 74, 37, 0x08cf0f40d1b91db5),
+        (8, false, false, 0x3fc7d01b595a70ca, 0x3fc83b4d13515325, 66, 17, 0x321785ece17a9f8f),
+        (8, false, true, 0x3fc3bcf5dd5793a3, 0x3fc458068c769961, 151, 51, 0xfb98d8b744e42eda),
+        (8, true, false, 0x3fc7d01b595a70ca, 0x3fc83b4d13515325, 66, 17, 0x321785ece17a9f8f),
+        (8, true, true, 0x3fc3bcf5dd5793a3, 0x3fc458068c769961, 81, 26, 0xfb98d8b744e42eda),
+        (9, false, false, 0x3fc967010ff94a9a, 0x3fc9ab16505e1f7c, 31, 18, 0xcc378c7840c9fac7),
+        (9, false, true, 0x3fc75d79f70dad10, 0x3fc7a18f377281f2, 100, 57, 0xe2de754ea5eb34e1),
+        (9, true, false, 0x3fc967010ff94a9a, 0x3fc9ab16505e1f7c, 31, 18, 0xcc378c7840c9fac7),
+        (9, true, true, 0x3fc75d79f70dad10, 0x3fc7a18f377281f2, 31, 18, 0xe2de754ea5eb34e1),
+        (10, false, false, 0x3fc7ab91bcfc9078, 0x3fc848e73412aa9e, 45, 19, 0x56dd7b2bfd3c3ee9),
+        (10, false, true, 0x3fbfde42e7e5a2a5, 0x3fc0bbefd72627c4, 119, 55, 0xe6c8974cc22a3589),
+        (10, true, false, 0x3fc7ab91bcfc9078, 0x3fc848e73412aa9e, 45, 19, 0x56dd7b2bfd3c3ee9),
+        (10, true, true, 0x3fbfde42e7e5a2a5, 0x3fc0bbefd72627c4, 57, 26, 0xe6c8974cc22a3589),
+    ];
+
+    #[test]
+    fn release_zero_replays_keep_the_batch_loops_bits() {
+        // With every task released at slot 0 the engine knows the whole
+        // scenario from its first replan, as the batch loop did; staggered
+        // failures then replan in their own slots.
+        for (seed, localized, failing, utility, relaxed, messages, rounds, digest) in
+            BATCH_LOOP_GOLDENS
+        {
+            let mut s = random_scenario(seed, 10, 30, 1);
+            for task in &mut s.tasks {
+                let d = task.end_slot - task.release_slot;
+                task.release_slot = 0;
+                task.end_slot = d;
+            }
+            s.validate().unwrap();
+            let failures = if failing {
+                (0..4usize)
+                    .map(|i| crate::ChargerFailure {
+                        charger: haste_model::ChargerId(((seed as usize + 2 * i) % 10) as u32),
+                        slot: [1, 2, 3, 5][i],
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let config = OnlineConfig {
+                localized,
+                failures,
+                ..OnlineConfig::default()
+            };
+            let r = replay_trace(s, config);
+            let case = format!("seed {seed}, localized {localized}, failures {failing}");
+            assert_eq!(r.report.total_utility.to_bits(), utility, "{case}");
+            assert_eq!(r.relaxed_value.to_bits(), relaxed, "{case}");
+            assert_eq!(
+                (r.stats.messages, r.stats.rounds),
+                (messages, rounds),
+                "{case}"
+            );
+            assert_eq!(schedule_digest(&r.schedule), digest, "{case}");
+        }
     }
 
     #[test]
@@ -1450,5 +1548,30 @@ mod tests {
         // All staged tasks were injected; the utility is well-defined.
         assert!(result.report.total_utility.is_finite());
         assert!(m > 0);
+    }
+
+    #[test]
+    fn replay_trace_reports_per_task_values_in_input_order() {
+        // The trace's tasks, latest release slot first: the engine stages
+        // them in the trace's order, so both runs are one run, reported
+        // under different task indices.
+        let mut trace = random_scenario(29, 5, 12, 1);
+        trace.tasks.sort_by_key(|task| task.release_slot);
+        let mut order: Vec<usize> = (0..trace.num_tasks()).collect();
+        order.sort_by_key(|&j| std::cmp::Reverse(trace.tasks[j].release_slot));
+        let mut input = trace.clone();
+        input.tasks = order.iter().map(|&j| trace.tasks[j]).collect();
+        for (j, task) in input.tasks.iter_mut().enumerate() {
+            task.id = TaskId(j as u32);
+        }
+        let a = replay_trace(trace, OnlineConfig::default());
+        let b = replay_trace(input, OnlineConfig::default());
+        assert_eq!(a.schedule, b.schedule);
+        assert!(a.report.per_task_energy.iter().any(|&e| e > 0.0));
+        assert!(order.iter().enumerate().any(|(k, &j)| k != j));
+        for (k, &j) in order.iter().enumerate() {
+            assert_eq!(b.report.per_task_energy[k], a.report.per_task_energy[j]);
+            assert_eq!(b.report.per_task_utility[k], a.report.per_task_utility[j]);
+        }
     }
 }

@@ -1,14 +1,14 @@
-//! The distributed **online** scheduler: Algorithm 3 embedded in the
-//! arrival event loop.
+//! The pieces of the distributed **online** scheduler (Algorithm 3) that
+//! its event loop, [`crate::OnlineEngine`], is built from.
 //!
 //! Charging tasks become known at their release slots. On every arrival the
-//! affected chargers re-negotiate their future policies; because of the
-//! rescheduling delay `τ` the new plan only takes effect `τ` slots later —
-//! until then the previous plan keeps executing (and whatever it delivered
-//! is accounted as the initial energy of the re-negotiation). The final
-//! schedule is scored by the full P1 evaluator (switching delay `ρ`
-//! included), which is how the competitive ratio
-//! `½(1 − ρ)(1 − 1/e)` of Theorem 6.1 is exercised empirically.
+//! affected chargers re-negotiate their future policies ([`replan_event`]);
+//! because of the rescheduling delay `τ` the new plan only takes effect `τ`
+//! slots later — until then the previous plan keeps executing (and whatever
+//! it delivered is accounted as the initial energy of the re-negotiation).
+//! The final schedule is scored by the full P1 evaluator (switching delay
+//! `ρ` included), which is how the competitive ratio `½(1 − ρ)(1 − 1/e)`
+//! of Theorem 6.1 is exercised empirically.
 
 use std::time::Instant;
 
@@ -16,9 +16,7 @@ use haste_core::{
     solve_baseline_with_delay, BaselineKind, HasteRInstance, InstanceOptions, SolveResult,
     SolverMetrics,
 };
-use haste_model::{
-    evaluate, evaluate_relaxed, CoverageMap, EvalOptions, EvalReport, Scenario, Schedule,
-};
+use haste_model::{evaluate, CoverageMap, EvalOptions, EvalReport, Scenario, Schedule};
 use haste_submodular::Selection;
 
 use crate::neighbors::NeighborGraph;
@@ -55,6 +53,7 @@ pub struct OnlineConfig {
     /// Engine choice.
     pub engine: EngineKind,
     /// Injected charger failures (robustness studies / failure testing).
+    /// Engine snapshots do not carry them, so the daemons refuse them.
     pub failures: Vec<ChargerFailure>,
     /// Localized renegotiation: on each arrival only the chargers able to
     /// serve the new tasks (plus their one-hop neighbors) replan; everyone
@@ -90,129 +89,10 @@ pub struct OnlineResult {
     pub metrics: SolverMetrics,
 }
 
-/// Runs the distributed online algorithm over a scenario whose tasks carry
-/// their release slots.
-pub fn solve_online(
-    scenario: &Scenario,
-    coverage: &CoverageMap,
-    config: &OnlineConfig,
-) -> OnlineResult {
-    let horizon = scenario.active_horizon();
-    let n = scenario.num_chargers();
-    let threads = haste_parallel::resolve_threads(config.threads);
-    let graph = NeighborGraph::build(coverage);
-    let mut schedule = Schedule::empty(n, scenario.grid.num_slots);
-    let mut stats = NegotiationStats::new(horizon);
-    let mut metrics = SolverMetrics {
-        threads,
-        ..SolverMetrics::default()
-    };
-    let mut known = vec![false; scenario.num_tasks()];
-    let mut disabled = vec![false; n];
-    // Physical death slot per charger (cleared from the executed schedule
-    // immediately, independent of the replanning delay).
-    let mut dead_from: Vec<Option<usize>> = vec![None; n];
-
-    // Re-negotiation events: one per distinct task release or charger
-    // failure slot.
-    let mut events: Vec<usize> = scenario.tasks.iter().map(|t| t.release_slot).collect();
-    events.extend(config.failures.iter().map(|f| f.slot));
-    events.sort_unstable();
-    events.dedup();
-
-    for &t in &events {
-        for task in &scenario.tasks {
-            if task.release_slot <= t {
-                known[task.id.index()] = true;
-            }
-        }
-        for failure in &config.failures {
-            if failure.slot <= t {
-                let i = failure.charger.index();
-                disabled[i] = true;
-                let first = dead_from[i].map_or(failure.slot, |d| d.min(failure.slot));
-                dead_from[i] = Some(first);
-            }
-        }
-        // A dead charger stops emitting the moment it dies, regardless of
-        // how long the replanning takes.
-        clear_dead(&mut schedule, &dead_from);
-        let arrived_now: Vec<usize> = scenario
-            .tasks
-            .iter()
-            .filter(|task| task.release_slot == t)
-            .map(|task| task.id.index())
-            .collect();
-        let failed_now: Vec<usize> = config
-            .failures
-            .iter()
-            .filter(|f| f.slot == t)
-            .map(|f| f.charger.index())
-            .collect();
-        let replanned = replan_event(
-            scenario,
-            coverage,
-            &graph,
-            config,
-            &mut schedule,
-            ReplanEvent {
-                slot: t,
-                horizon,
-                known: Some(&known),
-                disabled: &disabled,
-                arrived_now: &arrived_now,
-                failed_now: &failed_now,
-                threads,
-            },
-            &mut stats,
-            &mut metrics,
-        );
-        // Holding (inside `replan_event`) must never resurrect a dead
-        // charger.
-        if replanned {
-            clear_dead(&mut schedule, &dead_from);
-        }
-    }
-    clear_dead(&mut schedule, &dead_from);
-
-    // haste-lint: allow(D2) — phase timing feeds SolverMetrics, not algorithm state
-    let eval_start = Instant::now();
-    let report = evaluate(scenario, coverage, &schedule, EvalOptions::default());
-    let relaxed = evaluate_relaxed(scenario, coverage, &schedule);
-    metrics.p1_eval += eval_start.elapsed();
-    metrics.oracle_marginals = stats.oracle_marginals;
-    metrics.oracle_commits = stats.oracle_commits;
-    OnlineResult {
-        schedule,
-        report,
-        relaxed_value: relaxed.total_utility,
-        stats,
-        metrics,
-    }
-}
-
-/// Blanks out every slot at or past a charger's death.
-fn clear_dead(schedule: &mut Schedule, dead_from: &[Option<usize>]) {
-    for (i, dead) in dead_from.iter().enumerate() {
-        if let Some(d) = *dead {
-            for k in d..schedule.num_slots() {
-                schedule.set(haste_model::ChargerId(i as u32), k, None);
-            }
-        }
-    }
-}
-
 /// One re-negotiation event, as seen by [`replan_event`].
 pub(crate) struct ReplanEvent<'a> {
     /// The slot the event fires at (task release / failure detection).
     pub slot: usize,
-    /// Planning horizon (`scenario.active_horizon()` for batch runs; the
-    /// incremental engine passes the full grid).
-    pub horizon: usize,
-    /// Which tasks are known at this event (`None` = all of them, which is
-    /// what the incremental engine uses: its scenario only ever contains
-    /// arrived tasks).
-    pub known: Option<&'a [bool]>,
     /// Chargers disabled by failures (never participate again).
     pub disabled: &'a [bool],
     /// Task indices released exactly at `slot` (localized scope seeds).
@@ -223,12 +103,12 @@ pub(crate) struct ReplanEvent<'a> {
     pub threads: usize,
 }
 
-/// Executes one re-negotiation: freezes the prefix up to `slot + τ`, builds
-/// the suffix HASTE-R instance, negotiates, and splices the new plan into
-/// `schedule`. Returns `false` when the event is a no-op (past the horizon,
-/// or nobody replans). Shared verbatim between [`solve_online`] and the
-/// incremental [`crate::engine::OnlineEngine`] so both produce bit-identical
-/// schedules for the same event sequence.
+/// Executes one re-negotiation of [`crate::OnlineEngine::tick`]: freezes
+/// the prefix up to `slot + τ`, builds the HASTE-R instance over the rest
+/// of the scenario's active horizon, negotiates, and splices the new plan
+/// into `schedule`. `scenario` holds exactly the arrived tasks, so the
+/// plan sees nothing the network has not been told yet. Returns `false`
+/// when the event is a no-op (past the horizon, or nobody replans).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replan_event(
     scenario: &Scenario,
@@ -241,9 +121,10 @@ pub(crate) fn replan_event(
     metrics: &mut SolverMetrics,
 ) -> bool {
     let n = scenario.num_chargers();
+    let horizon = scenario.active_horizon();
     // The new plan takes effect after the rescheduling delay.
-    let effective = (event.slot + scenario.tau).min(event.horizon);
-    if effective >= event.horizon {
+    let effective = (event.slot + scenario.tau).min(horizon);
+    if effective >= horizon {
         return false;
     }
     // Which chargers replan at this event: everyone (global mode), or —
@@ -326,8 +207,7 @@ pub(crate) fn replan_event(
         scenario,
         coverage,
         InstanceOptions {
-            slot_range: Some(effective..event.horizon),
-            known_tasks: event.known.map(<[bool]>::to_vec),
+            slot_range: Some(effective..horizon),
             initial_energy: Some(initial_energy),
             disabled_chargers: planning_disabled
                 .iter()
@@ -383,6 +263,7 @@ pub fn solve_baseline_online(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay_trace;
     use haste_core::{solve_offline, OfflineConfig};
     use haste_geometry::{Angle, Vec2};
     use haste_model::{Charger, ChargingParams, Task, TimeGrid};
@@ -440,7 +321,7 @@ mod tests {
         }
         s.validate().unwrap();
         let cov = CoverageMap::build(&s);
-        let online = solve_online(&s, &cov, &OnlineConfig::default());
+        let online = replay_trace(s.clone(), OnlineConfig::default());
         let offline = solve_offline(&s, &cov, &OfflineConfig::greedy());
         // Equal guarantee class: allow a modest spread between the two
         // greedy execution orders.
@@ -457,9 +338,8 @@ mod tests {
         let s0 = random_scenario(5, 5, 12, 0);
         let mut s2 = s0.clone();
         s2.tau = 2;
-        let cov = CoverageMap::build(&s0);
-        let r0 = solve_online(&s0, &cov, &OnlineConfig::default());
-        let r2 = solve_online(&s2, &cov, &OnlineConfig::default());
+        let r0 = replay_trace(s0.clone(), OnlineConfig::default());
+        let r2 = replay_trace(s2.clone(), OnlineConfig::default());
         assert!(
             r2.relaxed_value <= r0.relaxed_value + 1e-9,
             "tau=2 {} should not beat tau=0 {}",
@@ -475,7 +355,7 @@ mod tests {
         for seed in 0..trials {
             let s = random_scenario(100 + seed, 6, 14, 1);
             let cov = CoverageMap::build(&s);
-            let online = solve_online(&s, &cov, &OnlineConfig::default());
+            let online = replay_trace(s.clone(), OnlineConfig::default());
             let bu = solve_baseline_online(&s, &cov, BaselineKind::GreedyUtility);
             let bc = solve_baseline_online(&s, &cov, BaselineKind::GreedyCover);
             if online.report.total_utility >= bu.report.total_utility - 1e-9
@@ -494,19 +374,16 @@ mod tests {
     #[test]
     fn engines_agree_online() {
         let s = random_scenario(8, 5, 10, 1);
-        let cov = CoverageMap::build(&s);
-        let rounds = solve_online(
-            &s,
-            &cov,
-            &OnlineConfig {
+        let rounds = replay_trace(
+            s.clone(),
+            OnlineConfig {
                 engine: EngineKind::Rounds,
                 ..OnlineConfig::default()
             },
         );
-        let threaded = solve_online(
-            &s,
-            &cov,
-            &OnlineConfig {
+        let threaded = replay_trace(
+            s.clone(),
+            OnlineConfig {
                 engine: EngineKind::Threaded,
                 ..OnlineConfig::default()
             },
@@ -518,8 +395,7 @@ mod tests {
     #[test]
     fn report_value_bounded_by_relaxed() {
         let s = random_scenario(13, 5, 10, 1);
-        let cov = CoverageMap::build(&s);
-        let r = solve_online(&s, &cov, &OnlineConfig::default());
+        let r = replay_trace(s.clone(), OnlineConfig::default());
         assert!(r.report.total_utility <= r.relaxed_value + 1e-9);
         assert!(r.report.total_utility >= (1.0 - s.rho) * r.relaxed_value - 1e-9);
     }
@@ -528,12 +404,10 @@ mod tests {
     fn localized_replanning_close_to_global_and_cheaper() {
         for seed in [41u64, 42, 43] {
             let s = random_scenario(seed, 8, 20, 1);
-            let cov = CoverageMap::build(&s);
-            let global = solve_online(&s, &cov, &OnlineConfig::default());
-            let local = solve_online(
-                &s,
-                &cov,
-                &OnlineConfig {
+            let global = replay_trace(s.clone(), OnlineConfig::default());
+            let local = replay_trace(
+                s.clone(),
+                OnlineConfig {
                     localized: true,
                     ..OnlineConfig::default()
                 },
@@ -556,16 +430,14 @@ mod tests {
     #[test]
     fn localized_engines_agree() {
         let s = random_scenario(44, 6, 14, 1);
-        let cov = CoverageMap::build(&s);
         let cfg = OnlineConfig {
             localized: true,
             ..OnlineConfig::default()
         };
-        let rounds = solve_online(&s, &cov, &cfg);
-        let threaded = solve_online(
-            &s,
-            &cov,
-            &OnlineConfig {
+        let rounds = replay_trace(s.clone(), cfg.clone());
+        let threaded = replay_trace(
+            s.clone(),
+            OnlineConfig {
                 engine: EngineKind::Threaded,
                 ..cfg
             },
@@ -592,7 +464,6 @@ mod tests {
     #[test]
     fn failed_charger_emits_nothing_after_death() {
         let s = random_scenario(21, 4, 10, 1);
-        let cov = CoverageMap::build(&s);
         let kill_slot = 3;
         let cfg = OnlineConfig {
             failures: vec![ChargerFailure {
@@ -601,7 +472,7 @@ mod tests {
             }],
             ..OnlineConfig::default()
         };
-        let r = solve_online(&s, &cov, &cfg);
+        let r = replay_trace(s.clone(), cfg.clone());
         for k in kill_slot..s.grid.num_slots {
             assert_eq!(
                 r.schedule.get(haste_model::ChargerId(0), k),
@@ -610,24 +481,22 @@ mod tests {
             );
         }
         // Failure can only cost utility.
-        let healthy = solve_online(&s, &cov, &OnlineConfig::default());
+        let healthy = replay_trace(s.clone(), OnlineConfig::default());
         assert!(r.report.total_utility <= healthy.report.total_utility + 1e-9);
     }
 
     #[test]
     fn killing_every_charger_at_zero_yields_nothing() {
         let s = random_scenario(22, 3, 8, 1);
-        let cov = CoverageMap::build(&s);
         let failures = (0..3)
             .map(|i| ChargerFailure {
                 charger: haste_model::ChargerId(i),
                 slot: 0,
             })
             .collect();
-        let r = solve_online(
-            &s,
-            &cov,
-            &OnlineConfig {
+        let r = replay_trace(
+            s.clone(),
+            OnlineConfig {
                 failures,
                 ..OnlineConfig::default()
             },
@@ -640,11 +509,9 @@ mod tests {
         // Two chargers sharing one long task; kill one mid-way — the other
         // must keep serving and total utility must beat "kill both".
         let s = random_scenario(23, 2, 6, 1);
-        let cov = CoverageMap::build(&s);
-        let one_dead = solve_online(
-            &s,
-            &cov,
-            &OnlineConfig {
+        let one_dead = replay_trace(
+            s.clone(),
+            OnlineConfig {
                 failures: vec![ChargerFailure {
                     charger: haste_model::ChargerId(1),
                     slot: 2,
@@ -652,10 +519,9 @@ mod tests {
                 ..OnlineConfig::default()
             },
         );
-        let both_dead = solve_online(
-            &s,
-            &cov,
-            &OnlineConfig {
+        let both_dead = replay_trace(
+            s.clone(),
+            OnlineConfig {
                 failures: vec![
                     ChargerFailure {
                         charger: haste_model::ChargerId(0),
@@ -671,10 +537,9 @@ mod tests {
         );
         assert!(one_dead.report.total_utility >= both_dead.report.total_utility - 1e-12);
         // Engines agree under failures too.
-        let threaded = solve_online(
-            &s,
-            &cov,
-            &OnlineConfig {
+        let threaded = replay_trace(
+            s.clone(),
+            OnlineConfig {
                 engine: EngineKind::Threaded,
                 failures: vec![ChargerFailure {
                     charger: haste_model::ChargerId(1),
@@ -691,8 +556,7 @@ mod tests {
         // Seed 100 is known to produce a served scenario (it also drives
         // `online_beats_or_matches_online_baselines_on_average`).
         let s = random_scenario(100, 6, 14, 1);
-        let cov = CoverageMap::build(&s);
-        let r = solve_online(&s, &cov, &OnlineConfig::default());
+        let r = replay_trace(s.clone(), OnlineConfig::default());
         // `OnlineConfig::default()` leaves `threads: 0` = auto-detect.
         assert_eq!(r.metrics.threads, haste_parallel::resolve_threads(0));
         assert!(r.metrics.threads >= 1);
@@ -701,19 +565,15 @@ mod tests {
         assert_eq!(r.metrics.oracle_marginals, r.stats.oracle_marginals);
         assert_eq!(r.metrics.oracle_commits, r.stats.oracle_commits);
         assert!(r.metrics.total_time() >= r.metrics.greedy);
-        // The online loop never builds a coverage map itself.
-        assert_eq!(r.metrics.coverage_build, std::time::Duration::ZERO);
     }
 
     #[test]
     fn threads_do_not_change_the_online_solution() {
         let s = random_scenario(19, 6, 14, 1);
-        let cov = CoverageMap::build(&s);
-        let base = solve_online(&s, &cov, &OnlineConfig::default());
-        let par = solve_online(
-            &s,
-            &cov,
-            &OnlineConfig {
+        let base = replay_trace(s.clone(), OnlineConfig::default());
+        let par = replay_trace(
+            s.clone(),
+            OnlineConfig {
                 threads: 4,
                 ..OnlineConfig::default()
             },
@@ -732,8 +592,7 @@ mod tests {
     fn empty_scenario() {
         let mut s = random_scenario(1, 3, 5, 1);
         s.tasks.clear();
-        let cov = CoverageMap::build(&s);
-        let r = solve_online(&s, &cov, &OnlineConfig::default());
+        let r = replay_trace(s.clone(), OnlineConfig::default());
         assert_eq!(r.report.total_utility, 0.0);
         assert_eq!(r.stats.messages, 0);
     }

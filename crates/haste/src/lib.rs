@@ -42,7 +42,7 @@
 //! assert!(result.report.total_utility >= 0.0);
 //!
 //! // Distributed online schedule (Algorithm 3).
-//! let online = solve_online(&scenario, &coverage, &OnlineConfig::default());
+//! let online = replay_trace(scenario, OnlineConfig::default());
 //! assert!(online.report.total_utility <= result.relaxed_value + 1e-9 + 1.0);
 //! ```
 
@@ -66,9 +66,8 @@ pub mod prelude {
         BaselineKind, DominantScope, EmrOptions, HasteRInstance, OfflineConfig, SolveResult,
     };
     pub use haste_distributed::{
-        negotiate_rounds, negotiate_threaded, replay_trace, solve_baseline_online, solve_online,
-        ChargerFailure, EngineKind, NegotiationConfig, NeighborGraph, OnlineConfig, OnlineEngine,
-        TaskSpec,
+        negotiate_rounds, negotiate_threaded, replay_trace, solve_baseline_online, ChargerFailure,
+        EngineKind, NegotiationConfig, NeighborGraph, OnlineConfig, OnlineEngine, TaskSpec,
     };
     pub use haste_geometry::{Angle, Arc, Sector, Vec2};
     pub use haste_model::{

@@ -4,10 +4,11 @@
 //! per figure; this crate provides the small amount of machinery needed to
 //! spread that work across cores:
 //!
-//! * [`par_map`] / [`par_for_each`] — scoped parallel iteration over a slice
-//!   (atomic index claiming, results returned in input order, worker panics
-//!   propagate),
-//! * [`par_map_reduce`] — parallel map followed by an associative fold,
+//! * [`par_map`] / [`par_map_range`] — scoped parallel map over a slice or
+//!   an index range (atomic index claiming, results returned in input
+//!   order, worker panics propagate),
+//! * [`par_reduce_range`] — parallel fold over an index range with an
+//!   associative, commutative combine (the optimizers' argmax scans),
 //! * [`ThreadPool`] — a persistent pool for fire-and-forget jobs,
 //! * [`default_threads`] — the machine's available parallelism.
 //!
@@ -49,94 +50,25 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// Applies `f` to every element of `items` in parallel and returns the
-/// results in input order.
-///
-/// `f` receives `(index, &item)`. Work is claimed element-by-element via an
-/// atomic counter, so uneven per-item cost balances automatically. With
-/// `threads <= 1` (or a single item) the map runs inline on the caller's
-/// thread. If any invocation of `f` panics, the panic propagates to the
-/// caller once all workers have stopped.
+/// results in input order: [`par_map_range`] over the indices, so `f`
+/// receives `(index, &item)`.
 pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    let counter = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let counter = &counter;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = counter.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                // The receiver sits below in the same scope; send only fails
-                // if collection stopped early, in which case stopping the
-                // worker is the right thing to do anyway.
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (i, r) in rx {
-            out[i] = Some(r);
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every index sent exactly once"))
-            .collect()
-    })
-}
-
-/// Runs `f` on every element in parallel for its side effects.
-pub fn par_for_each<T, F>(items: &[T], threads: usize, f: F)
-where
-    T: Sync,
-    F: Fn(usize, &T) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        items.iter().enumerate().for_each(|(i, t)| f(i, t));
-        return;
-    }
-    let counter = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let counter = &counter;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = counter.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                f(i, &items[i]);
-            });
-        }
-    });
+    par_map_range(items.len(), threads, |i| f(i, &items[i]))
 }
 
 /// Applies `f` to every index in `0..n` in parallel and returns the results
-/// in index order. Like [`par_map`] without needing a materialized slice —
-/// the optimizers use it to scan candidate ranges.
+/// in index order. The optimizers use it to scan candidate ranges.
+///
+/// Work is claimed index by index via an atomic counter, so uneven
+/// per-index cost balances automatically. With `threads <= 1` (or a single
+/// index) the map runs inline on the caller's thread. If any invocation of
+/// `f` panics, the panic propagates to the caller once all workers have
+/// stopped.
 pub fn par_map_range<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -161,6 +93,9 @@ where
                 if i >= n {
                     break;
                 }
+                // The receiver sits below in the same scope; send only
+                // fails if collection stopped early, in which case stopping
+                // the worker is the right thing to do anyway.
                 if tx.send((i, f(i))).is_err() {
                     break;
                 }
@@ -225,53 +160,6 @@ where
     partials.into_iter().fold(identity, &combine)
 }
 
-/// Parallel map followed by a fold with an associative `combine`.
-///
-/// Each worker folds its own share locally; the per-worker partials are then
-/// combined on the calling thread, so `combine` must be associative and
-/// `identity` a true identity for the result to be deterministic up to
-/// `combine`'s associativity (floating-point sums may differ in the last
-/// bits across thread counts).
-pub fn par_map_reduce<T, R, F, C>(items: &[T], threads: usize, identity: R, f: F, combine: C) -> R
-where
-    T: Sync,
-    R: Send + Clone,
-    F: Fn(usize, &T) -> R + Sync,
-    C: Fn(R, R) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return identity;
-    }
-    let threads = threads.clamp(1, n);
-    let counter = AtomicUsize::new(0);
-    let partials = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let counter = &counter;
-            let f = &f;
-            let combine = &combine;
-            let local_identity = identity.clone();
-            handles.push(scope.spawn(move || {
-                let mut acc = local_identity;
-                loop {
-                    let i = counter.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    acc = combine(acc, f(i, &items[i]));
-                }
-                acc
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    partials.into_iter().fold(identity, &combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,26 +190,21 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_visits_everything_once() {
+    fn par_map_range_visits_every_index_once() {
         let hits: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
-        let items: Vec<usize> = (0..500).collect();
-        par_for_each(&items, 8, |_, &i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
+        par_map_range(500, 8, |i| hits[i].fetch_add(1, Ordering::Relaxed));
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
-    fn par_map_reduce_sums() {
-        let items: Vec<u64> = (1..=1000).collect();
-        let total = par_map_reduce(&items, 8, 0u64, |_, &x| x, |a, b| a + b);
+    fn par_reduce_range_sums() {
+        let total = par_reduce_range(1000, 8, 0u64, |i| i as u64 + 1, |a, b| a + b);
         assert_eq!(total, 500_500);
     }
 
     #[test]
-    fn par_map_reduce_empty_returns_identity() {
-        let items: Vec<u64> = vec![];
-        let total = par_map_reduce(&items, 8, 42u64, |_, &x| x, |a, b| a + b);
+    fn par_reduce_range_empty_returns_identity() {
+        let total = par_reduce_range(0, 8, 42u64, |i| i as u64, |a, b| a + b);
         assert_eq!(total, 42);
     }
 

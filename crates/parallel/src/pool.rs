@@ -1,34 +1,22 @@
 //! A persistent thread pool for fire-and-forget jobs.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
 use crossbeam::channel::{self, Sender};
-use parking_lot::{Condvar, Mutex};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// State shared between the pool handle and its workers to implement
-/// [`ThreadPool::wait_idle`].
-struct Shared {
-    pending: AtomicUsize,
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
-}
-
 /// A fixed-size pool of worker threads executing `'static` jobs.
 ///
-/// Jobs are dispatched through an unbounded channel; [`ThreadPool::wait_idle`]
-/// blocks until every submitted job has finished. Dropping the pool closes
-/// the channel and joins all workers (after letting queued jobs drain).
+/// Jobs are dispatched through an unbounded channel. Dropping the pool
+/// closes the channel and joins all workers (after letting queued jobs
+/// drain).
 ///
-/// The experiment sweeps use the scoped [`crate::par_map`] instead (it can
-/// borrow from the caller); the pool exists for long-lived pipelines such as
-/// the threaded distributed engine's helpers, and as a reusable substrate.
+/// The experiment sweeps and the optimizers use the scoped
+/// [`crate::par_map`] family instead (it can borrow from the caller); the
+/// pool's one user is the service's front door, whose workers each serve
+/// one connection for as long as it stays open.
 pub struct ThreadPool {
     sender: Option<Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    shared: Arc<Shared>,
 }
 
 impl ThreadPool {
@@ -36,24 +24,14 @@ impl ThreadPool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let (sender, receiver) = channel::unbounded::<Job>();
-        let shared = Arc::new(Shared {
-            pending: AtomicUsize::new(0),
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
-        });
         let workers = (0..threads)
             .map(|idx| {
                 let receiver = receiver.clone();
-                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("haste-pool-{idx}"))
                     .spawn(move || {
                         for job in receiver.iter() {
                             job();
-                            if shared.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                let _guard = shared.idle_lock.lock();
-                                shared.idle_cv.notify_all();
-                            }
                         }
                     })
                     .expect("failed to spawn pool worker")
@@ -62,7 +40,6 @@ impl ThreadPool {
         ThreadPool {
             sender: Some(sender),
             workers,
-            shared,
         }
     }
 
@@ -76,20 +53,11 @@ impl ThreadPool {
     where
         F: FnOnce() + Send + 'static,
     {
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
         self.sender
             .as_ref()
             .expect("pool is live while not dropped")
             .send(Box::new(job))
             .expect("workers outlive the sender");
-    }
-
-    /// Blocks until every job submitted so far has completed.
-    pub fn wait_idle(&self) {
-        let mut guard = self.shared.idle_lock.lock();
-        while self.shared.pending.load(Ordering::Acquire) != 0 {
-            self.shared.idle_cv.wait(&mut guard);
-        }
     }
 }
 
@@ -106,19 +74,20 @@ impl Drop for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn executes_all_jobs() {
-        let pool = ThreadPool::new(4);
         let counter = Arc::new(AtomicU64::new(0));
+        let pool = ThreadPool::new(4);
         for _ in 0..100 {
             let counter = Arc::clone(&counter);
             pool.execute(move || {
                 counter.fetch_add(1, Ordering::Relaxed);
             });
         }
-        pool.wait_idle();
+        drop(pool);
         assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
 
@@ -138,10 +107,10 @@ mod tests {
     }
 
     #[test]
-    fn wait_idle_on_empty_pool_returns() {
+    fn an_idle_pool_drops() {
         let pool = ThreadPool::new(1);
-        pool.wait_idle();
         assert_eq!(pool.threads(), 1);
+        drop(pool);
     }
 
     #[test]
@@ -153,16 +122,19 @@ mod tests {
     #[test]
     fn reusable_across_batches() {
         let pool = ThreadPool::new(3);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _round in 0..5 {
+        let (done, finished) = channel::unbounded::<usize>();
+        for round in 0..5 {
             for _ in 0..20 {
-                let counter = Arc::clone(&counter);
-                pool.execute(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
+                let done = done.clone();
+                pool.execute(move || done.send(round).unwrap());
             }
-            pool.wait_idle();
+            // Every job of this batch ran before the next is submitted.
+            for _ in 0..20 {
+                assert_eq!(finished.recv().unwrap(), round);
+            }
         }
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
+        drop(pool);
+        drop(done);
+        assert_eq!(finished.iter().count(), 0);
     }
 }

@@ -39,7 +39,8 @@ pub enum OpRecord {
     /// A refused submission: the stable error code and the spec as sent
     /// (which may hold the non-finite field it was refused for).
     /// Refusals by the cell's engine are replayed into a restarted child
-    /// so its admission counters reproduce; WAL recovery skips them all.
+    /// so its admission counters reproduce; WAL recovery replays them
+    /// the same way and counts a `quota` refusal again without routing.
     Reject {
         /// Stable error code of the refusal.
         code: ErrCode,

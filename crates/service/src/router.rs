@@ -358,6 +358,8 @@ impl Default for Session {
 /// cell of the default tenant before binding; a launch failure aborts
 /// startup (there is no state to recover yet — supervision begins once
 /// the fleet is up). The launcher is retained for tenants created later.
+/// Injected charger failures in `config.scheduling` are refused with
+/// `InvalidInput`, in process and out.
 pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
     if config.cells.0 == 0 || config.cells.1 == 0 {
         return Err(std::io::Error::new(
@@ -365,6 +367,7 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
             "router needs at least one cell per axis",
         ));
     }
+    crate::shard::refuse_failures(&config.scheduling)?;
     let num_shards = config.cells.0 * config.cells.1;
     let router_telemetry = Telemetry::new();
     let mut launcher = None;
@@ -373,14 +376,6 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
             .map(|_| ShardSlot::Local(Shard::new(config.scheduling.clone(), config.max_pending)))
             .collect(),
         Some(process) => {
-            if !config.scheduling.failures.is_empty() {
-                // Charger-failure injection mutates engine internals the
-                // wire protocol does not carry; it stays in-process.
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "charger failure injection is not supported with out-of-process shards",
-                ));
-            }
             let plan = process.fault_plan.clone().unwrap_or_default();
             if let Some(cell) = plan.cells().into_iter().find(|&cell| cell >= num_shards) {
                 return Err(std::io::Error::new(
@@ -922,10 +917,15 @@ fn reply_error_text(reply: &Reply) -> String {
 
 /// Replays one log record into a recovered tenant through the *live*
 /// request paths, so replay determinism is the router's ordinary
-/// determinism. Rejected submissions and checkpoint markers replay as
-/// no-ops: neither ever mutated tenant state (rejections are logged so
-/// the admission decision is durable; orphaned markers belong to
-/// checkpoints that never finished installing).
+/// determinism. A refusal an engine decided (`overload`, `bad-task`,
+/// `at-horizon`) is submitted again and must be refused with the same
+/// code, so the engines' `rejected` counters reproduce. A `quota` refusal
+/// depends on the slot's admission count, which no checkpoint carries:
+/// it is counted again without routing, and it lifts the count to the
+/// quota it proves was reached. Any other refusal (`unavailable`: no
+/// child saw it; `internal`: a fault no replay reproduces) and a
+/// checkpoint marker (its checkpoint never finished installing) replay
+/// as no-ops.
 fn apply_wal_record(
     tenant: &mut TenantCore,
     shared: &RouterShared,
@@ -933,6 +933,32 @@ fn apply_wal_record(
     record: &OpRecord,
 ) -> Result<(), String> {
     match record {
+        OpRecord::Reject {
+            code: code @ (ErrCode::Overload | ErrCode::BadTask | ErrCode::AtHorizon),
+            spec,
+        } => match submit_routed(tenant, tenant_id, *spec, shared) {
+            Err((again, _)) if again == *code => Ok(()),
+            Err((again, message)) => Err(format!(
+                "logged {} refusal re-refused: {} {message}",
+                code.as_str(),
+                again.as_str()
+            )),
+            Ok(_) => Err(format!("logged {} refusal accepted", code.as_str())),
+        },
+        OpRecord::Reject {
+            code: ErrCode::Quota,
+            spec,
+        } => {
+            tenant.counters.quota_rejected.inc();
+            if let Some(quota) = tenant.quota {
+                tenant.quota_used = tenant.quota_used.max(quota);
+            }
+            tenant.log.push(OpRecord::Reject {
+                code: ErrCode::Quota,
+                spec: *spec,
+            });
+            Ok(())
+        }
         OpRecord::Reject { .. } | OpRecord::Checkpoint { .. } => Ok(()),
         OpRecord::Quota(q) => {
             tenant.quota = Some(*q);

@@ -77,8 +77,10 @@ impl Service for Shared {
 
 /// Starts a daemon and returns its handle. The accept loop and handlers
 /// run on background threads; the call itself returns immediately after
-/// binding.
+/// binding. Injected charger failures in `config.scheduling` are refused
+/// with `InvalidInput`.
 pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
+    crate::shard::refuse_failures(&config.scheduling)?;
     let listener = TcpListener::bind(&config.addr)?;
     let shared = Shared {
         shard: Shard::new(config.scheduling, config.max_pending),

@@ -163,6 +163,19 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
+/// Refuses injected charger failures at daemon startup: no snapshot, WAL
+/// recovery or reshard rebuild carries them, and a cell engine would read
+/// their charger ids as its own local ids.
+pub(crate) fn refuse_failures(scheduling: &OnlineConfig) -> std::io::Result<()> {
+    if scheduling.failures.is_empty() {
+        return Ok(());
+    }
+    Err(std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        "charger failure injection is not supported by the scheduling daemons",
+    ))
+}
+
 /// One engine + admission control + metrics, no listener. See the module
 /// docs for the ownership story.
 pub struct Shard {

@@ -2,9 +2,9 @@
 //! equivalence with a single-engine daemon, composite consistent-cut
 //! kill-and-restore, topology reporting, and partition rejection.
 
-use haste_distributed::{OnlineConfig, TaskSpec};
+use haste_distributed::{ChargerFailure, OnlineConfig, TaskSpec};
 use haste_geometry::{Angle, Vec2};
-use haste_model::{Charger, ChargingParams, Scenario, Task, TaskId, TimeGrid};
+use haste_model::{Charger, ChargerId, ChargingParams, Scenario, Task, TaskId, TimeGrid};
 use haste_service::{loadgen, serve, serve_router, Client, RouterConfig, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -499,4 +499,31 @@ fn loadgen_binary_batched_matches_the_text_run_bit_for_bit() {
     assert_eq!(binary.relaxed.to_bits(), text.relaxed.to_bits());
     assert!(binary.submit_elapsed_s > 0.0);
     assert!(binary.submit_elapsed_s <= binary.elapsed_s);
+}
+
+#[test]
+fn both_daemons_refuse_injected_charger_failures() {
+    // No snapshot, recovery or rebuild carries failures, so a served
+    // engine must never run under them.
+    let scheduling = OnlineConfig {
+        failures: vec![ChargerFailure {
+            charger: ChargerId(0),
+            slot: 3,
+        }],
+        ..OnlineConfig::default()
+    };
+    let refusal = serve(ServerConfig {
+        scheduling: scheduling.clone(),
+        ..ServerConfig::default()
+    })
+    .err()
+    .expect("the single daemon refuses failures");
+    assert_eq!(refusal.kind(), std::io::ErrorKind::InvalidInput);
+    let refusal = serve_router(RouterConfig {
+        scheduling,
+        ..RouterConfig::default()
+    })
+    .err()
+    .expect("the in-process router refuses failures");
+    assert_eq!(refusal.kind(), std::io::ErrorKind::InvalidInput);
 }

@@ -636,3 +636,168 @@ fn a_renumbered_shard_child_replays_its_engine_refusals_after_a_kill() {
     assert_eq!(ref_outcomes, kept_outcomes);
     assert_eq!(fault_final, ref_final);
 }
+
+#[test]
+fn a_restarted_router_replays_its_logged_refusals() {
+    // One submission per shard and slot before `ERR overload`, and a
+    // tenant quota of two accepted submissions per slot.
+    let config = |wal: Option<WalConfig>| RouterConfig {
+        cells: (2, 1),
+        field: (200.0, 100.0),
+        max_pending: 1,
+        wal,
+        ..RouterConfig::default()
+    };
+    let spec = |cell: usize, slot: usize, k: usize| TaskSpec {
+        device_pos: Vec2::new([40.0, 140.0][cell] + 2.0 * k as f64, 30.0 + 5.0 * k as f64),
+        device_facing: Angle::from_radians(0.7 * k as f64),
+        end_slot: (slot + 3).min(SLOTS),
+        required_energy: 800.0 + 100.0 * k as f64,
+        weight: 1.0,
+    };
+    let drive = |client: &mut Client| {
+        for slot in 0..8 {
+            let mut bad = spec(1, slot, 2);
+            bad.required_energy = -1.0;
+            let outcomes: Vec<Option<String>> = [
+                spec(0, slot, 0),
+                spec(0, slot, 1),
+                bad,
+                spec(1, slot, 3),
+                spec(0, slot, 4),
+            ]
+            .iter()
+            .map(|spec| {
+                client
+                    .submit(spec)
+                    .err()
+                    .map(|e| e.code().unwrap().to_string())
+            })
+            .collect();
+            let refused = |code: &str| Some(code.to_string());
+            assert_eq!(
+                outcomes,
+                [
+                    None,
+                    refused("overload"),
+                    refused("bad-task"),
+                    None,
+                    refused("quota")
+                ]
+            );
+            client.tick(1).unwrap();
+        }
+    };
+    let scenario = partitionable_scenario(81);
+    let observe = |client: &mut Client| {
+        let rejected: Vec<u64> = client
+            .shards()
+            .unwrap()
+            .iter()
+            .map(|s| s.rejected)
+            .collect();
+        (client.snapshot().unwrap(), rejected)
+    };
+
+    // Undisturbed, non-durable reference run.
+    let reference = serve_router(config(None)).unwrap();
+    let mut client = Client::connect(reference.addr()).unwrap();
+    client.tenant("default", Some(2)).unwrap();
+    client.load(&scenario).unwrap();
+    drive(&mut client);
+    let expected = observe(&mut client);
+    client.bye().unwrap();
+    reference.shutdown();
+    assert_eq!(expected.1, [8, 8], "one overload and one bad task per slot");
+
+    // Durable run, stopped cold: every refusal is in the log tail.
+    let dir = scratch("refusals");
+    let router = serve_router(config(Some(WalConfig::new(&dir)))).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.tenant("default", Some(2)).unwrap();
+    client.load(&scenario).unwrap();
+    drive(&mut client);
+    client.bye().unwrap();
+    router.shutdown();
+
+    let router = serve_router(config(Some(WalConfig::new(&dir)))).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    let recovered = observe(&mut client);
+    client.bye().unwrap();
+    router.shutdown();
+    assert_eq!(recovered.1, expected.1, "SHARDS? rejected=");
+    assert!(recovered.0 == expected.0, "the recovered SNAPSHOT differs");
+}
+
+#[test]
+fn a_quota_refusal_after_a_mid_slot_checkpoint_recovers() {
+    // `SNAPSHOT` mid-slot is a checkpoint, and no checkpoint carries the
+    // slot's admission count: after it, one more submission fits the
+    // quota of two on replay, but the logged refusal must stand.
+    let config = |wal: Option<WalConfig>| RouterConfig {
+        cells: (2, 1),
+        field: (200.0, 100.0),
+        wal,
+        ..RouterConfig::default()
+    };
+    let spec = |x: f64| TaskSpec {
+        device_pos: Vec2::new(x, 50.0),
+        device_facing: Angle::from_radians(0.9),
+        end_slot: 4,
+        required_energy: 900.0,
+        weight: 1.0,
+    };
+    let scenario = partitionable_scenario(83);
+    let drive = |client: &mut Client| {
+        client.tenant("default", Some(2)).unwrap();
+        client.load(&scenario).unwrap();
+        client.submit(&spec(40.0)).unwrap();
+        client.snapshot().unwrap();
+        client.submit(&spec(140.0)).unwrap();
+        let refused = client.submit(&spec(45.0)).unwrap_err();
+        assert_eq!(refused.code(), Some("quota"));
+    };
+    // The document, the tenant's quota counter, and the code the next
+    // submission of the slot gets.
+    let observe = |client: &mut Client| {
+        let snapshot = client.snapshot().unwrap();
+        let export = haste_metrics::Snapshot::parse(&client.export().unwrap()).unwrap();
+        let quota_rejected = export
+            .get(
+                "haste_router_tenant_rejected_total",
+                &[("tenant", "default")],
+            )
+            .cloned();
+        let next = client
+            .submit(&spec(150.0))
+            .err()
+            .map(|e| e.code().unwrap().to_string());
+        (snapshot, quota_rejected, next)
+    };
+
+    let reference = serve_router(config(None)).unwrap();
+    let mut client = Client::connect(reference.addr()).unwrap();
+    drive(&mut client);
+    let expected = observe(&mut client);
+    client.bye().unwrap();
+    reference.shutdown();
+    assert_eq!(expected.1, Some(haste_metrics::Value::Counter(1)));
+    assert_eq!(expected.2.as_deref(), Some("quota"));
+
+    let dir = scratch("mid-slot-quota");
+    let router = serve_router(config(Some(WalConfig::new(&dir)))).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    drive(&mut client);
+    client.bye().unwrap();
+    router.shutdown();
+
+    let router = serve_router(config(Some(WalConfig::new(&dir)))).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    let recovered = observe(&mut client);
+    client.bye().unwrap();
+    router.shutdown();
+    assert!(recovered.0 == expected.0, "the recovered SNAPSHOT differs");
+    assert_eq!(recovered.1, expected.1, "quota counter");
+    assert_eq!(recovered.2, expected.2, "the slot's next submission");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -2,7 +2,7 @@
 
 use haste_core::{solve_baseline, solve_exact, solve_offline, BaselineKind, OfflineConfig};
 use haste_distributed::{
-    solve_baseline_online, solve_online, NegotiationConfig, OnlineConfig, OnlineResult,
+    replay_trace, solve_baseline_online, NegotiationConfig, OnlineConfig, OnlineResult,
 };
 use haste_model::{CoverageMap, Scenario};
 
@@ -64,11 +64,7 @@ impl Algo {
                 );
                 Some(result.report.total_utility)
             }
-            Algo::OnlineHaste { .. } => Some(
-                self.run_online(scenario, coverage, seed)
-                    .report
-                    .total_utility,
-            ),
+            Algo::OnlineHaste { .. } => Some(self.run_online(scenario, seed).report.total_utility),
             Algo::OfflineBaseline(kind) => Some(
                 solve_baseline(scenario, coverage, kind)
                     .report
@@ -87,20 +83,14 @@ impl Algo {
 
     /// Runs the online variant returning the full result (used by the
     /// communication-cost experiment, Fig. 16).
-    pub fn run_online(
-        &self,
-        scenario: &Scenario,
-        coverage: &CoverageMap,
-        seed: u64,
-    ) -> OnlineResult {
+    pub fn run_online(&self, scenario: &Scenario, seed: u64) -> OnlineResult {
         let colors = match *self {
             Algo::OnlineHaste { colors } => colors,
             _ => 1,
         };
-        solve_online(
-            scenario,
-            coverage,
-            &OnlineConfig {
+        replay_trace(
+            scenario.clone(),
+            OnlineConfig {
                 negotiation: NegotiationConfig {
                     colors,
                     samples: samples_for(colors),

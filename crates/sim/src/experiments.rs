@@ -421,8 +421,7 @@ pub fn fig16(ctx: &ExperimentCtx) -> FigureTable {
         spec.num_chargers = n as usize;
         let per: Vec<(f64, f64)> = par_map(&seeds, ctx.threads, |_, &seed| {
             let scenario = spec.generate(seed);
-            let coverage = CoverageMap::build(&scenario);
-            let result = algo.run_online(&scenario, &coverage, seed);
+            let result = algo.run_online(&scenario, seed);
             (
                 result.stats.avg_messages_per_slot(),
                 result.stats.avg_rounds_per_slot(),
@@ -576,7 +575,7 @@ pub fn fig18(ctx: &ExperimentCtx) -> FigureTable {
 /// replans around them. Series: delivered utility, and the fraction of the
 /// healthy run's utility retained.
 pub fn fig_failures(ctx: &ExperimentCtx) -> FigureTable {
-    use haste_distributed::{solve_online, ChargerFailure, OnlineConfig};
+    use haste_distributed::{replay_trace, ChargerFailure, OnlineConfig};
     let spec = ScenarioSpec {
         num_chargers: 20,
         num_tasks: 80,
@@ -600,8 +599,7 @@ pub fn fig_failures(ctx: &ExperimentCtx) -> FigureTable {
         let fc = fc as usize;
         let per: Vec<(f64, f64)> = par_map(&seeds, ctx.threads, |_, &seed| {
             let scenario = spec.generate(seed);
-            let coverage = haste_model::CoverageMap::build(&scenario);
-            let healthy = solve_online(&scenario, &coverage, &OnlineConfig::default());
+            let healthy = replay_trace(scenario.clone(), OnlineConfig::default());
             // Kill chargers round-robin at staggered slots.
             let failures: Vec<ChargerFailure> = (0..fc)
                 .map(|i| ChargerFailure {
@@ -611,10 +609,9 @@ pub fn fig_failures(ctx: &ExperimentCtx) -> FigureTable {
                     slot: 2 + 3 * i,
                 })
                 .collect();
-            let failed = solve_online(
-                &scenario,
-                &coverage,
-                &OnlineConfig {
+            let failed = replay_trace(
+                scenario,
+                OnlineConfig {
                     failures,
                     ..OnlineConfig::default()
                 },

@@ -226,11 +226,7 @@ pub fn per_task_utilities(scenario: &Scenario, algo: Algo, seed: u64) -> Vec<f64
             .report
             .per_task_utility
         }
-        Algo::OnlineHaste { .. } => {
-            algo.run_online(scenario, &coverage, seed)
-                .report
-                .per_task_utility
-        }
+        Algo::OnlineHaste { .. } => algo.run_online(scenario, seed).report.per_task_utility,
         Algo::OfflineBaseline(kind) => {
             haste_core::solve_baseline(scenario, &coverage, kind)
                 .report

@@ -32,11 +32,10 @@ fn main() {
     );
 
     // Distributed online HASTE with both engines; they agree exactly.
-    let rounds = solve_online(&scenario, &coverage, &OnlineConfig::default());
-    let threaded = solve_online(
-        &scenario,
-        &coverage,
-        &OnlineConfig {
+    let rounds = replay_trace(scenario.clone(), OnlineConfig::default());
+    let threaded = replay_trace(
+        scenario.clone(),
+        OnlineConfig {
             engine: EngineKind::Threaded,
             ..OnlineConfig::default()
         },
@@ -55,10 +54,9 @@ fn main() {
     );
 
     // More colors buy utility at negotiation cost.
-    let c4 = solve_online(
-        &scenario,
-        &coverage,
-        &OnlineConfig {
+    let c4 = replay_trace(
+        scenario.clone(),
+        OnlineConfig {
             negotiation: NegotiationConfig {
                 colors: 4,
                 samples: 16,

@@ -57,7 +57,7 @@ fn online_meets_theorem_6_1_floor() {
             continue;
         }
         checked += 1;
-        let r = solve_online(&scenario, &coverage, &OnlineConfig::default());
+        let r = replay_trace(scenario.clone(), OnlineConfig::default());
         assert!(
             r.report.total_utility >= ratio * exact.relaxed_value - 1e-9,
             "seed {seed}: online {} below {} of optimum {}",
@@ -83,7 +83,7 @@ fn online_fraction_of_optimum_is_high_on_average() {
         if exact.relaxed_value < 1e-6 {
             continue;
         }
-        let r = solve_online(&scenario, &coverage, &OnlineConfig::default());
+        let r = replay_trace(scenario.clone(), OnlineConfig::default());
         ratios.push(r.relaxed_value / exact.relaxed_value);
     }
     assert!(ratios.len() >= 5);

@@ -49,8 +49,7 @@ fn offline_pipeline_invariants() {
 fn online_pipeline_invariants() {
     for seed in 0..3u64 {
         let scenario = medium_spec().generate(100 + seed);
-        let coverage = CoverageMap::build(&scenario);
-        let r = solve_online(&scenario, &coverage, &OnlineConfig::default());
+        let r = replay_trace(scenario.clone(), OnlineConfig::default());
         assert!(r.report.total_utility <= scenario.total_weight() + 1e-9);
         assert!(r.report.total_utility <= r.relaxed_value + 1e-9);
         // Communication happened (multiple arrival events, many chargers).

@@ -2,6 +2,8 @@
 //! algorithms, and between the two negotiation engines (the machinery
 //! behind Theorem 6.1's "same performance as Algorithm 2" argument).
 
+use haste::distributed::OnlineResult;
+use haste::model::{ChargerId, TaskId};
 use haste::prelude::*;
 
 fn spec() -> ScenarioSpec {
@@ -32,7 +34,7 @@ fn single_release_no_delay_matches_offline_band() {
         scenario.tau = 0;
         scenario.validate().unwrap();
         let coverage = CoverageMap::build(&scenario);
-        let online = solve_online(&scenario, &coverage, &OnlineConfig::default());
+        let online = replay_trace(scenario.clone(), OnlineConfig::default());
         let offline = solve_offline(&scenario, &coverage, &OfflineConfig::greedy());
         let lo = 0.85 * offline.relaxed_value;
         assert!(
@@ -51,7 +53,6 @@ fn single_release_no_delay_matches_offline_band() {
 fn engines_bit_identical_across_seeds_and_colors() {
     for seed in 0..3u64 {
         let scenario = spec().generate(40 + seed);
-        let coverage = CoverageMap::build(&scenario);
         for colors in [1usize, 4] {
             let cfg = OnlineConfig {
                 negotiation: NegotiationConfig {
@@ -61,11 +62,10 @@ fn engines_bit_identical_across_seeds_and_colors() {
                 },
                 ..OnlineConfig::default()
             };
-            let rounds = solve_online(&scenario, &coverage, &cfg);
-            let threaded = solve_online(
-                &scenario,
-                &coverage,
-                &OnlineConfig {
+            let rounds = replay_trace(scenario.clone(), cfg.clone());
+            let threaded = replay_trace(
+                scenario.clone(),
+                OnlineConfig {
                     engine: EngineKind::Threaded,
                     ..cfg
                 },
@@ -87,8 +87,7 @@ fn larger_tau_degrades_gracefully() {
         for seed in 0..4u64 {
             let mut scenario = spec().generate(70 + seed);
             scenario.tau = tau;
-            let coverage = CoverageMap::build(&scenario);
-            total += solve_online(&scenario, &coverage, &OnlineConfig::default()).relaxed_value;
+            total += replay_trace(scenario.clone(), OnlineConfig::default()).relaxed_value;
         }
         assert!(
             total <= previous + 0.05 * previous.min(total.max(1e-9)),
@@ -113,8 +112,7 @@ fn communication_scales_with_network_size() {
                 ..spec()
             }
             .generate(seed);
-            let coverage = CoverageMap::build(&s);
-            let r = solve_online(&s, &coverage, &OnlineConfig::default());
+            let r = replay_trace(s.clone(), OnlineConfig::default());
             total_m += r.stats.avg_messages_per_slot();
             total_r += r.stats.avg_rounds_per_slot();
         }
@@ -135,4 +133,71 @@ fn communication_scales_with_network_size() {
         messages[2] > 2.0 * messages[0],
         "message growth too flat: {messages:?}"
     );
+}
+
+/// The online loop over one scenario, globally or with localized
+/// replanning.
+fn run_online(scenario: &Scenario, localized: bool) -> OnlineResult {
+    let config = OnlineConfig {
+        localized,
+        ..OnlineConfig::default()
+    };
+    replay_trace(scenario.clone(), config)
+}
+
+/// What slots `..=last` of an online run show: per-slot messages and
+/// rounds (zero past the recorded slots), then every charger's
+/// orientations.
+fn slots_up_to(r: &OnlineResult, last: usize) -> (Vec<(u64, u64)>, Vec<Option<Angle>>) {
+    let count = |values: &[u64], k: usize| values.get(k).copied().unwrap_or(0);
+    let counters = (0..=last)
+        .map(|k| {
+            (
+                count(&r.stats.per_slot_messages, k),
+                count(&r.stats.per_slot_rounds, k),
+            )
+        })
+        .collect();
+    let schedule = &r.schedule;
+    let orientations = (0..schedule.num_chargers())
+        .flat_map(|i| (0..=last).map(move |k| schedule.get(ChargerId(i as u32), k)))
+        .collect();
+    (counters, orientations)
+}
+
+/// Algorithm 3 is online: a replan at slot `t` knows only the tasks
+/// released by `t`, and its plan takes effect at `t + τ`. So dropping
+/// every task released after `t` must change neither the schedule nor the
+/// negotiation counters of slots `..= t + τ`.
+#[test]
+fn the_online_loop_is_causal() {
+    let spec = ScenarioSpec {
+        num_chargers: 20,
+        num_tasks: 80,
+        release_horizon: 30,
+        duration_range: (5, 30),
+        ..ScenarioSpec::paper_default()
+    };
+    for seed in [1u64, 2] {
+        let scenario = spec.generate(seed);
+        for localized in [false, true] {
+            let full = run_online(&scenario, localized);
+            for t in [3usize, 10, 20] {
+                let mut known = scenario.clone();
+                known.tasks.retain(|task| task.release_slot <= t);
+                for (j, task) in known.tasks.iter_mut().enumerate() {
+                    task.id = TaskId(j as u32);
+                }
+                known.validate().unwrap();
+                assert!(known.num_tasks() < scenario.num_tasks());
+                let cut = run_online(&known, localized);
+                let last = t + scenario.tau;
+                assert!(
+                    slots_up_to(&cut, last) == slots_up_to(&full, last),
+                    "seed {seed}, localized {localized}: slots ..={last} changed \
+                     when the tasks released after slot {t} were dropped"
+                );
+            }
+        }
+    }
 }
