@@ -17,7 +17,7 @@
 use std::ops::Range;
 
 use haste_geometry::Angle;
-use haste_model::{ChargerId, CoverageMap, Scenario, Schedule, Slot, UtilityFn};
+use haste_model::{CandidateRows, ChargerId, CoverageMap, Scenario, Schedule, Slot, UtilityFn};
 use haste_submodular::{PartitionedObjective, Selection};
 
 use crate::dominant::{extract_dominant_sets, DominantSet};
@@ -106,9 +106,15 @@ impl<'a> HasteRInstance<'a> {
     }
 
     /// Builds an instance under explicit [`InstanceOptions`].
-    pub fn build_with(
+    ///
+    /// Under [`DominantScope::PerSlot`] only tasks usable at some slot of
+    /// the range shape the instance, so rows that drop, in every row
+    /// alike, tasks ending by the range's start build the same instance
+    /// as the full [`CoverageMap`]: such a task never enters a slot's
+    /// dominant sets and never moves a segment boundary.
+    pub fn build_with<R: CandidateRows + ?Sized>(
         scenario: &'a Scenario,
-        coverage: &CoverageMap,
+        coverage: &R,
         options: InstanceOptions,
     ) -> Self {
         let n = scenario.num_chargers();

@@ -40,8 +40,8 @@ use std::time::Instant;
 
 use haste_core::SolverMetrics;
 use haste_model::{
-    evaluate, evaluate_relaxed, io, CoverageMap, EvalOptions, EvalReport, Scenario, Schedule, Task,
-    TaskId,
+    evaluate, evaluate_relaxed, io, CandidateRows, CandidateTask, ChargerId, CoverageMap,
+    EvalOptions, EvalReport, Scenario, Schedule, Task, TaskId,
 };
 
 use crate::neighbors::NeighborGraph;
@@ -129,6 +129,11 @@ pub struct OnlineEngine {
     coverage: CoverageMap,
     /// The neighbor relation over exactly the tasks `coverage` holds.
     graph: NeighborGraph,
+    /// `coverage`'s rows without the tasks no replan can serve any more:
+    /// what each replan reads (see [`LiveRows`]).
+    live: LiveRows,
+    /// Candidates in the live rows handed to each replan, summed.
+    replan_candidates: u64,
     /// Id of the open slot's first task: tasks `open_from..` arrived in
     /// it (ids are arrival indices and release slots never decrease).
     open_from: usize,
@@ -175,6 +180,8 @@ impl OnlineEngine {
         let coverage = CoverageMap::build(&scenario);
         let mut engine = OnlineEngine {
             graph: NeighborGraph::build(&coverage),
+            live: LiveRows::after(&coverage, &scenario, 0),
+            replan_candidates: 0,
             coverage,
             open_from: 0,
             pair_tests: 0,
@@ -214,8 +221,8 @@ impl OnlineEngine {
         }
     }
 
-    /// Extends the coverage map and the neighbor graph over the tasks
-    /// that arrived since the last refresh.
+    /// Extends the coverage map, the neighbor graph and the live rows
+    /// over the tasks that arrived since the last refresh.
     fn refresh_coverage(&mut self) {
         let (from, to) = (self.coverage.num_tasks(), self.scenario.num_tasks());
         if from == to {
@@ -225,6 +232,7 @@ impl OnlineEngine {
         let start = Instant::now();
         self.coverage.extend(&self.scenario);
         self.graph.extend(&self.coverage, from..to);
+        self.live.append(&self.coverage, from);
         self.metrics.coverage_build += start.elapsed();
         self.pair_tests += ((to - from) * self.scenario.num_chargers()) as u64;
     }
@@ -290,6 +298,11 @@ impl OnlineEngine {
             .collect();
         if self.open_from < self.scenario.num_tasks() || !failed_now.is_empty() {
             self.refresh_coverage();
+            // This plan takes effect at `t + τ`, and later ones later
+            // still: a task ending by then can never gain energy again.
+            self.live
+                .retain_after(&self.scenario, t + self.scenario.tau);
+            self.replan_candidates += self.live.len() as u64;
             let arrived_now: Vec<usize> = (self.open_from..self.scenario.num_tasks()).collect();
             let threads = self.metrics.threads;
             // The prefix the replan freezes holds no dead charger's slots.
@@ -297,6 +310,7 @@ impl OnlineEngine {
             replan_event(
                 &self.scenario,
                 &self.coverage,
+                &self.live,
                 &self.graph,
                 &self.config,
                 &mut self.schedule,
@@ -422,6 +436,16 @@ impl OnlineEngine {
     #[inline]
     pub fn coverage_pair_tests(&self) -> u64 {
         self.pair_tests
+    }
+
+    /// Candidates in the live rows handed to each replan so far, summed
+    /// over replans: each charger's candidates of the arrived tasks that
+    /// end after the replan's effective slot `t + τ`. It follows the live
+    /// tasks, not the history. A [`restore`](OnlineEngine::restore)d
+    /// engine starts at zero.
+    #[inline]
+    pub fn replan_candidates(&self) -> u64 {
+        self.replan_candidates
     }
 
     /// Arrived-task `task` lines formatted for snapshots so far: each
@@ -781,6 +805,9 @@ impl OnlineEngine {
         let coverage = CoverageMap::build(&scenario);
         Ok(OnlineEngine {
             graph: NeighborGraph::build(&coverage),
+            // Every later replan takes effect at `clock + τ` or after.
+            live: LiveRows::after(&coverage, &scenario, clock + scenario.tau),
+            replan_candidates: 0,
             coverage,
             open_from: scenario
                 .tasks
@@ -806,6 +833,54 @@ impl OnlineEngine {
             admitted,
             rejected,
         })
+    }
+}
+
+/// Each charger's candidates, in task-id order, for the arrived tasks a
+/// replan can still serve: those that end after the effective slot of the
+/// last replan. A task ending by a replan's effective slot `t + τ` is
+/// never usable at its decision slots, nor at any later replan's, so the
+/// rows shrink with the finished tasks while the coverage map keeps the
+/// whole history. End slots do not rise with task id, so the rows drop
+/// tasks by a stable filter rather than an id range.
+#[derive(Debug, Clone)]
+struct LiveRows(Vec<Vec<CandidateTask>>);
+
+impl LiveRows {
+    /// `coverage`'s candidates of the tasks ending after `slot`.
+    fn after(coverage: &CoverageMap, scenario: &Scenario, slot: usize) -> LiveRows {
+        let mut live = LiveRows(vec![Vec::new(); coverage.num_chargers()]);
+        live.append(coverage, 0);
+        live.retain_after(scenario, slot);
+        live
+    }
+
+    /// Appends `coverage`'s candidates of tasks `from..`: their ids exceed
+    /// every id already in a row, so each row stays in task-id order.
+    fn append(&mut self, coverage: &CoverageMap, from: usize) {
+        for (i, row) in self.0.iter_mut().enumerate() {
+            let all = coverage.tasks_of(ChargerId(i as u32));
+            let new = all.partition_point(|cand| cand.task.index() < from);
+            row.extend_from_slice(&all[new..]);
+        }
+    }
+
+    /// Drops the candidates of tasks that end by `slot`, keeping order.
+    fn retain_after(&mut self, scenario: &Scenario, slot: usize) {
+        for row in &mut self.0 {
+            row.retain(|cand| scenario.tasks[cand.task.index()].end_slot > slot);
+        }
+    }
+
+    /// Candidates over all rows.
+    fn len(&self) -> usize {
+        self.0.iter().map(Vec::len).sum()
+    }
+}
+
+impl CandidateRows for LiveRows {
+    fn tasks_of(&self, charger: ChargerId) -> &[CandidateTask] {
+        &self.0[charger.index()]
     }
 }
 
@@ -1537,6 +1612,266 @@ mod tests {
         assert_eq!(tasks, 14 + 42);
         for e in [&engine, &twin, &plain] {
             assert_eq!(e.task_lines_formatted(), tasks);
+        }
+    }
+
+    /// A 64-slot stream of `per_slot` arrivals a slot, each active 2–6
+    /// slots, over 6 chargers on a 30 m square.
+    fn steady_stream(seed: u64, per_slot: usize) -> Scenario {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let slots = 64;
+        let chargers = (0..6)
+            .map(|i| {
+                Charger::new(
+                    i,
+                    Vec2::new(rng.gen_range(0.0..30.0), rng.gen_range(0.0..30.0)),
+                )
+            })
+            .collect();
+        let tasks = (0..slots * per_slot)
+            .map(|j| {
+                let release = j / per_slot;
+                Task::new(
+                    j as u32,
+                    Vec2::new(rng.gen_range(0.0..30.0), rng.gen_range(0.0..30.0)),
+                    Angle::from_radians(rng.gen_range(0.0..std::f64::consts::TAU)),
+                    release,
+                    (release + rng.gen_range(2..=6usize)).min(slots),
+                    rng.gen_range(500.0..3000.0),
+                    1.0,
+                )
+            })
+            .collect();
+        let grid = TimeGrid::new(60.0, slots);
+        Scenario::new(
+            ChargingParams::simulation_default(),
+            grid,
+            chargers,
+            tasks,
+            1.0 / 12.0,
+            1,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn replan_work_follows_the_live_tasks_not_the_history() {
+        // A stream four times the 16 slots of the other tests: the full
+        // rows grow with every slot, the live rows only with the tasks
+        // still running.
+        let mut engine =
+            OnlineEngine::new(steady_stream(3, 6), OnlineConfig::default(), usize::MAX);
+        let (mut live, mut full) = (Vec::new(), Vec::new());
+        while !engine.is_closed() {
+            let before = engine.replan_candidates();
+            engine.tick();
+            live.push((engine.replan_candidates() - before) as f64);
+            full.push(
+                (0..6)
+                    .map(|i| engine.coverage.tasks_of(ChargerId(i)).len())
+                    .sum::<usize>() as f64,
+            );
+        }
+        let mean = |values: &[f64]| values.iter().sum::<f64>() / values.len() as f64;
+        let quarter = live.len() / 4;
+        let (first, last) = (0..quarter, live.len() - quarter..live.len());
+        let (live_first, live_last) = (mean(&live[first.clone()]), mean(&live[last.clone()]));
+        let (full_first, full_last) = (mean(&full[first]), mean(&full[last]));
+        assert!(live_first > 0.0);
+        assert!(
+            live_last <= 2.0 * live_first,
+            "live candidates per replan grew: {live_first} -> {live_last}"
+        );
+        assert!(
+            full_last >= 4.0 * full_first,
+            "full rows did not grow with the history: {full_first} -> {full_last}"
+        );
+        // The counter is exact: the same stream counts the same.
+        let mut again = OnlineEngine::new(steady_stream(3, 6), OnlineConfig::default(), usize::MAX);
+        while again.tick().is_some() {}
+        assert_eq!(again.replan_candidates(), engine.replan_candidates());
+        assert_eq!(engine.replan_candidates() as f64, live.iter().sum::<f64>());
+    }
+
+    #[test]
+    fn a_restored_engine_counts_the_replan_candidates_the_original_does() {
+        let s = steady_stream(4, 3);
+        let mut engine = OnlineEngine::new(s, OnlineConfig::default(), usize::MAX);
+        for _ in 0..20 {
+            engine.tick();
+        }
+        let mut restored = OnlineEngine::restore(&engine.snapshot()).unwrap();
+        assert_eq!(restored.replan_candidates(), 0);
+        let at_snapshot = engine.replan_candidates();
+        while engine.tick().is_some() {
+            restored.tick();
+            assert_eq!(
+                restored.replan_candidates(),
+                engine.replan_candidates() - at_snapshot
+            );
+            assert_eq!(restored.schedule(), engine.schedule());
+        }
+    }
+
+    mod live_rows_properties {
+        use super::*;
+        use crate::ChargerFailure;
+        use haste_core::SolverMetrics;
+        use proptest::prelude::*;
+
+        /// What one slot's close leaves observable: the schedule, the
+        /// negotiation counters (totals, then per slot), and the P1 and
+        /// relaxed totals as bits.
+        type Observed = (Schedule, [u64; 4], Vec<u64>, Vec<u64>, u64, u64);
+
+        fn observe(
+            scenario: &Scenario,
+            coverage: &CoverageMap,
+            schedule: &Schedule,
+            stats: &NegotiationStats,
+        ) -> Observed {
+            let full = evaluate(scenario, coverage, schedule, EvalOptions::default());
+            let relaxed = evaluate_relaxed(scenario, coverage, schedule);
+            (
+                schedule.clone(),
+                [
+                    stats.messages,
+                    stats.rounds,
+                    stats.oracle_marginals,
+                    stats.oracle_commits,
+                ],
+                stats.per_slot_messages.clone(),
+                stats.per_slot_rounds.clone(),
+                full.total_utility.to_bits(),
+                relaxed.total_utility.to_bits(),
+            )
+        }
+
+        /// The engine's event loop with every replan handed the full
+        /// coverage map: the reference the live rows must match.
+        fn full_rows_run(trace: &[Task], base: &Scenario, config: &OnlineConfig) -> Vec<Observed> {
+            let mut scenario = base.clone();
+            let mut coverage = CoverageMap::build(&scenario);
+            let mut graph = NeighborGraph::build(&coverage);
+            let mut schedule = Schedule::empty(scenario.num_chargers(), scenario.grid.num_slots);
+            let mut stats = NegotiationStats::new(0);
+            let mut metrics = SolverMetrics::default();
+            let blank_dead = |schedule: &mut Schedule, clock: usize| {
+                let mut dead = vec![false; schedule.num_chargers()];
+                for failure in config.failures.iter().filter(|f| f.slot <= clock) {
+                    dead[failure.charger.index()] = true;
+                    for k in failure.slot..schedule.num_slots() {
+                        schedule.set(failure.charger, k, None);
+                    }
+                }
+                dead
+            };
+            let mut observed = Vec::new();
+            let mut next = 0;
+            for t in 0..scenario.grid.num_slots {
+                let open_from = scenario.num_tasks();
+                while next < trace.len() && trace[next].release_slot == t {
+                    let mut task = trace[next];
+                    task.id = TaskId(scenario.num_tasks() as u32);
+                    scenario.tasks.push(task);
+                    next += 1;
+                }
+                let failed_now: Vec<usize> = config
+                    .failures
+                    .iter()
+                    .filter(|f| f.slot == t)
+                    .map(|f| f.charger.index())
+                    .collect();
+                if open_from < scenario.num_tasks() || !failed_now.is_empty() {
+                    let from = coverage.num_tasks();
+                    coverage.extend(&scenario);
+                    graph.extend(&coverage, from..scenario.num_tasks());
+                    let arrived_now: Vec<usize> = (open_from..scenario.num_tasks()).collect();
+                    let disabled = blank_dead(&mut schedule, t);
+                    replan_event(
+                        &scenario,
+                        &coverage,
+                        &coverage,
+                        &graph,
+                        config,
+                        &mut schedule,
+                        ReplanEvent {
+                            slot: t,
+                            disabled: &disabled,
+                            arrived_now: &arrived_now,
+                            failed_now: &failed_now,
+                            threads: 1,
+                        },
+                        &mut stats,
+                        &mut metrics,
+                    );
+                    blank_dead(&mut schedule, t);
+                }
+                observed.push(observe(&scenario, &coverage, &schedule, &stats));
+            }
+            observed
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Streams a random trace through the engine, whose replans
+            /// read live rows, and through the full-rows loop: every
+            /// slot's schedule, counters and utility bits agree.
+            #[test]
+            fn live_rows_change_no_bit(
+                chargers in collection::vec((0.0f64..50.0, 0.0f64..50.0), 1..6),
+                tasks in collection::vec(
+                    (0.0f64..50.0, 0.0f64..50.0, 0.0f64..std::f64::consts::TAU, 0usize..10, 1usize..6, 300.0f64..3000.0),
+                    0..36,
+                ),
+                tau in 0usize..3,
+                localized in 0u8..2,
+                failures in collection::vec((0u32..6, 0usize..12), 0..3),
+            ) {
+                let slots = 12;
+                let mut trace: Vec<Task> = tasks
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &(x, y, facing, release, duration, energy))| {
+                        Task::new(j as u32, Vec2::new(x, y), Angle::from_radians(facing), release, (release + duration).min(slots), energy, 1.0)
+                    })
+                    .collect();
+                trace.sort_by_key(|task| task.release_slot);
+                let base = Scenario::new(
+                    ChargingParams::simulation_default(),
+                    TimeGrid::new(60.0, slots),
+                    chargers.iter().enumerate().map(|(i, &(x, y))| Charger::new(i as u32, Vec2::new(x, y))).collect(),
+                    Vec::new(),
+                    1.0 / 12.0,
+                    tau,
+                )
+                .unwrap();
+                let config = OnlineConfig {
+                    localized: localized == 1,
+                    failures: failures
+                        .iter()
+                        .filter(|&&(charger, _)| (charger as usize) < chargers.len())
+                        .map(|&(charger, slot)| ChargerFailure { charger: ChargerId(charger), slot })
+                        .collect(),
+                    threads: 1,
+                    ..OnlineConfig::default()
+                };
+                let reference = full_rows_run(&trace, &base, &config);
+                let mut engine = OnlineEngine::new(base, config, usize::MAX);
+                let mut next = 0;
+                for (t, expected) in reference.iter().enumerate() {
+                    while next < trace.len() && trace[next].release_slot == t {
+                        engine.submit(spec_of(&trace[next])).unwrap();
+                        next += 1;
+                    }
+                    engine.tick();
+                    let mut coverage = engine.coverage.clone();
+                    coverage.extend(engine.scenario());
+                    let got = observe(engine.scenario(), &coverage, engine.schedule(), engine.stats());
+                    prop_assert!(&got == expected, "slot {} differs", t);
+                }
+            }
         }
     }
 

@@ -16,7 +16,9 @@ use haste_core::{
     solve_baseline_with_delay, BaselineKind, HasteRInstance, InstanceOptions, SolveResult,
     SolverMetrics,
 };
-use haste_model::{evaluate, CoverageMap, EvalOptions, EvalReport, Scenario, Schedule};
+use haste_model::{
+    evaluate, CandidateRows, CoverageMap, EvalOptions, EvalReport, Scenario, Schedule,
+};
 use haste_submodular::Selection;
 
 use crate::neighbors::NeighborGraph;
@@ -109,10 +111,19 @@ pub(crate) struct ReplanEvent<'a> {
 /// into `schedule`. `scenario` holds exactly the arrived tasks, so the
 /// plan sees nothing the network has not been told yet. Returns `false`
 /// when the event is a no-op (past the horizon, or nobody replans).
+///
+/// `coverage` is the full map, read only for the localized scope seeds.
+/// The frozen-prefix and kept-plan evaluations and the instance build
+/// read `rows`: any rows that keep every task ending after `slot + τ`,
+/// and keep or drop each other task in every row alike, give the same
+/// bits as `coverage` itself. A task ending by the effective slot is
+/// never usable at a decision slot, so it never shapes the instance, and
+/// the prefix energy of no such task is ever read.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn replan_event(
+pub(crate) fn replan_event<R: CandidateRows + ?Sized>(
     scenario: &Scenario,
     coverage: &CoverageMap,
+    rows: &R,
     graph: &NeighborGraph,
     config: &OnlineConfig,
     schedule: &mut Schedule,
@@ -165,7 +176,7 @@ pub(crate) fn replan_event(
     // the analysis of Theorem 6.1 does).
     let prefix = evaluate(
         scenario,
-        coverage,
+        rows,
         schedule,
         EvalOptions {
             rho: Some(0.0),
@@ -189,7 +200,7 @@ pub(crate) fn replan_event(
         }
         let kept = evaluate(
             scenario,
-            coverage,
+            rows,
             &masked,
             EvalOptions {
                 rho: Some(0.0),
@@ -205,7 +216,7 @@ pub(crate) fn replan_event(
     let build_start = Instant::now();
     let instance = HasteRInstance::build_with(
         scenario,
-        coverage,
+        rows,
         InstanceOptions {
             slot_range: Some(effective..horizon),
             initial_energy: Some(initial_energy),

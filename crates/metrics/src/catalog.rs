@@ -115,6 +115,7 @@ pub const CATALOG: &[MetricSpec] = &[
     counter("haste_engine_oracle_marginals_total", "", "Marginal-gain oracle evaluations."),
     counter("haste_engine_oracle_commits_total", "", "Oracle commit operations."),
     counter("haste_engine_coverage_pair_tests_total", "", "Charger-task chargeability tests run building the coverage map."),
+    counter("haste_engine_replan_candidates_total", "", "Charger-task candidates in the live rows handed to each replan, summed over replans."),
     counter("haste_engine_task_lines_formatted_total", "", "Arrived-task lines formatted for snapshots, each once per engine."),
     counter("haste_engine_negotiation_messages_total", "", "Negotiation messages exchanged between chargers."),
     counter("haste_engine_negotiation_rounds_total", "", "Negotiation rounds executed."),

@@ -17,6 +17,22 @@ pub struct CandidateTask {
     pub power: f64,
 }
 
+/// Per-charger candidate rows, each in task-id order: what the P1
+/// evaluator and the HASTE-R instance build read. [`CoverageMap`] holds
+/// every task's candidates; the online engine hands its replans rows
+/// restricted to the tasks that can still gain energy.
+pub trait CandidateRows: Sync {
+    /// The candidates of charger `charger`, sorted by task id.
+    fn tasks_of(&self, charger: ChargerId) -> &[CandidateTask];
+}
+
+impl CandidateRows for CoverageMap {
+    #[inline]
+    fn tasks_of(&self, charger: ChargerId) -> &[CandidateTask] {
+        CoverageMap::tasks_of(self, charger)
+    }
+}
+
 /// For every charger, the set of tasks it can charge (the paper's `T_i`) and
 /// the reverse index (for every task, the chargers that can reach it).
 ///

@@ -7,7 +7,7 @@
 //! single source of truth for "how good is this schedule" — all algorithms
 //! (offline, online, baselines, exact) are scored through it.
 
-use crate::{power, CoverageMap, Scenario, Schedule, Slot, UtilityFn};
+use crate::{power, CandidateRows, CoverageMap, Scenario, Schedule, Slot, UtilityFn};
 
 /// Evaluation options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,9 +58,14 @@ impl EvalReport {
 ///   orientation untouched;
 /// * a task's energy accumulates only while it is active, and its utility is
 ///   `U` of the total.
-pub fn evaluate(
+///
+/// Energy flows only along `coverage`'s rows, so a task no row lists
+/// gets none. Rows that keep or drop each task in every row alike give
+/// every kept task the same bits as the full [`CoverageMap`]: its energy
+/// is still added charger by charger, slot by slot.
+pub fn evaluate<R: CandidateRows + ?Sized>(
     scenario: &Scenario,
-    coverage: &CoverageMap,
+    coverage: &R,
     schedule: &Schedule,
     options: EvalOptions,
 ) -> EvalReport {

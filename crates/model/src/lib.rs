@@ -39,7 +39,7 @@ pub mod emr;
 pub mod io;
 pub mod power;
 
-pub use coverage::{CandidateTask, CoverageMap};
+pub use coverage::{CandidateRows, CandidateTask, CoverageMap};
 pub use error::ModelError;
 pub use eval::{evaluate, evaluate_relaxed, slot_energy, EvalOptions, EvalReport};
 pub use params::{ChargingParams, ReceiverGain};

@@ -82,9 +82,10 @@
 //!
 //! **Consistent cut.** All request handling serializes on one router
 //! mutex and `TICK` advances every shard in lockstep inside it — the
-//! per-shard replans of one slot run *concurrently* (scoped
-//! `haste-parallel` threads in-process; concurrently-issued child
-//! requests out-of-process), but the router joins them all before its
+//! per-shard replans of one slot run *concurrently* (shard 0 on the
+//! router thread, each other shard on the fleet's parked worker, started
+//! once per fleet; out of process, those threads issue the child
+//! requests concurrently), but the router waits for them all before its
 //! clock moves, so between requests all healthy shards still sit at the
 //! router's virtual slot and the pipelining is invisible to every other
 //! request. `SNAPSHOT` (under that mutex) therefore captures a trivially
@@ -110,6 +111,7 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use haste_distributed::{OnlineConfig, OnlineEngine, TaskSpec};
@@ -117,6 +119,7 @@ use haste_geometry::{Angle, Vec2};
 use haste_model::{
     io as model_io, CellRect, ChargerId, Partition, PartitionError, Scenario, Schedule, Task,
 };
+use haste_parallel::ThreadPool;
 use parking_lot::Mutex;
 
 use crate::client::Client;
@@ -152,7 +155,9 @@ pub struct RouterConfig {
     pub max_pending: usize,
     /// Scheduling configuration for every shard's engine. Bit-equivalence
     /// with a single-engine run requires `localized: true` here and on the
-    /// reference daemon.
+    /// reference daemon. The default runs each engine on one thread
+    /// (`threads: 1`): the shards of a `TICK` already replan side by side,
+    /// and the output bits never depend on the thread count.
     pub scheduling: OnlineConfig,
     /// Initial partition grid as `(cells_x, cells_y)`; one shard per
     /// cell. Every tenant starts on this grid; resharding departs from it
@@ -191,7 +196,10 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".to_string(),
             worker_threads: 64,
             max_pending: 4096,
-            scheduling: OnlineConfig::default(),
+            scheduling: OnlineConfig {
+                threads: 1,
+                ..OnlineConfig::default()
+            },
             cells: (2, 1),
             origin: (0.0, 0.0),
             field: (200.0, 100.0),
@@ -209,7 +217,7 @@ impl Default for RouterConfig {
 /// it from the loaded scenario and the log (see [`arrival_owners`]).
 struct TenantCore {
     /// Shard `i` serves cell `i` of the loaded partition.
-    shards: Vec<ShardSlot>,
+    shards: Fleet,
     /// `None` until `LOAD`/`RESTORE`; read through [`Loaded::of`].
     loaded: Option<Loaded>,
     /// Every record applied since `LOAD` (see [`crate::oplog`]).
@@ -237,10 +245,10 @@ struct TenantCore {
 }
 
 impl TenantCore {
-    fn new(shards: Vec<ShardSlot>, counters: TenantCounters) -> TenantCore {
+    fn new(shards: Vec<Arc<ShardSlot>>, counters: TenantCounters) -> TenantCore {
         let cells = shards.len();
         TenantCore {
-            shards,
+            shards: Fleet::new(shards),
             loaded: None,
             log: OpLog::default(),
             materialized: 0,
@@ -257,6 +265,54 @@ impl TenantCore {
     /// (see [`WalHandle`]).
     fn poisoned(&self) -> bool {
         matches!(self.wal, Some(WalHandle::Poisoned))
+    }
+}
+
+/// A tenant's shards, shard `i` serving cell `i`, and the parked workers
+/// that run them side by side. A fleet lives until `RESTORE` to another
+/// cell count or a reshard replaces it, or the router shuts down;
+/// dropping it joins its workers.
+struct Fleet {
+    shards: Vec<Arc<ShardSlot>>,
+    /// One worker per shard past the first, started by the fleet's first
+    /// [`fan_out`](Fleet::fan_out) (not at `LOAD`, which needs none).
+    workers: OnceLock<ThreadPool>,
+}
+
+impl Fleet {
+    fn new(shards: Vec<Arc<ShardSlot>>) -> Fleet {
+        Fleet {
+            shards,
+            workers: OnceLock::new(),
+        }
+    }
+
+    /// Runs `f` on every shard at once and returns the outcomes in shard
+    /// order: shard 0 on the calling thread, each other shard on its
+    /// parked worker, so the call takes as long as the slowest shard and
+    /// starts no thread after the first. A call that panicked yields its
+    /// panic payload (see [`ThreadPool::fan_out`]).
+    fn fan_out<R, F>(&self, f: F) -> Vec<std::thread::Result<R>>
+    where
+        R: Send + 'static,
+        F: Fn(&ShardSlot) -> R + Send + Sync + 'static,
+    {
+        match self.shards.len() {
+            // Nothing to run side by side: a panic unwinds as it is.
+            0 | 1 => self.shards.iter().map(|shard| Ok(f(shard))).collect(),
+            n => self
+                .workers
+                .get_or_init(|| ThreadPool::named("haste-fanout", n - 1))
+                .fan_out(&self.shards, f),
+        }
+    }
+}
+
+impl std::ops::Deref for Fleet {
+    type Target = [Arc<ShardSlot>];
+
+    fn deref(&self) -> &[Arc<ShardSlot>] {
+        &self.shards
     }
 }
 
@@ -371,9 +427,14 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
     let num_shards = config.cells.0 * config.cells.1;
     let router_telemetry = Telemetry::new();
     let mut launcher = None;
-    let shards: Vec<ShardSlot> = match &config.process {
+    let shards: Vec<Arc<ShardSlot>> = match &config.process {
         None => (0..num_shards)
-            .map(|_| ShardSlot::Local(Shard::new(config.scheduling.clone(), config.max_pending)))
+            .map(|_| {
+                Arc::new(ShardSlot::Local(Shard::new(
+                    config.scheduling.clone(),
+                    config.max_pending,
+                )))
+            })
             .collect(),
         Some(process) => {
             let plan = process.fault_plan.clone().unwrap_or_default();
@@ -394,12 +455,12 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
             );
             let mut shards = Vec::with_capacity(num_shards);
             for cell in 0..num_shards {
-                shards.push(ShardSlot::Remote(RemoteShard::launch(
+                shards.push(Arc::new(ShardSlot::Remote(RemoteShard::launch(
                     cell,
                     spawner.clone(),
                     plan.for_cell(cell),
                     SupervisorCounters::for_cell(router_telemetry.registry(), cell),
-                )?));
+                )?)));
             }
             launcher = Some(spawner);
             shards
@@ -666,22 +727,23 @@ fn writable_tenant<'a>(core: &'a mut RouterCore, id: &str) -> Result<&'a mut Ten
 /// freshly spawned `haste-shardd` child via the retained launcher. New
 /// slots carry no fault directives — the fault plan bound to the cells
 /// that existed at startup.
-fn fresh_slot(shared: &RouterShared, cell: usize) -> Result<ShardSlot, Reply> {
-    match &shared.launcher {
-        None => Ok(ShardSlot::Local(Shard::new(
+fn fresh_slot(shared: &RouterShared, cell: usize) -> Result<Arc<ShardSlot>, Reply> {
+    let slot = match &shared.launcher {
+        None => ShardSlot::Local(Shard::new(
             shared.config.scheduling.clone(),
             shared.config.max_pending,
-        ))),
+        )),
         Some(launcher) => match RemoteShard::launch(
             cell,
             launcher.clone(),
             Vec::new(),
             SupervisorCounters::for_cell(shared.telemetry.registry(), cell),
         ) {
-            Ok(shard) => Ok(ShardSlot::Remote(shard)),
-            Err(e) => Err(internal(&format!("spawning a shard child failed: {e}"))),
+            Ok(shard) => ShardSlot::Remote(shard),
+            Err(e) => return Err(internal(&format!("spawning a shard child failed: {e}"))),
         },
-    }
+    };
+    Ok(Arc::new(slot))
 }
 
 /// Creates tenant `id` with an empty fleet on the configured grid if it
@@ -1284,7 +1346,7 @@ fn execute(request: Request, payload: &str, shared: &RouterShared, session: &mut
             // combine them. A down child contributes nothing this scrape.
             let mut down = 0u64;
             for tenant in core.values() {
-                for shard in &tenant.shards {
+                for shard in tenant.shards.iter() {
                     // haste-lint: allow(L2) — deadline-bounded EXPORT? per cell; a down child contributes nothing this scrape rather than wedging it
                     match shard.export() {
                         Ok(part) => snap.merge(part),
@@ -1461,7 +1523,7 @@ fn load_scenario_text(
     tenant.loaded = Some(loaded);
     TenantCounters::set_shards(shared.telemetry.registry(), tenant_id, tenant.shards.len());
     // Slot-0 fault directives mature the moment the grid opens.
-    for shard in &tenant.shards {
+    for shard in tenant.shards.iter() {
         shard.apply_slot_faults(0);
     }
     reply
@@ -1478,18 +1540,22 @@ fn load_scenario_text(
 /// measure the closing slot only).
 ///
 /// **Pipelined negotiation.** The per-shard `tick1` calls of one step run
-/// concurrently on scoped `haste-parallel` threads: every [`ShardSlot`]
-/// ticks through `&self` behind its own interior lock (an in-process
-/// shard's engine mutex; an out-of-process shard's connection state, so a
-/// remote step is a concurrently-issued child request under the usual
-/// per-request deadline). The join below is the consistent-cut barrier —
-/// the tenant clock, the materialized-task count, and slot faults advance
+/// concurrently through [`Fleet::fan_out`]: shard 0 on the router
+/// thread, every other shard on the fleet's parked worker, so a step
+/// starts no thread. Every [`ShardSlot`] ticks through `&self` behind its
+/// own interior lock (an in-process shard's engine mutex; an
+/// out-of-process shard's connection state, so a remote step is a
+/// concurrently-issued child request under the usual per-request
+/// deadline). The fan-out's return is the consistent-cut barrier — the
+/// tenant clock, the materialized-task count, and slot faults advance
 /// only after *every* shard has finished (or missed) the slot, so between
 /// requests all healthy shards still sit at the tenant's virtual slot.
 /// Replanning is per-shard-deterministic and shards share no state, so
 /// thread interleaving cannot reach any output bits; tick outcomes are
 /// processed sequentially in shard order, keeping error reporting
-/// deterministic too (DESIGN.md §11 has the full argument).
+/// deterministic too (DESIGN.md §11 has the full argument). A shard tick
+/// that panicked unwinds on the router thread once every shard is done,
+/// so the front door answers `ERR internal`.
 fn tick_lockstep(
     tenant: &mut TenantCore,
     n: usize,
@@ -1510,15 +1576,17 @@ fn tick_lockstep(
             });
         }
         let step_start = telemetry::clock_start();
-        let outcomes = haste_parallel::par_map(&tenant.shards, tenant.shards.len(), |_, shard| {
+        let outcomes = tenant.shards.fan_out(|shard| {
             let replan_start = telemetry::clock_start();
             let outcome = shard.tick1();
             (outcome, telemetry::elapsed_us(replan_start))
         });
-        // The join above is the consistent-cut barrier: a shard's wait is
+        // The fan-out is the consistent-cut barrier: a shard's wait is
         // the gap between its own replan finishing and the whole step.
         let step_us = telemetry::elapsed_us(step_start);
-        for (index, (outcome, replan_us)) in outcomes.into_iter().enumerate() {
+        for (index, outcome) in outcomes.into_iter().enumerate() {
+            let (outcome, replan_us) =
+                outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             let cell_label = index.to_string();
             let registry = router_telemetry.registry();
             registry
@@ -1548,7 +1616,7 @@ fn tick_lockstep(
         for count in &mut tenant.cell_submits {
             *count = 0;
         }
-        for shard in &tenant.shards {
+        for shard in tenant.shards.iter() {
             shard.apply_slot_faults(tenant.clock);
         }
     }
@@ -1671,7 +1739,7 @@ fn reshard(
     }
     // Phase 1: build and rebuild the replacement shard(s) off to the
     // side. `children` pairs each fresh slot with its new cell index.
-    let mut children: Vec<(usize, ShardSlot)> = Vec::new();
+    let mut children: Vec<(usize, Arc<ShardSlot>)> = Vec::new();
     for (j, old) in old_of.iter().enumerate() {
         if old.is_none() {
             children.push((j, fresh_slot(shared, j)?));
@@ -1716,7 +1784,7 @@ fn reshard(
     }
     // Phase 2: the atomic swap. Everything fallible already happened.
     let map_version = loaded.map_version + 1;
-    let mut old: Vec<Option<ShardSlot>> = tenant.shards.drain(..).map(Some).collect();
+    let mut old: Vec<Option<Arc<ShardSlot>>> = tenant.shards.iter().cloned().map(Some).collect();
     let mut fresh = children.into_iter();
     let mut new_shards = Vec::with_capacity(new_count);
     for entry in &old_of {
@@ -1732,7 +1800,9 @@ fn reshard(
     for (index, shard) in new_shards.iter().enumerate() {
         shard.set_cell(index);
     }
-    tenant.shards = new_shards;
+    // The old fleet's workers are joined here; its retired shards (the
+    // split parent, the merged pair) drop with `old`.
+    tenant.shards = Fleet::new(new_shards);
     tenant.loaded = tenant.loaded.take().map(|loaded| Loaded {
         partition: new_partition,
         map_version,
@@ -1754,7 +1824,7 @@ fn reshard(
 /// merge is correct across any number of reshards.
 fn merged_schedule(tenant: &TenantCore, loaded: &Loaded) -> Result<Schedule, Reply> {
     let mut shard_schedules = Vec::with_capacity(tenant.shards.len());
-    for shard in &tenant.shards {
+    for shard in tenant.shards.iter() {
         shard_schedules.push(shard.schedule().map_err(slot_err)?);
     }
     let slots = loaded.slots();
@@ -1785,7 +1855,7 @@ fn merged_schedule(tenant: &TenantCore, loaded: &Loaded) -> Result<Schedule, Rep
 /// reshards.
 fn merged_parts(tenant: &TenantCore, loaded: &Loaded) -> Result<UtilityParts, Reply> {
     let mut parts = Vec::with_capacity(tenant.shards.len());
-    for shard in &tenant.shards {
+    for shard in tenant.shards.iter() {
         parts.push(shard.utility_parts().map_err(slot_err)?);
     }
     let owners = arrival_owners(
@@ -1826,8 +1896,9 @@ fn internal(reason: &str) -> Reply {
 /// `ERR unavailable`).
 ///
 /// The document is one buffer, sized up front. Out-of-process children
-/// render first, concurrently, each answering `SNAPSHOT` under its own
-/// deadline; then, on the calling thread, each in-process engine writes
+/// render first, concurrently through [`Fleet::fan_out`], each answering
+/// `SNAPSHOT` under its own deadline; then, on the calling thread, each
+/// in-process engine writes
 /// its section straight into the buffer, formatting only the `task`
 /// lines of tasks that arrived since its last snapshot (see
 /// [`OnlineEngine::snapshot`]). Once the document is assembled, each
@@ -1843,7 +1914,7 @@ fn composite_snapshot(
     // Lockstep is an invariant (one mutex, ticks inside it); this
     // re-checks it so a corrupt snapshot can never be emitted silently,
     // and surfaces `unavailable` for down shards.
-    let in_lockstep = |slot: usize| {
+    let in_lockstep = move |slot: usize| {
         if slot == clock {
             Ok(())
         } else {
@@ -1852,21 +1923,28 @@ fn composite_snapshot(
             )))
         }
     };
-    let children = tenant
+    // Only children have a section to fetch: an in-process fleet skips
+    // the fan-out, so a durable `LOAD`'s checkpoint starts no worker.
+    let fetched = if tenant
         .shards
         .iter()
-        .filter(|shard| matches!(shard, ShardSlot::Remote(_)))
-        .count();
-    // One thread per child, none for in-process shards.
-    let fetched = haste_parallel::par_map(&tenant.shards, children, |_, shard| match shard {
-        ShardSlot::Local(_) => Ok(None),
-        ShardSlot::Remote(child) => {
-            in_lockstep(child.clock().map_err(slot_err)?.0)?;
-            child.snapshot().map(Some).map_err(slot_err)
-        }
-    })
-    .into_iter()
-    .collect::<Result<Vec<Option<String>>, Reply>>()?;
+        .any(|shard| matches!(**shard, ShardSlot::Remote(_)))
+    {
+        tenant
+            .shards
+            .fan_out(move |shard| match shard {
+                ShardSlot::Local(_) => Ok(None),
+                ShardSlot::Remote(child) => {
+                    in_lockstep(child.clock().map_err(slot_err)?.0)?;
+                    child.snapshot().map(Some).map_err(slot_err)
+                }
+            })
+            .into_iter()
+            .map(|outcome| outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect::<Result<Vec<Option<String>>, Reply>>()?
+    } else {
+        vec![None; tenant.shards.len()]
+    };
     let origin = partition.origin();
     let head = CompositeSnapshot {
         tenant: tenant_id.to_string(),
@@ -1889,7 +1967,7 @@ fn composite_snapshot(
         capacity += SECTION_HEADER_BYTES;
         if let Some(section) = section {
             capacity += section.len();
-        } else if let ShardSlot::Local(shard) = shard {
+        } else if let ShardSlot::Local(shard) = &**shard {
             capacity += shard
                 .with_engine(|engine| engine.snapshot_len_hint())
                 .map_err(shard_err)?;
@@ -1900,7 +1978,7 @@ fn composite_snapshot(
     for (index, (shard, section)) in tenant.shards.iter().zip(&fetched).enumerate() {
         if let Some(section) = section {
             push_section(&mut text, index, section);
-        } else if let ShardSlot::Local(shard) = shard {
+        } else if let ShardSlot::Local(shard) = &**shard {
             shard
                 .with_engine(|engine| {
                     in_lockstep(engine.clock())?;
@@ -2591,7 +2669,7 @@ fn restore_composite_state(
             }
         }
         match core.get_mut(&composite.tenant) {
-            Some(tenant) => tenant.shards = fresh,
+            Some(tenant) => tenant.shards = Fleet::new(fresh),
             None => {
                 core.insert(
                     composite.tenant.clone(),
@@ -2622,8 +2700,15 @@ fn restore_composite_state(
     tenant.log = OpLog::new(records);
     tenant.materialized = composite.order.len();
     tenant.clock = slot;
-    tenant.quota_used = 0;
+    // The open slot's arrival runs are its accepted submissions so far:
+    // the quota and the split trigger count on from them.
     tenant.cell_submits = vec![0; count];
+    for &(cell, submits) in composite.arrivals.last().into_iter().flatten() {
+        if let Some(total) = tenant.cell_submits.get_mut(cell as usize) {
+            *total += submits as u64;
+        }
+    }
+    tenant.quota_used = tenant.cell_submits.iter().sum();
     TenantCounters::set_shards(shared.telemetry.registry(), &composite.tenant, count);
     Ok(RestoredTenant {
         tenant: composite.tenant,

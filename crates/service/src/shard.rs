@@ -100,6 +100,8 @@ pub struct ShardStatus {
     pub oracle_commits: u64,
     /// Charger–task chargeability tests run building the coverage map.
     pub coverage_pair_tests: u64,
+    /// Candidates in the live rows handed to each replan, summed.
+    pub replan_candidates: u64,
     /// Arrived-task lines formatted for snapshots (each once per engine).
     pub task_lines_formatted: u64,
     /// Negotiation messages sent.
@@ -343,6 +345,7 @@ impl Shard {
                     oracle_marginals: metrics.oracle_marginals,
                     oracle_commits: metrics.oracle_commits,
                     coverage_pair_tests: engine.coverage_pair_tests(),
+                    replan_candidates: engine.replan_candidates(),
                     task_lines_formatted: engine.task_lines_formatted(),
                     messages: stats.messages,
                     rounds: stats.rounds,

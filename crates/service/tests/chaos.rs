@@ -455,8 +455,8 @@ fn out_of_process_export_carries_the_in_process_engine_families() {
     }
     assert_eq!(observed[0], observed[1]);
     let ((mid_engine, _), (end_engine, _)) = &observed[0];
-    // 17 cataloged engine families minus the 4 timers.
-    assert_eq!(end_engine.len(), 13, "{end_engine:?}");
+    // 18 cataloged engine families minus the 4 timers.
+    assert_eq!(end_engine.len(), 14, "{end_engine:?}");
     let value = |families: &[(String, haste_metrics::Value)], name: &str| {
         families
             .iter()

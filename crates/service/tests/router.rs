@@ -378,6 +378,23 @@ fn a_task_free_tenant_answers_utility_like_the_single_engine() {
 }
 
 #[test]
+fn a_default_router_runs_each_engine_on_one_thread() {
+    // The shards of a `TICK` already replan side by side, so the default
+    // engine builds its instances on the replanning thread itself.
+    let router = serve_router(RouterConfig::default()).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.load(&partitionable_scenario(5)).unwrap();
+    client.tick(1).unwrap();
+    let export = haste_metrics::Snapshot::parse(&client.export().unwrap()).unwrap();
+    assert_eq!(
+        export.get("haste_engine_worker_threads", &[]),
+        Some(&haste_metrics::Value::Gauge(1))
+    );
+    client.bye().unwrap();
+    router.shutdown();
+}
+
+#[test]
 fn hello_v2_advertises_topology_and_shards_reports_per_shard_state() {
     let router = serve_router(router_config()).unwrap();
     let (mut client, topology) = Client::connect_v2(router.addr()).unwrap();

@@ -729,6 +729,179 @@ fn a_restarted_router_replays_its_logged_refusals() {
     assert!(recovered.0 == expected.0, "the recovered SNAPSHOT differs");
 }
 
+/// A submission at `(x, 50)` with the fields of the quota tests.
+fn quota_spec(x: f64) -> TaskSpec {
+    TaskSpec {
+        device_pos: Vec2::new(x, 50.0),
+        device_facing: Angle::from_radians(0.9),
+        end_slot: 4,
+        required_energy: 900.0,
+        weight: 1.0,
+    }
+}
+
+/// The code a submission gets (`None` when accepted), then the
+/// session's `SNAPSHOT`.
+fn next_submission_and_snapshot(client: &mut Client, x: f64) -> (Option<String>, String) {
+    let next = client
+        .submit(&quota_spec(x))
+        .err()
+        .map(|e| e.code().unwrap().to_string());
+    (next, client.snapshot().unwrap())
+}
+
+#[test]
+fn a_restart_counts_the_open_slots_checkpointed_admissions_against_the_quota() {
+    // Quota 2: one submission before a mid-slot checkpoint, one after.
+    // The checkpoint's open-slot arrivals carry the first, so after a
+    // restart the slot's third submission is refused, as it is by the
+    // undisturbed router.
+    let config = |wal: Option<WalConfig>| RouterConfig {
+        cells: (2, 1),
+        field: (200.0, 100.0),
+        wal,
+        ..RouterConfig::default()
+    };
+    let scenario = partitionable_scenario(83);
+    let drive = |client: &mut Client| {
+        client.tenant("default", Some(2)).unwrap();
+        client.load(&scenario).unwrap();
+        client.submit(&quota_spec(40.0)).unwrap();
+        client.snapshot().unwrap();
+        client.submit(&quota_spec(140.0)).unwrap();
+    };
+
+    let reference = serve_router(config(None)).unwrap();
+    let mut client = Client::connect(reference.addr()).unwrap();
+    drive(&mut client);
+    let expected = next_submission_and_snapshot(&mut client, 45.0);
+    client.bye().unwrap();
+    reference.shutdown();
+    assert_eq!(expected.0.as_deref(), Some("quota"));
+
+    let dir = scratch("restart-open-slot-quota");
+    let router = serve_router(config(Some(WalConfig::new(&dir)))).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    drive(&mut client);
+    client.bye().unwrap();
+    router.shutdown();
+
+    let router = serve_router(config(Some(WalConfig::new(&dir)))).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    let recovered = next_submission_and_snapshot(&mut client, 45.0);
+    client.bye().unwrap();
+    router.shutdown();
+    assert_eq!(recovered.0, expected.0, "the slot's third submission");
+    assert!(recovered.1 == expected.1, "the recovered SNAPSHOT differs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_restored_document_counts_its_open_slots_admissions_against_the_quota() {
+    // One submission, then `SNAPSHOT` mid-slot: a fresh router with the
+    // same quota of 2 that restores the document admits one more
+    // submission into that slot, as the original does, and refuses the
+    // next.
+    let config = || RouterConfig {
+        cells: (2, 1),
+        field: (200.0, 100.0),
+        ..RouterConfig::default()
+    };
+    let original = serve_router(config()).unwrap();
+    let mut client = Client::connect(original.addr()).unwrap();
+    client.tenant("default", Some(2)).unwrap();
+    client.load(&partitionable_scenario(84)).unwrap();
+    client.submit(&quota_spec(40.0)).unwrap();
+    let document = client.snapshot().unwrap();
+
+    let fresh = serve_router(config()).unwrap();
+    let mut restored = Client::connect(fresh.addr()).unwrap();
+    restored.tenant("default", Some(2)).unwrap();
+    restored.restore(&document).unwrap();
+    for x in [140.0, 45.0] {
+        let (code, snapshot) = next_submission_and_snapshot(&mut restored, x);
+        let expected = next_submission_and_snapshot(&mut client, x);
+        assert_eq!(code, expected.0, "submission at x={x}");
+        assert!(snapshot == expected.1, "the SNAPSHOT after x={x} differs");
+    }
+    assert_eq!(
+        next_submission_and_snapshot(&mut restored, 50.0)
+            .0
+            .as_deref(),
+        Some("quota")
+    );
+    client.bye().unwrap();
+    restored.bye().unwrap();
+    original.shutdown();
+    fresh.shutdown();
+}
+
+#[test]
+fn a_restart_keeps_the_split_a_checkpointed_hot_slot_has_due() {
+    // With the split trigger at one submission per slot, cell 0 takes
+    // one submission before a mid-slot checkpoint and one after, so the
+    // TICK that closes the slot splits it. Its chargers sit clear of the
+    // midline x = 50, so the split succeeds; a restart between the
+    // second submission and the TICK must not forget the first.
+    let config = |wal: Option<WalConfig>| RouterConfig {
+        cells: (2, 1),
+        field: (200.0, 100.0),
+        split_threshold: Some(1),
+        wal,
+        ..RouterConfig::default()
+    };
+    let scenario = Scenario::new(
+        ChargingParams::simulation_default(),
+        TimeGrid::new(60.0, SLOTS),
+        vec![
+            Charger::new(0, Vec2::new(20.0, 50.0)),
+            Charger::new(1, Vec2::new(75.0, 40.0)),
+            Charger::new(2, Vec2::new(150.0, 50.0)),
+        ],
+        Vec::new(),
+        1.0 / 12.0,
+        1,
+    )
+    .unwrap();
+    let drive = |client: &mut Client| {
+        client.load(&scenario).unwrap();
+        client.submit(&quota_spec(25.0)).unwrap();
+        client.snapshot().unwrap();
+        client.submit(&quota_spec(70.0)).unwrap();
+    };
+    let close_slot = |client: &mut Client| {
+        client.tick(1).unwrap();
+        (client.shards().unwrap().len(), client.snapshot().unwrap())
+    };
+
+    let reference = serve_router(config(None)).unwrap();
+    let mut client = Client::connect(reference.addr()).unwrap();
+    drive(&mut client);
+    let expected = close_slot(&mut client);
+    client.bye().unwrap();
+    reference.shutdown();
+    assert_eq!(expected.0, 3, "the reference splits cell 0");
+
+    let dir = scratch("restart-due-split");
+    let router = serve_router(config(Some(WalConfig::new(&dir)))).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    drive(&mut client);
+    client.bye().unwrap();
+    router.shutdown();
+
+    let router = serve_router(config(Some(WalConfig::new(&dir)))).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    let recovered = close_slot(&mut client);
+    client.bye().unwrap();
+    router.shutdown();
+    assert_eq!(recovered.0, expected.0, "shards after the slot closes");
+    assert!(
+        recovered.1 == expected.1,
+        "the SNAPSHOT after the slot closes differs"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_quota_refusal_after_a_mid_slot_checkpoint_recovers() {
     // `SNAPSHOT` mid-slot is a checkpoint, and no checkpoint carries the
