@@ -137,18 +137,15 @@ pub struct OnlineEngine {
     /// Id of the open slot's first task: tasks `open_from..` arrived in
     /// it (ids are arrival indices and release slots never decrease).
     open_from: usize,
-    /// Chargeability pair tests run: chargers × tasks covered so far.
-    pair_tests: u64,
     /// The `scenario` section of [`snapshot`](OnlineEngine::snapshot) as
     /// far as it is rendered: the scenario's head lines, then the `task`
     /// lines of the first `rendered` arrived tasks. Arrived tasks are
     /// append-only and never change, so the text is only ever extended,
     /// the way `coverage` is. Empty until the first snapshot.
     scenario_text: String,
-    /// Arrived tasks whose `task` line `scenario_text` holds.
+    /// Arrived tasks whose `task` line `scenario_text` holds: every one
+    /// of them was formatted once, by this engine.
     rendered: usize,
-    /// Arrived-task lines formatted into `scenario_text` so far.
-    task_lines: u64,
     config: OnlineConfig,
     max_pending: usize,
     /// Submissions admitted into the current open slot.
@@ -156,7 +153,10 @@ pub struct OnlineEngine {
     /// The current open slot; slots `0..clock` are closed.
     clock: usize,
     schedule: Schedule,
+    /// Negotiation counters, the oracle counters among them.
     stats: NegotiationStats,
+    /// Phase timings and the thread count; [`metrics`](OnlineEngine::metrics)
+    /// reads the oracle counters from `stats`.
     metrics: SolverMetrics,
     admitted: u64,
     rejected: u64,
@@ -184,10 +184,8 @@ impl OnlineEngine {
             replan_candidates: 0,
             coverage,
             open_from: 0,
-            pair_tests: 0,
             scenario_text: String::new(),
             rendered: 0,
-            task_lines: 0,
             scenario,
             staged: staged.into(),
             config,
@@ -234,7 +232,6 @@ impl OnlineEngine {
         self.graph.extend(&self.coverage, from..to);
         self.live.append(&self.coverage, from);
         self.metrics.coverage_build += start.elapsed();
-        self.pair_tests += ((to - from) * self.scenario.num_chargers()) as u64;
     }
 
     /// Admits a task into the current open slot (its release slot becomes
@@ -326,8 +323,6 @@ impl OnlineEngine {
             );
             // Holding orientations must never resurrect a dead charger.
             self.blank_dead();
-            self.metrics.oracle_marginals = self.stats.oracle_marginals;
-            self.metrics.oracle_commits = self.stats.oracle_commits;
         }
         self.clock += 1;
         self.pending = 0;
@@ -367,11 +362,11 @@ impl OnlineEngine {
         let relaxed = evaluate_relaxed(&self.scenario, &self.coverage, &self.schedule);
         self.metrics.p1_eval += eval_start.elapsed();
         OnlineResult {
+            metrics: self.metrics(),
             schedule: self.schedule,
             report,
             relaxed_value: relaxed.total_utility,
             stats: self.stats,
-            metrics: self.metrics,
         }
     }
 
@@ -425,17 +420,21 @@ impl OnlineEngine {
         &self.stats
     }
 
-    /// Accumulated solver phase timings and oracle counters.
-    #[inline]
-    pub fn metrics(&self) -> &SolverMetrics {
-        &self.metrics
+    /// Accumulated solver phase timings, with the oracle counters of
+    /// [`stats`](OnlineEngine::stats).
+    pub fn metrics(&self) -> SolverMetrics {
+        SolverMetrics {
+            oracle_marginals: self.stats.oracle_marginals,
+            oracle_commits: self.stats.oracle_commits,
+            ..self.metrics.clone()
+        }
     }
 
     /// Chargeability pair tests run so far: chargers × tasks covered, the
     /// build of a [`restore`](OnlineEngine::restore) included.
     #[inline]
     pub fn coverage_pair_tests(&self) -> u64 {
-        self.pair_tests
+        (self.scenario.num_chargers() * self.coverage.num_tasks()) as u64
     }
 
     /// Candidates in the live rows handed to each replan so far, summed
@@ -456,7 +455,7 @@ impl OnlineEngine {
     /// formatted at each snapshot and not counted.
     #[inline]
     pub fn task_lines_formatted(&self) -> u64 {
-        self.task_lines
+        self.rendered as u64
     }
 
     /// `(admitted, rejected, pending-in-open-slot)` admission counters.
@@ -611,9 +610,7 @@ impl OnlineEngine {
         for task in &self.scenario.tasks[self.rendered..] {
             io::push_task_line(&mut self.scenario_text, task);
         }
-        let arrived = self.scenario.num_tasks();
-        self.task_lines += (arrived - self.rendered) as u64;
-        self.rendered = arrived;
+        self.rendered = self.scenario.num_tasks();
     }
 
     /// Reconstructs an engine from [`snapshot`](OnlineEngine::snapshot)
@@ -812,10 +809,8 @@ impl OnlineEngine {
             open_from: scenario
                 .tasks
                 .partition_point(|task| task.release_slot < clock),
-            pair_tests: (scenario.num_tasks() * scenario.num_chargers()) as u64,
             scenario_text: String::new(),
             rendered: 0,
-            task_lines: 0,
             scenario,
             staged,
             config,
@@ -825,8 +820,6 @@ impl OnlineEngine {
             schedule,
             metrics: SolverMetrics {
                 threads,
-                oracle_marginals: stats.oracle_marginals,
-                oracle_commits: stats.oracle_commits,
                 ..SolverMetrics::default()
             },
             stats,

@@ -98,18 +98,6 @@ impl Schedule {
             }
         }
     }
-
-    /// Overwrites the suffix of this schedule starting at `from_slot` with
-    /// the corresponding entries of `other` — the primitive the online
-    /// scheduler uses when a re-negotiated plan takes effect after the
-    /// rescheduling delay.
-    pub fn splice_from(&mut self, other: &Schedule, from_slot: Slot) {
-        assert_eq!(self.num_chargers(), other.num_chargers());
-        assert_eq!(self.num_slots(), other.num_slots());
-        for (row, other_row) in self.orientations.iter_mut().zip(&other.orientations) {
-            row[from_slot..].copy_from_slice(&other_row[from_slot..]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,20 +151,5 @@ mod tests {
         assert_eq!(s.get(c, 3), Some(deg(10.0)));
         assert_eq!(s.get(c, 5), Some(deg(20.0)));
         assert_eq!(s.switch_count(c), switches_before);
-    }
-
-    #[test]
-    fn splice_replaces_suffix_only() {
-        let mut a = Schedule::empty(1, 4);
-        let mut b = Schedule::empty(1, 4);
-        let c = ChargerId(0);
-        a.set(c, 0, Some(deg(1.0)));
-        a.set(c, 3, Some(deg(2.0)));
-        b.set(c, 0, Some(deg(99.0)));
-        b.set(c, 2, Some(deg(3.0)));
-        a.splice_from(&b, 2);
-        assert_eq!(a.get(c, 0), Some(deg(1.0))); // prefix kept
-        assert_eq!(a.get(c, 2), Some(deg(3.0))); // suffix replaced
-        assert_eq!(a.get(c, 3), None);
     }
 }

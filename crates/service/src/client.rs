@@ -852,7 +852,6 @@ mod tests {
             admitted: 9,
             rejected: 1,
             pending: 4,
-            ..crate::shard::ShardStatus::default()
         };
         let line = crate::server::shard_line(
             5,

@@ -17,6 +17,13 @@
 //! * the write-ahead log ([`crate::wal`]) appends [`OpLog::unlogged`] —
 //!   the records pushed since its last append.
 //!
+//! The log also owns the tenant's slot counts, kept as it grows: the
+//! clock ([`OpLog::clock`], its ticks), the accepted submissions
+//! ([`OpLog::accepted_count`]) and those of the open slot
+//! ([`OpLog::open_count`], what the quota gate reads). They change only
+//! as [`OpLog::push`] or [`OpLog::new`] takes a record in, so a restored
+//! or recovered tenant counts exactly as the one that wrote its history.
+//!
 //! A record has exactly one text form (its `Display` and
 //! [`OpRecord::parse`]): the payload of a WAL frame.
 
@@ -39,8 +46,8 @@ pub enum OpRecord {
     /// A refused submission: the stable error code and the spec as sent
     /// (which may hold the non-finite field it was refused for).
     /// Refusals by the cell's engine are replayed into a restarted child
-    /// so its admission counters reproduce; WAL recovery replays them
-    /// the same way and counts a `quota` refusal again without routing.
+    /// so its admission counters reproduce; WAL recovery submits them
+    /// and `quota` refusals again, and each must be refused the same way.
     Reject {
         /// Stable error code of the refusal.
         code: ErrCode,
@@ -164,26 +171,80 @@ pub(crate) struct OpLog {
     /// Records before this index reached the write-ahead log, came from
     /// it, or need not reach it.
     logged: usize,
+    /// `Tick` records: the tenant's clock.
+    ticks: usize,
+    /// `Submit` records.
+    accepted: usize,
+    /// `Submit` records since the last `Tick`.
+    open: usize,
 }
 
 impl OpLog {
     /// A log holding `records`, all of them already durable (a restored
     /// document's history is covered by the checkpoint that follows).
     pub(crate) fn new(records: Vec<OpRecord>) -> OpLog {
-        OpLog {
-            logged: records.len(),
-            records,
+        let mut log = OpLog::default();
+        for record in &records {
+            log.count(record);
         }
+        log.logged = records.len();
+        log.records = records;
+        log
     }
 
     /// Appends one applied record.
     pub(crate) fn push(&mut self, record: OpRecord) {
+        self.count(&record);
         self.records.push(record);
+    }
+
+    /// Moves the slot counts past `record`.
+    fn count(&mut self, record: &OpRecord) {
+        match record {
+            OpRecord::Tick => {
+                self.ticks += 1;
+                self.open = 0;
+            }
+            OpRecord::Submit(_) => {
+                self.accepted += 1;
+                self.open += 1;
+            }
+            _ => {}
+        }
     }
 
     /// Number of records; the cursor a baseline taken now sits at.
     pub(crate) fn len(&self) -> usize {
         self.records.len()
+    }
+
+    /// The tenant's virtual clock: the slots closed since `LOAD`. Healthy
+    /// shards follow it in lockstep and a down shard rejoins to it by
+    /// replay, so it stays right while children are dead.
+    pub(crate) fn clock(&self) -> usize {
+        self.ticks
+    }
+
+    /// Accepted submissions since `LOAD`.
+    pub(crate) fn accepted_count(&self) -> usize {
+        self.accepted
+    }
+
+    /// Accepted submissions in the open slot.
+    pub(crate) fn open_count(&self) -> usize {
+        self.open
+    }
+
+    /// The open slot's accepted submissions, latest first.
+    pub(crate) fn open_slot(&self) -> impl Iterator<Item = &TaskSpec> {
+        self.records
+            .iter()
+            .rev()
+            .take_while(|record| !matches!(record, OpRecord::Tick))
+            .filter_map(|record| match record {
+                OpRecord::Submit(spec) => Some(spec),
+                _ => None,
+            })
     }
 
     /// The accepted submissions and ticks, in order: what `RESHARD`
@@ -306,6 +367,37 @@ mod tests {
                 OpRecord::Tick,
             ]
         );
+    }
+
+    #[test]
+    fn the_counts_follow_the_records_however_the_log_was_built() {
+        let records = [
+            OpRecord::Submit(spec(1.0)),
+            OpRecord::Tick,
+            OpRecord::Submit(spec(2.0)),
+            OpRecord::Reject {
+                code: ErrCode::Quota,
+                spec: spec(3.0),
+            },
+            OpRecord::ReshardSplit(0),
+            OpRecord::Submit(spec(4.0)),
+        ];
+        let mut pushed = OpLog::default();
+        for record in records {
+            pushed.push(record);
+        }
+        let built = OpLog::new(records.to_vec());
+        for log in [&pushed, &built] {
+            assert_eq!(
+                (log.clock(), log.accepted_count(), log.open_count()),
+                (1, 3, 2)
+            );
+            let open: Vec<f64> = log.open_slot().map(|spec| spec.device_pos.x).collect();
+            assert_eq!(open, vec![4.0, 2.0]);
+        }
+        pushed.push(OpRecord::Tick);
+        assert_eq!((pushed.clock(), pushed.open_count()), (2, 0));
+        assert_eq!(pushed.open_slot().count(), 0);
     }
 
     #[test]

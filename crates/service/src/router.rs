@@ -36,8 +36,8 @@
 //! localized replanning is per-cell-deterministic, the rebuilt cells'
 //! engine state is bitwise what a fresh run under the new partition
 //! would have produced — so global utility is bit-identical across the
-//! swap (DESIGN.md §13 has the full argument). A per-cell submission
-//! gauge can trigger splits automatically
+//! swap (DESIGN.md §13 has the full argument). A cell whose closing slot
+//! ran hot can be split automatically
 //! ([`RouterConfig::split_threshold`]).
 //!
 //! **Deployment modes.** By default every shard is an in-process
@@ -100,7 +100,9 @@
 //! accepted and refused submissions, ticks, completed splits and merges,
 //! quota changes — is pushed, in lock order, onto the tenant's
 //! [`OpLog`]. Reshard replay, shard-child recovery and the write-ahead
-//! log are views of it (see [`crate::oplog`]). The composite document
+//! log are views of it (see [`crate::oplog`]), and it owns the tenant's
+//! slot counts: the clock, the next task id, the quota usage and the
+//! split trigger's load all derive from it. The composite document
 //! stores each accepted task once, in its cell's shard section, plus the
 //! cells of each slot's submissions in arrival order; `RESTORE` rebuilds
 //! the log's accepted view from the restored engines in that order and
@@ -176,10 +178,12 @@ pub struct RouterConfig {
     /// (Prometheus-style). `None` disables it; `EXPORT?` on the wire
     /// protocol is always available.
     pub metrics_addr: Option<String>,
-    /// `Some(n)`: at each `TICK`, a cell that accepted more than `n`
-    /// submissions during the closing slot is split automatically (best
-    /// effort — an unsplittable cell keeps its load). `None` disables
-    /// the trigger; `RESHARD SPLIT` always works.
+    /// `Some(n)`: at each `TICK`, a cell that holds more than `n` of the
+    /// closing slot's accepted submissions is split automatically (best
+    /// effort — an unsplittable cell keeps its load). The cells are those
+    /// of the tiling at the `TICK`, so after a mid-slot reshard the
+    /// slot's earlier submissions count toward the cell that now holds
+    /// them. `None` disables the trigger; `RESHARD SPLIT` always works.
     pub split_threshold: Option<u64>,
     /// `Some` makes the router durable: every tenant mutation is framed
     /// into a per-tenant write-ahead log under the configured directory,
@@ -212,9 +216,12 @@ impl Default for RouterConfig {
 }
 
 /// Everything one tenant owns: its shard fleet, loaded state, operation
-/// log, clock, admission quota, and (on a durable router) write-ahead
-/// log. The global arrival order is not among them: every merge derives
-/// it from the loaded scenario and the log (see [`arrival_owners`]).
+/// log, admission quota, and (on a durable router) write-ahead log. No
+/// count is kept beside them: the clock, the next task id, the quota
+/// usage and the split trigger's per-cell load are read from the log
+/// (see [`crate::oplog`]), the shard count from the fleet, and the global
+/// arrival order from the loaded scenario and the log (see
+/// [`arrival_owners`]).
 struct TenantCore {
     /// Shard `i` serves cell `i` of the loaded partition.
     shards: Fleet,
@@ -222,21 +229,8 @@ struct TenantCore {
     loaded: Option<Loaded>,
     /// Every record applied since `LOAD` (see [`crate::oplog`]).
     log: OpLog,
-    /// Tasks materialized so far — the staged releases of every opened
-    /// slot plus the accepted submissions — so the global id of the next
-    /// accepted submission.
-    materialized: usize,
-    /// The tenant's virtual clock. This is the authority — healthy shards
-    /// follow it in lockstep, and a down shard rejoins *to it* by replay —
-    /// so it stays correct even while children are dead.
-    clock: usize,
     /// Per-slot accepted-submission cap; `None` is unlimited.
     quota: Option<u64>,
-    /// Accepted submissions in the currently open slot.
-    quota_used: u64,
-    /// Accepted submissions per cell in the currently open slot — the
-    /// elastic-split load trigger.
-    cell_submits: Vec<u64>,
     /// Tenant-labeled counters (reshards, quota rejections).
     counters: TenantCounters,
     /// The write-ahead log on a durable router, once the tenant has
@@ -246,16 +240,11 @@ struct TenantCore {
 
 impl TenantCore {
     fn new(shards: Vec<Arc<ShardSlot>>, counters: TenantCounters) -> TenantCore {
-        let cells = shards.len();
         TenantCore {
             shards: Fleet::new(shards),
             loaded: None,
             log: OpLog::default(),
-            materialized: 0,
-            clock: 0,
             quota: None,
-            quota_used: 0,
-            cell_submits: vec![0; cells],
             counters,
             wal: None,
         }
@@ -326,9 +315,26 @@ struct Loaded {
     partition: Partition,
     /// Routing-map version: 1 at `LOAD`, bumped by every reshard.
     map_version: u64,
+    /// The release slots of the scenario's staged tasks, ascending.
+    releases: Vec<usize>,
 }
 
 impl Loaded {
+    fn new(scenario: Scenario, partition: Partition, map_version: u64) -> Loaded {
+        let mut releases: Vec<usize> = scenario
+            .tasks
+            .iter()
+            .map(|task| task.release_slot)
+            .collect();
+        releases.sort_unstable();
+        Loaded {
+            scenario,
+            partition,
+            map_version,
+            releases,
+        }
+    }
+
     /// A tenant's loaded state, or the `no-scenario` refusal every verb
     /// that needs one makes before `LOAD`/`RESTORE`. It takes the
     /// tenant's field rather than the tenant, so the caller may still
@@ -342,13 +348,12 @@ impl Loaded {
         self.scenario.grid.num_slots
     }
 
-    /// How many staged tasks the scenario releases when `slot` opens.
-    fn released_in(&self, slot: usize) -> usize {
-        self.scenario
-            .tasks
-            .iter()
-            .filter(|task| task.release_slot == slot)
-            .count()
+    /// The global id of the next accepted submission: the tasks
+    /// materialized so far, the staged releases of every opened slot plus
+    /// the accepted submissions.
+    fn next_task_id(&self, log: &OpLog) -> usize {
+        let clock = log.clock();
+        self.releases.partition_point(|&slot| slot <= clock) + log.accepted_count()
     }
 }
 
@@ -430,10 +435,10 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
     let shards: Vec<Arc<ShardSlot>> = match &config.process {
         None => (0..num_shards)
             .map(|_| {
-                Arc::new(ShardSlot::Local(Shard::new(
+                Arc::new(ShardSlot::Local(Box::new(Shard::new(
                     config.scheduling.clone(),
                     config.max_pending,
-                )))
+                ))))
             })
             .collect(),
         Some(process) => {
@@ -455,12 +460,12 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
             );
             let mut shards = Vec::with_capacity(num_shards);
             for cell in 0..num_shards {
-                shards.push(Arc::new(ShardSlot::Remote(RemoteShard::launch(
+                shards.push(Arc::new(ShardSlot::Remote(Box::new(RemoteShard::launch(
                     cell,
                     spawner.clone(),
                     plan.for_cell(cell),
                     SupervisorCounters::for_cell(router_telemetry.registry(), cell),
-                )?)));
+                )?))));
             }
             launcher = Some(spawner);
             shards
@@ -474,7 +479,6 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
             TenantCounters::for_tenant(router_telemetry.registry(), DEFAULT_TENANT),
         ),
     );
-    TenantCounters::set_shards(router_telemetry.registry(), DEFAULT_TENANT, num_shards);
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     // Bind the scrape listener before spawning anything, so a bad
@@ -729,17 +733,17 @@ fn writable_tenant<'a>(core: &'a mut RouterCore, id: &str) -> Result<&'a mut Ten
 /// that existed at startup.
 fn fresh_slot(shared: &RouterShared, cell: usize) -> Result<Arc<ShardSlot>, Reply> {
     let slot = match &shared.launcher {
-        None => ShardSlot::Local(Shard::new(
+        None => ShardSlot::Local(Box::new(Shard::new(
             shared.config.scheduling.clone(),
             shared.config.max_pending,
-        )),
+        ))),
         Some(launcher) => match RemoteShard::launch(
             cell,
             launcher.clone(),
             Vec::new(),
             SupervisorCounters::for_cell(shared.telemetry.registry(), cell),
         ) {
-            Ok(shard) => ShardSlot::Remote(shard),
+            Ok(shard) => ShardSlot::Remote(Box::new(shard)),
             Err(e) => return Err(internal(&format!("spawning a shard child failed: {e}"))),
         },
     };
@@ -762,7 +766,6 @@ fn ensure_tenant<'a>(
         }
         let counters = TenantCounters::for_tenant(shared.telemetry.registry(), id);
         core.insert(id.to_string(), TenantCore::new(shards, counters));
-        TenantCounters::set_shards(shared.telemetry.registry(), id, count);
     }
     let tenant = tenant_mut(core, id)?;
     if quota.is_some() {
@@ -773,10 +776,10 @@ fn ensure_tenant<'a>(
 
 /// The shared `SUBMIT` path (text, batch and WAL replay): finiteness
 /// check, quota gate, routing to the shard of the device's cell, shard
-/// admission, then the bookkeeping — the outcome's record on the
-/// operation log, and for an acceptance the materialized-task count (its
-/// global id), quota usage, and the per-cell submission gauge that feeds
-/// the elastic-split trigger.
+/// admission, then the outcome's record on the operation log — which is
+/// all the bookkeeping: the quota usage, the next global id and the split
+/// trigger's load are read from the log. An acceptance also counts
+/// toward the default tenant's `haste_router_cell_submits_total`.
 fn submit_routed(
     tenant: &mut TenantCore,
     tenant_id: &str,
@@ -791,12 +794,10 @@ fn submit_routed(
         // to log.
         return Err((ErrCode::BadTask, "non-finite position/facing".to_string()));
     }
-    let cell = Loaded::of(&tenant.loaded)
-        .map_err(shard_err_parts)?
-        .partition
-        .cell_of(spec.device_pos);
+    let loaded = Loaded::of(&tenant.loaded).map_err(shard_err_parts)?;
+    let cell = loaded.partition.cell_of(spec.device_pos);
     let outcome = match tenant.quota {
-        Some(quota) if tenant.quota_used >= quota => {
+        Some(quota) if tenant.log.open_count() as u64 >= quota => {
             tenant.counters.quota_rejected.inc();
             Err((
                 ErrCode::Quota,
@@ -812,13 +813,8 @@ fn submit_routed(
     };
     match outcome {
         Ok((_local, release)) => {
+            let global = loaded.next_task_id(&tenant.log);
             tenant.log.push(OpRecord::Submit(spec));
-            let global = tenant.materialized;
-            tenant.materialized += 1;
-            tenant.quota_used += 1;
-            if let Some(count) = tenant.cell_submits.get_mut(cell) {
-                *count += 1;
-            }
             if tenant_id == DEFAULT_TENANT {
                 telemetry::count_cell_submit(shared.telemetry.registry(), cell);
             }
@@ -980,14 +976,13 @@ fn reply_error_text(reply: &Reply) -> String {
 /// Replays one log record into a recovered tenant through the *live*
 /// request paths, so replay determinism is the router's ordinary
 /// determinism. A refusal an engine decided (`overload`, `bad-task`,
-/// `at-horizon`) is submitted again and must be refused with the same
-/// code, so the engines' `rejected` counters reproduce. A `quota` refusal
-/// depends on the slot's admission count, which no checkpoint carries:
-/// it is counted again without routing, and it lifts the count to the
-/// quota it proves was reached. Any other refusal (`unavailable`: no
-/// child saw it; `internal`: a fault no replay reproduces) and a
-/// checkpoint marker (its checkpoint never finished installing) replay
-/// as no-ops.
+/// `at-horizon`) or the quota gate decided (`quota`) is submitted again
+/// and must be refused with the same code, so the engines' `rejected`
+/// counters and the tenant's quota counter reproduce: the checkpoint's
+/// last arrival runs and the replayed tail make the open slot's
+/// admission count exact. Any other refusal (`unavailable`: no child saw
+/// it; `internal`: a fault no replay reproduces) and a checkpoint marker
+/// (its checkpoint never finished installing) replay as no-ops.
 fn apply_wal_record(
     tenant: &mut TenantCore,
     shared: &RouterShared,
@@ -996,7 +991,8 @@ fn apply_wal_record(
 ) -> Result<(), String> {
     match record {
         OpRecord::Reject {
-            code: code @ (ErrCode::Overload | ErrCode::BadTask | ErrCode::AtHorizon),
+            code:
+                code @ (ErrCode::Overload | ErrCode::BadTask | ErrCode::AtHorizon | ErrCode::Quota),
             spec,
         } => match submit_routed(tenant, tenant_id, *spec, shared) {
             Err((again, _)) if again == *code => Ok(()),
@@ -1007,20 +1003,6 @@ fn apply_wal_record(
             )),
             Ok(_) => Err(format!("logged {} refusal accepted", code.as_str())),
         },
-        OpRecord::Reject {
-            code: ErrCode::Quota,
-            spec,
-        } => {
-            tenant.counters.quota_rejected.inc();
-            if let Some(quota) = tenant.quota {
-                tenant.quota_used = tenant.quota_used.max(quota);
-            }
-            tenant.log.push(OpRecord::Reject {
-                code: ErrCode::Quota,
-                spec: *spec,
-            });
-            Ok(())
-        }
         OpRecord::Reject { .. } | OpRecord::Checkpoint { .. } => Ok(()),
         OpRecord::Quota(q) => {
             tenant.quota = Some(*q);
@@ -1036,14 +1018,12 @@ fn apply_wal_record(
         OpRecord::Tick => tick_lockstep(tenant, 1, &shared.telemetry)
             .map(|_| ())
             .map_err(|reply| reply_error_text(&reply)),
-        OpRecord::ReshardSplit(cell) => reshard(tenant, tenant_id, ReshardOp::Split(*cell), shared)
+        OpRecord::ReshardSplit(cell) => reshard(tenant, ReshardOp::Split(*cell), shared)
             .map(|_| ())
             .map_err(|reply| reply_error_text(&reply)),
-        OpRecord::ReshardMerge(a, b) => {
-            reshard(tenant, tenant_id, ReshardOp::Merge(*a, *b), shared)
-                .map(|_| ())
-                .map_err(|reply| reply_error_text(&reply))
-        }
+        OpRecord::ReshardMerge(a, b) => reshard(tenant, ReshardOp::Merge(*a, *b), shared)
+            .map(|_| ())
+            .map_err(|reply| reply_error_text(&reply)),
     }
 }
 
@@ -1198,7 +1178,7 @@ fn execute(request: Request, payload: &str, shared: &RouterShared, session: &mut
                 Err(reply) => reply,
                 Ok(tenant) => {
                     // haste-lint: allow(L2) — per-cell LOADs are deadline-bounded; `core` must be held so no request observes a half-partitioned scenario
-                    let reply = load_scenario_text(tenant, &tenant_id, config, shared, payload);
+                    let reply = load_scenario_text(tenant, config, payload);
                     if matches!(reply, Reply::Ok(_)) {
                         // A freshly loaded tenant starts durable from a
                         // checkpoint, so the log tail only ever carries
@@ -1258,7 +1238,7 @@ fn execute(request: Request, payload: &str, shared: &RouterShared, session: &mut
                     // moves (best effort; a tenant with no scenario has
                     // no hot cell).
                     // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut under `core`; each child call is deadline-bounded
-                    maybe_auto_split(tenant, &tenant_id, shared);
+                    maybe_auto_split(tenant, shared);
                     // haste-lint: allow(L2) — the lockstep pipelines deadline-bounded TICKs across cells under `core`; interleaving another request mid-round would fork the clock
                     let outcome = tick_lockstep(tenant, n, &shared.telemetry);
                     // Log what actually happened — an auto-split and every
@@ -1289,11 +1269,13 @@ fn execute(request: Request, payload: &str, shared: &RouterShared, session: &mut
                 // The tenant clock is authoritative (healthy shards track
                 // it in lockstep; down shards rejoin to it), so CLOCK?
                 // answers even while children are restarting.
-                Ok((tenant, loaded)) => Reply::Ok(format!(
-                    "slot={} open={}",
-                    tenant.clock,
-                    u8::from(tenant.clock < loaded.slots())
-                )),
+                Ok((tenant, loaded)) => {
+                    let clock = tenant.log.clock();
+                    Reply::Ok(format!(
+                        "slot={clock} open={}",
+                        u8::from(clock < loaded.slots())
+                    ))
+                }
             }
         }
         Request::Schedule => {
@@ -1344,8 +1326,14 @@ fn execute(request: Request, payload: &str, shared: &RouterShared, session: &mut
             // Every shard of every tenant contributes its engine families
             // (a child also its request series); the catalog's merge rules
             // combine them. A down child contributes nothing this scrape.
+            // The shard and down-shard gauges are read off the fleets.
             let mut down = 0u64;
-            for tenant in core.values() {
+            for (tenant_id, tenant) in core.iter() {
+                snap.set_gauge(
+                    "haste_router_tenant_shards",
+                    &[("tenant", tenant_id)],
+                    tenant.shards.len() as u128,
+                );
                 for shard in tenant.shards.iter() {
                     // haste-lint: allow(L2) — deadline-bounded EXPORT? per cell; a down child contributes nothing this scrape rather than wedging it
                     match shard.export() {
@@ -1396,7 +1384,7 @@ fn reshard_request(shared: &RouterShared, session: &Session, op: ReshardOp) -> R
         Err(reply) => return reply,
     };
     // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut: children are rebuilt and swapped in under `core`, each child call deadline-bounded
-    match reshard(tenant, &tenant_id, op, shared) {
+    match reshard(tenant, op, shared) {
         Ok((cells, version)) => {
             if wal_flush(tenant, shared, &tenant_id) {
                 Reply::Ok(format!("cells={cells} map={version}"))
@@ -1457,13 +1445,7 @@ fn shards_payload(core: &RouterCore) -> Reply {
 /// exactly one cell), so the reply is correct even if a child shard is
 /// down — its baseline is recorded and the first tick's rejoin pass
 /// replays the load into a fresh child.
-fn load_scenario_text(
-    tenant: &mut TenantCore,
-    tenant_id: &str,
-    config: &RouterConfig,
-    shared: &RouterShared,
-    payload: &str,
-) -> Reply {
+fn load_scenario_text(tenant: &mut TenantCore, config: &RouterConfig, payload: &str) -> Reply {
     if tenant.loaded.is_some() {
         return shard_err(ShardError::AlreadyLoaded);
     }
@@ -1505,23 +1487,14 @@ fn load_scenario_text(
             Err(e) => return slot_err(e),
         }
     }
-    let loaded = Loaded {
-        scenario,
-        partition,
-        map_version: 1,
-    };
+    let loaded = Loaded::new(scenario, partition, 1);
     let reply = Reply::Ok(format!(
         "chargers={total_chargers} staged={total_staged} slots={} shards={}",
         loaded.slots(),
         tenant.shards.len()
     ));
-    tenant.materialized = loaded.released_in(0);
-    tenant.clock = 0;
     tenant.log = OpLog::default();
-    tenant.quota_used = 0;
-    tenant.cell_submits = vec![0; tenant.shards.len()];
     tenant.loaded = Some(loaded);
-    TenantCounters::set_shards(shared.telemetry.registry(), tenant_id, tenant.shards.len());
     // Slot-0 fault directives mature the moment the grid opens.
     for shard in tenant.shards.iter() {
         shard.apply_slot_faults(0);
@@ -1529,15 +1502,13 @@ fn load_scenario_text(
     reply
 }
 
-/// Advances one tenant's lockstep one slot at a time, counting the staged
-/// arrivals each opened slot releases. Down shards do
+/// Advances one tenant's lockstep one slot at a time. Down shards do
 /// not stall the fleet: each step first gives them a rejoin (restart +
 /// replay to the tenant clock), then ticks every shard, *pipelined*; the
-/// step's tick record lands on the operation log either way, so a shard
-/// that is still down replays the missed slot when it rejoins, and fault
-/// directives for the newly opened slot mature last. Closing a slot
-/// resets the quota usage and the per-cell submission counts (they
-/// measure the closing slot only).
+/// step's tick record lands on the operation log either way — moving the
+/// tenant clock and opening the next slot's counts — so a shard that is
+/// still down replays the missed slot when it rejoins, and fault
+/// directives for the newly opened slot mature last.
 ///
 /// **Pipelined negotiation.** The per-shard `tick1` calls of one step run
 /// concurrently through [`Fleet::fan_out`]: shard 0 on the router
@@ -1563,15 +1534,16 @@ fn tick_lockstep(
 ) -> Result<(usize, bool), Reply> {
     let loaded = Loaded::of(&tenant.loaded).map_err(shard_err)?;
     let slots = loaded.slots();
-    if tenant.clock >= slots {
+    if tenant.log.clock() >= slots {
         return Err(shard_err(ShardError::AtHorizon));
     }
     for _ in 0..n {
-        if tenant.clock >= slots {
+        let clock = tenant.log.clock();
+        if clock >= slots {
             break;
         }
         for (index, shard) in tenant.shards.iter().enumerate() {
-            shard.rejoin(tenant.clock, &tenant.log, |pos| {
+            shard.rejoin(clock, &tenant.log, |pos| {
                 loaded.partition.cell_of(pos) == index
             });
         }
@@ -1597,10 +1569,9 @@ fn tick_lockstep(
                 .observe((step_us - replan_us).max(0.0));
             match outcome {
                 Ok((slot, _open)) => {
-                    if slot != tenant.clock + 1 {
+                    if slot != clock + 1 {
                         return Err(internal(&format!(
-                            "lockstep broken: shard at slot {slot} after ticking from {}",
-                            tenant.clock
+                            "lockstep broken: shard at slot {slot} after ticking from {clock}"
                         )));
                     }
                 }
@@ -1609,34 +1580,37 @@ fn tick_lockstep(
                 Err(e) => return Err(slot_err(e)),
             }
         }
-        tenant.clock += 1;
         tenant.log.push(OpRecord::Tick);
-        tenant.materialized += loaded.released_in(tenant.clock);
-        tenant.quota_used = 0;
-        for count in &mut tenant.cell_submits {
-            *count = 0;
-        }
         for shard in tenant.shards.iter() {
-            shard.apply_slot_faults(tenant.clock);
+            shard.apply_slot_faults(clock + 1);
         }
     }
-    Ok((tenant.clock, tenant.clock < slots))
+    let clock = tenant.log.clock();
+    Ok((clock, clock < slots))
 }
 
-/// The elastic-split load trigger: if any cell accepted more than
-/// [`RouterConfig::split_threshold`] submissions during the closing slot,
-/// split the first such cell. Best effort — an unsplittable hot cell
-/// (too thin, a charger too close to the midline) keeps its load and the
-/// trigger re-arms next slot. A completed split lands on the operation
-/// log like a `RESHARD SPLIT`: recovery replays the *logged* split
-/// rather than re-running this heuristic (whose per-slot submission
-/// counters don't survive a restart).
-fn maybe_auto_split(tenant: &mut TenantCore, tenant_id: &str, shared: &RouterShared) {
-    let Some(threshold) = shared.config.split_threshold else {
+/// The elastic-split load trigger: if any cell of the current tiling
+/// holds more than [`RouterConfig::split_threshold`] of the closing
+/// slot's accepted submissions, split the first such cell. The load is
+/// counted from the operation log's open slot when the trigger fires, so
+/// a restored or recovered tenant sees the load the undisturbed one does.
+/// Best effort — an unsplittable hot cell (too thin, a charger too close
+/// to the midline) keeps its load and the trigger re-arms next slot. A
+/// completed split lands on the operation log like a `RESHARD SPLIT`:
+/// recovery replays the *logged* split rather than re-running this
+/// heuristic.
+fn maybe_auto_split(tenant: &mut TenantCore, shared: &RouterShared) {
+    let (Some(threshold), Some(loaded)) = (shared.config.split_threshold, &tenant.loaded) else {
         return;
     };
-    if let Some(hot) = tenant.cell_submits.iter().position(|&n| n > threshold) {
-        let _ = reshard(tenant, tenant_id, ReshardOp::Split(hot), shared);
+    let mut load = vec![0u64; loaded.partition.num_cells()];
+    for spec in tenant.log.open_slot() {
+        if let Some(count) = load.get_mut(loaded.partition.cell_of(spec.device_pos)) {
+            *count += 1;
+        }
+    }
+    if let Some(hot) = load.iter().position(|&n| n > threshold) {
+        let _ = reshard(tenant, ReshardOp::Split(hot), shared);
     }
 }
 
@@ -1665,13 +1639,10 @@ enum ReshardOp {
 ///
 /// Phase 2 swaps atomically: surviving shards are renumbered around the
 /// rebuilt ones, the new tiling replaces the old with the map version
-/// bumped, the per-cell
-/// submission counters reset to the new width, and the operation log
-/// records the change. DESIGN.md §13 argues why the global utility is
-/// bit-identical across the swap.
+/// bumped, and the operation log records the change. DESIGN.md §13
+/// argues why the global utility is bit-identical across the swap.
 fn reshard(
     tenant: &mut TenantCore,
-    tenant_id: &str,
     op: ReshardOp,
     shared: &RouterShared,
 ) -> Result<(usize, u64), Reply> {
@@ -1774,10 +1745,10 @@ fn reshard(
     // each restarts from this state, not from a view of the log.
     for (j, child) in &children {
         let (slot, _open) = child.clock().map_err(slot_err)?;
-        if slot != tenant.clock {
+        if slot != tenant.log.clock() {
             return Err(internal(&format!(
                 "rebuilt cell {j} landed on slot {slot}, tenant clock {}",
-                tenant.clock
+                tenant.log.clock()
             )));
         }
         child.rebase(tenant.log.len()).map_err(slot_err)?;
@@ -1808,13 +1779,11 @@ fn reshard(
         map_version,
         ..loaded
     });
-    tenant.cell_submits = vec![0; new_count];
     tenant.log.push(match op {
         ReshardOp::Split(cell) => OpRecord::ReshardSplit(cell),
         ReshardOp::Merge(a, b) => OpRecord::ReshardMerge(a, b),
     });
     tenant.counters.reshards.inc();
-    TenantCounters::set_shards(shared.telemetry.registry(), tenant_id, new_count);
     Ok((new_count, map_version))
 }
 
@@ -1910,7 +1879,7 @@ fn composite_snapshot(
     tenant_id: &str,
 ) -> Result<String, Reply> {
     let partition = &loaded.partition;
-    let clock = tenant.clock;
+    let clock = tenant.log.clock();
     // Lockstep is an invariant (one mutex, ticks inside it); this
     // re-checks it so a corrupt snapshot can never be emitted silently,
     // and surfaces `unavailable` for down shards.
@@ -2412,12 +2381,7 @@ fn parse_document(text: &str) -> Result<(CompositeSnapshot, Loaded), String> {
         shards,
         order,
     };
-    let loaded = Loaded {
-        scenario,
-        partition,
-        map_version,
-    };
-    Ok((composite, loaded))
+    Ok((composite, Loaded::new(scenario, partition, map_version)))
 }
 
 /// Rebuilds the accepted view of a restored tenant's operation log — the
@@ -2697,19 +2661,10 @@ fn restore_composite_state(
         shard.set_cell(index);
     }
     tenant.loaded = Some(loaded);
-    tenant.log = OpLog::new(records);
-    tenant.materialized = composite.order.len();
-    tenant.clock = slot;
     // The open slot's arrival runs are its accepted submissions so far:
-    // the quota and the split trigger count on from them.
-    tenant.cell_submits = vec![0; count];
-    for &(cell, submits) in composite.arrivals.last().into_iter().flatten() {
-        if let Some(total) = tenant.cell_submits.get_mut(cell as usize) {
-            *total += submits as u64;
-        }
-    }
-    tenant.quota_used = tenant.cell_submits.iter().sum();
-    TenantCounters::set_shards(shared.telemetry.registry(), &composite.tenant, count);
+    // the log counts the quota usage and the split trigger's load on
+    // from them.
+    tenant.log = OpLog::new(records);
     Ok(RestoredTenant {
         tenant: composite.tenant,
         slot,

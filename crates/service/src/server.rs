@@ -23,7 +23,7 @@ use crate::framing::BatchAck;
 use crate::front::{ServerHandle, Service};
 use crate::proto::{ErrCode, Reply, Request, VERSION, VERSION_V2, VERSION_V3};
 use crate::shard::{Shard, ShardError, ShardHealth};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{engine_families, Telemetry};
 
 /// Configuration of a daemon instance.
 #[derive(Debug, Clone)]
@@ -260,10 +260,13 @@ fn execute(request: Request, payload: &str, shared: &Shared) -> Reply {
             Err(e) => shard_err(e),
         },
         Request::Export => {
-            // The typed registry plus the engine families of the current
-            // status (absent before `LOAD` — a fresh daemon still exposes
-            // its request metrics).
-            let snap = shared.telemetry.export(shared.shard.status().ok().as_ref());
+            // The typed registry, then the engine's families (absent
+            // before `LOAD` — a fresh daemon still exposes its request
+            // metrics).
+            let mut snap = shared.telemetry.registry().snapshot();
+            let _ = shared
+                .shard
+                .with_engine(|engine| engine_families(engine, &mut snap));
             Reply::Data(snap.render())
         }
         Request::Shards => match shared.shard.status() {

@@ -73,9 +73,10 @@ impl ShardHealth {
     }
 }
 
-/// One shard's engine counters in engine-native numeric form: the
-/// `SHARDS?` line prints the admission fields, and `EXPORT?` carries
-/// every field as a `haste_engine_*` family.
+/// One shard's admission state: the fields of its `SHARDS?` line, which
+/// is also all a router reads of an out-of-process child's status. The
+/// engine's other counters reach `EXPORT?` straight from the engine, as
+/// its `haste_engine_*` families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStatus {
     /// Current open slot.
@@ -92,30 +93,6 @@ pub struct ShardStatus {
     pub rejected: u64,
     /// Submissions waiting in the open slot.
     pub pending: usize,
-    /// Worker threads the solver is configured with.
-    pub threads: usize,
-    /// Marginal-gain oracle evaluations.
-    pub oracle_marginals: u64,
-    /// Optimizer state commits.
-    pub oracle_commits: u64,
-    /// Charger–task chargeability tests run building the coverage map.
-    pub coverage_pair_tests: u64,
-    /// Candidates in the live rows handed to each replan, summed.
-    pub replan_candidates: u64,
-    /// Arrived-task lines formatted for snapshots (each once per engine).
-    pub task_lines_formatted: u64,
-    /// Negotiation messages sent.
-    pub messages: u64,
-    /// Negotiation rounds executed.
-    pub rounds: u64,
-    /// Wall-clock spent building HASTE-R instances, microseconds.
-    pub instance_build_us: u128,
-    /// Wall-clock spent in the greedy optimizer, microseconds.
-    pub greedy_us: u128,
-    /// Wall-clock spent rounding selections, microseconds.
-    pub rounding_us: u128,
-    /// Wall-clock spent building coverage maps, microseconds.
-    pub coverage_build_us: u128,
 }
 
 /// Per-task utility terms in task-id (= arrival) order: exactly the
@@ -325,13 +302,11 @@ impl Shard {
         }
     }
 
-    /// Every engine counter (see [`ShardStatus`]).
+    /// The engine's admission state (see [`ShardStatus`]).
     pub fn status(&self) -> Result<ShardStatus, ShardError> {
         match self.engine.lock().as_ref() {
             None => Err(ShardError::NoScenario),
             Some(engine) => {
-                let metrics = engine.metrics();
-                let stats = engine.stats();
                 let (admitted, rejected, pending) = engine.counters();
                 Ok(ShardStatus {
                     clock: engine.clock(),
@@ -341,18 +316,6 @@ impl Shard {
                     admitted,
                     rejected,
                     pending,
-                    threads: metrics.threads,
-                    oracle_marginals: metrics.oracle_marginals,
-                    oracle_commits: metrics.oracle_commits,
-                    coverage_pair_tests: engine.coverage_pair_tests(),
-                    replan_candidates: engine.replan_candidates(),
-                    task_lines_formatted: engine.task_lines_formatted(),
-                    messages: stats.messages,
-                    rounds: stats.rounds,
-                    instance_build_us: metrics.instance_build.as_micros(),
-                    greedy_us: metrics.greedy.as_micros(),
-                    rounding_us: metrics.rounding.as_micros(),
-                    coverage_build_us: metrics.coverage_build.as_micros(),
                 })
             }
         }
@@ -365,7 +328,7 @@ impl Shard {
 
     /// Runs `f` on the engine under the shard's lock — how the router
     /// writes an in-process shard's snapshot straight into its composite
-    /// document.
+    /// document, and how `EXPORT?` reads its engine families.
     pub(crate) fn with_engine<R>(
         &self,
         f: impl FnOnce(&mut OnlineEngine) -> R,

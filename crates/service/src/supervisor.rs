@@ -61,7 +61,7 @@ use crate::client::{Client, ClientError};
 use crate::oplog::{OpLog, OpRecord};
 use crate::proto::ErrCode;
 use crate::shard::{Shard, ShardError, ShardHealth, ShardStatus, UtilityParts};
-use crate::telemetry::{engine_alias_snapshot, SupervisorCounters};
+use crate::telemetry::{engine_families, SupervisorCounters};
 
 /// Default per-request deadline on supervisor → child calls. Generous —
 /// a negotiation round on a loaded cell can be slow — but finite, so a
@@ -930,9 +930,9 @@ fn replay_into(
 }
 
 /// Reads a child's status from its one-line `SHARDS?` reply, which
-/// carries every field the router's own `SHARDS?` prints. The engine
-/// counters the line lacks reach the router through the child's
-/// `EXPORT?` instead ([`RemoteShard::export`]).
+/// carries every field the router's own `SHARDS?` prints. The child's
+/// other engine counters reach the router through its `EXPORT?` instead
+/// ([`RemoteShard::export`]).
 fn fetch_status(conn: &mut Client) -> Result<ShardStatus, ClientError> {
     let shards = conn.shards()?;
     let line = shards
@@ -946,7 +946,6 @@ fn fetch_status(conn: &mut Client) -> Result<ShardStatus, ClientError> {
         admitted: line.admitted,
         rejected: line.rejected,
         pending: line.pending,
-        ..ShardStatus::default()
     })
 }
 
@@ -960,9 +959,11 @@ fn fetch_status(conn: &mut Client) -> Result<ShardStatus, ClientError> {
 /// [`SlotError::Unavailable`]).
 pub(crate) enum ShardSlot {
     /// In-process: the engine lives in this process (original mode).
-    Local(Shard),
+    Local(Box<Shard>),
     /// Out-of-process: the engine lives in a supervised `haste-shardd`.
-    Remote(RemoteShard),
+    /// Both variants are boxed: they differ in size by hundreds of bytes,
+    /// and a slot is reached through an `Arc` anyway.
+    Remote(Box<RemoteShard>),
 }
 
 impl ShardSlot {
@@ -1068,9 +1069,7 @@ impl ShardSlot {
         match self {
             ShardSlot::Local(shard) => {
                 let mut snap = Snapshot::new();
-                if let Ok(status) = shard.status() {
-                    engine_alias_snapshot(&status, &mut snap);
-                }
+                let _ = shard.with_engine(|engine| engine_families(engine, &mut snap));
                 Ok(snap)
             }
             ShardSlot::Remote(shard) => shard.export(),

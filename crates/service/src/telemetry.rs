@@ -1,7 +1,7 @@
 //! The service-side instrumentation layer: pre-built handles into a
-//! [`haste_metrics::Registry`] for the request hot path, the bridge that
-//! projects engine [`ShardStatus`] fields onto their cataloged
-//! `haste_engine_*` families, and the supervisor's per-cell counters.
+//! [`haste_metrics::Registry`] for the request hot path, the one writer
+//! of an engine's cataloged `haste_engine_*` families
+//! ([`engine_families`]), and the supervisor's per-cell counters.
 //!
 //! Handle acquisition (which takes the registry mutex) happens once at
 //! construction for every per-request series; recording on the hot path
@@ -18,10 +18,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use haste_distributed::OnlineEngine;
 use haste_metrics::{Counter, Histogram, Registry, Snapshot};
 
 use crate::proto::{ErrCode, Reply};
-use crate::shard::ShardStatus;
 
 /// Every wire directive, for pre-building per-opcode series handles:
 /// exactly the values of [`crate::proto::Request::opcode`] (pinned by
@@ -130,84 +130,68 @@ impl Telemetry {
             histogram.observe_n(latency_us, records as u64);
         }
     }
-
-    /// Freezes the registry, folding an engine status (when one is
-    /// available) into the cataloged `haste_engine_*` families.
-    pub(crate) fn export(&self, status: Option<&ShardStatus>) -> Snapshot {
-        let mut snap = self.registry.snapshot();
-        if let Some(status) = status {
-            engine_alias_snapshot(status, &mut snap);
-        }
-        snap
-    }
 }
 
-/// Projects a [`ShardStatus`] onto the `haste_engine_*` families. The
+/// Writes an engine's `haste_engine_*` families into `snap`, read from the
+/// engine itself: the daemon's `EXPORT?` (which a shard child serves
+/// too) and an in-process router shard's share of the router's. The
 /// `u128` phase timers go in untruncated; merge semantics (sum vs max
 /// across shards) come from the catalog at merge time.
-pub(crate) fn engine_alias_snapshot(status: &ShardStatus, snap: &mut Snapshot) {
-    snap.set_gauge("haste_engine_clock_slots", &[], status.clock as u128);
-    snap.set_gauge("haste_engine_active_tasks", &[], status.tasks as u128);
-    snap.set_gauge("haste_engine_staged_tasks", &[], status.staged as u128);
-    snap.set_counter(
-        "haste_engine_admitted_total",
-        &[],
-        u128::from(status.admitted),
-    );
-    snap.set_counter(
-        "haste_engine_rejected_total",
-        &[],
-        u128::from(status.rejected),
-    );
-    snap.set_gauge("haste_engine_pending_tasks", &[], status.pending as u128);
-    snap.set_gauge("haste_engine_worker_threads", &[], status.threads as u128);
-    snap.set_counter(
-        "haste_engine_oracle_marginals_total",
-        &[],
-        u128::from(status.oracle_marginals),
-    );
-    snap.set_counter(
-        "haste_engine_oracle_commits_total",
-        &[],
-        u128::from(status.oracle_commits),
-    );
-    snap.set_counter(
-        "haste_engine_coverage_pair_tests_total",
-        &[],
-        u128::from(status.coverage_pair_tests),
-    );
-    snap.set_counter(
-        "haste_engine_replan_candidates_total",
-        &[],
-        u128::from(status.replan_candidates),
-    );
-    snap.set_counter(
-        "haste_engine_task_lines_formatted_total",
-        &[],
-        u128::from(status.task_lines_formatted),
-    );
-    snap.set_counter(
-        "haste_engine_negotiation_messages_total",
-        &[],
-        u128::from(status.messages),
-    );
-    snap.set_counter(
-        "haste_engine_negotiation_rounds_total",
-        &[],
-        u128::from(status.rounds),
-    );
-    snap.set_counter(
-        "haste_engine_instance_build_us_total",
-        &[],
-        status.instance_build_us,
-    );
-    snap.set_counter("haste_engine_greedy_us_total", &[], status.greedy_us);
-    snap.set_counter("haste_engine_rounding_us_total", &[], status.rounding_us);
-    snap.set_counter(
-        "haste_engine_coverage_build_us_total",
-        &[],
-        status.coverage_build_us,
-    );
+pub(crate) fn engine_families(engine: &OnlineEngine, snap: &mut Snapshot) {
+    let (admitted, rejected, pending) = engine.counters();
+    let stats = engine.stats();
+    let metrics = engine.metrics();
+    let gauges = [
+        ("haste_engine_clock_slots", engine.clock()),
+        ("haste_engine_active_tasks", engine.scenario().num_tasks()),
+        ("haste_engine_staged_tasks", engine.staged_len()),
+        ("haste_engine_pending_tasks", pending),
+        ("haste_engine_worker_threads", metrics.threads),
+    ];
+    for (name, value) in gauges {
+        snap.set_gauge(name, &[], value as u128);
+    }
+    let counters = [
+        ("haste_engine_admitted_total", admitted),
+        ("haste_engine_rejected_total", rejected),
+        (
+            "haste_engine_oracle_marginals_total",
+            stats.oracle_marginals,
+        ),
+        ("haste_engine_oracle_commits_total", stats.oracle_commits),
+        (
+            "haste_engine_coverage_pair_tests_total",
+            engine.coverage_pair_tests(),
+        ),
+        (
+            "haste_engine_replan_candidates_total",
+            engine.replan_candidates(),
+        ),
+        (
+            "haste_engine_task_lines_formatted_total",
+            engine.task_lines_formatted(),
+        ),
+        ("haste_engine_negotiation_messages_total", stats.messages),
+        ("haste_engine_negotiation_rounds_total", stats.rounds),
+    ];
+    for (name, value) in counters {
+        snap.set_counter(name, &[], u128::from(value));
+    }
+    let timers = [
+        (
+            "haste_engine_instance_build_us_total",
+            metrics.instance_build,
+        ),
+        ("haste_engine_greedy_us_total", metrics.greedy),
+        ("haste_engine_rounding_us_total", metrics.rounding),
+        (
+            "haste_engine_coverage_build_us_total",
+            metrics.coverage_build,
+        ),
+    ];
+    for (name, elapsed) in timers {
+        snap.set_counter(name, &[], elapsed.as_micros());
+    }
 }
 
 /// The supervisor's per-cell fault counters, resolved once per shard
@@ -259,14 +243,6 @@ impl TenantCounters {
                 tenant,
             ),
         }
-    }
-
-    /// Publishes a tenant's current shard count (the
-    /// `haste_router_tenant_shards` gauge).
-    pub(crate) fn set_shards(registry: &Registry, tenant: &str, shards: usize) {
-        registry
-            .gauge_with("haste_router_tenant_shards", "tenant", tenant)
-            .set(shards as u64);
     }
 }
 
@@ -332,7 +308,7 @@ mod tests {
             &Reply::Err(ErrCode::Overload, "queue full".to_string()),
         );
         telemetry.observe_batch(16, 3, 900.0);
-        let snap = telemetry.export(None);
+        let snap = telemetry.registry().snapshot();
         match snap.get("haste_service_requests_total", &[("opcode", "SUBMIT")]) {
             Some(haste_metrics::Value::Counter(n)) => assert_eq!(*n, 18),
             other => panic!("expected SUBMIT counter, got {other:?}"),
@@ -351,43 +327,68 @@ mod tests {
 
     #[test]
     fn engine_aliases_cover_every_legacy_engine_key() {
-        let status = ShardStatus {
-            clock: 3,
-            open: true,
-            tasks: 7,
-            staged: 2,
-            admitted: 11,
-            rejected: 4,
-            pending: 1,
-            threads: 8,
-            oracle_marginals: 100,
-            oracle_commits: 10,
-            coverage_pair_tests: 40,
-            replan_candidates: 30,
-            task_lines_formatted: 7,
-            messages: 50,
-            rounds: 5,
-            instance_build_us: 1000,
-            greedy_us: 2000,
-            rounding_us: 300,
-            coverage_build_us: 400,
-        };
+        use haste_distributed::{OnlineConfig, TaskSpec};
+        use haste_geometry::{Angle, Vec2};
+        use haste_model::{Charger, ChargingParams, Scenario, TimeGrid};
+
+        let scenario = Scenario::new(
+            ChargingParams::simulation_default(),
+            TimeGrid::minutes(6),
+            vec![
+                Charger::new(0, Vec2::ZERO),
+                Charger::new(1, Vec2::new(12.0, 0.0)),
+            ],
+            Vec::new(),
+            1.0 / 12.0,
+            1,
+        )
+        .unwrap();
+        let mut engine = OnlineEngine::new(scenario, OnlineConfig::default(), 8);
+        engine
+            .submit(TaskSpec {
+                device_pos: Vec2::new(8.0, 0.0),
+                device_facing: Angle::from_degrees(180.0),
+                end_slot: 6,
+                required_energy: 500.0,
+                weight: 1.0,
+            })
+            .unwrap();
+        engine.tick();
+        engine.snapshot();
         let mut snap = Snapshot::new();
-        engine_alias_snapshot(&status, &mut snap);
-        // Every cataloged haste_engine_* family must be populated.
-        for spec in haste_metrics::catalog::CATALOG {
-            if spec.name.starts_with("haste_engine_") {
-                assert!(
-                    snap.get(spec.name, &[]).is_some(),
-                    "engine family `{}` missing from the projection",
-                    spec.name
-                );
-            }
+        engine_families(&engine, &mut snap);
+        // Every cataloged haste_engine_* family is populated, and nothing
+        // else is.
+        let engine_specs = haste_metrics::catalog::CATALOG
+            .iter()
+            .filter(|spec| spec.name.starts_with("haste_engine_"));
+        for spec in engine_specs.clone() {
+            assert!(
+                snap.get(spec.name, &[]).is_some(),
+                "engine family `{}` missing from the projection",
+                spec.name
+            );
         }
-        match snap.get("haste_engine_clock_slots", &[]) {
-            Some(haste_metrics::Value::Gauge(v)) => assert_eq!(*v, 3),
-            other => panic!("expected clock gauge, got {other:?}"),
-        }
+        assert_eq!(snap.samples().count(), engine_specs.count());
+        let read = |name: &str| match snap.get(name, &[]) {
+            Some(haste_metrics::Value::Gauge(v) | haste_metrics::Value::Counter(v)) => *v,
+            other => panic!("expected a scalar `{name}`, got {other:?}"),
+        };
+        assert_eq!(read("haste_engine_clock_slots"), 1);
+        assert_eq!(read("haste_engine_active_tasks"), 1);
+        assert_eq!(read("haste_engine_admitted_total"), 1);
+        assert_eq!(read("haste_engine_coverage_pair_tests_total"), 2);
+        assert_eq!(read("haste_engine_task_lines_formatted_total"), 1);
+        let stats = engine.stats();
+        assert!(stats.oracle_marginals > 0, "the tick replanned");
+        assert_eq!(
+            read("haste_engine_oracle_marginals_total"),
+            u128::from(stats.oracle_marginals)
+        );
+        assert_eq!(
+            read("haste_engine_negotiation_messages_total"),
+            u128::from(stats.messages)
+        );
     }
 
     #[test]

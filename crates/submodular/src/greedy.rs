@@ -12,9 +12,6 @@ use crate::{OptimizerStats, PartitionedObjective, Selection, PAR_ARGMAX_MIN_WORK
 
 /// Options shared by the greedy optimizers.
 pub struct GreedyOptions<'a> {
-    /// Visit order of partitions for [`locally_greedy`]; `None` is natural
-    /// order `0..P`. Must be a permutation of `0..P` when given.
-    pub order: Option<&'a [usize]>,
     /// Tie-break hook: given the choices committed so far and the partition
     /// being filled, may return a preferred choice index that wins exact
     /// ties (used by HASTE to avoid needless orientation switches).
@@ -33,7 +30,6 @@ pub struct GreedyOptions<'a> {
 impl Default for GreedyOptions<'_> {
     fn default() -> Self {
         GreedyOptions {
-            order: None,
             tie_break: None,
             min_gain: 0.0,
             threads: 1,
@@ -73,21 +69,10 @@ pub fn locally_greedy_with_stats<O: PartitionedObjective>(
     options: &GreedyOptions,
 ) -> (Selection, OptimizerStats) {
     let p_total = obj.num_partitions();
-    if let Some(order) = options.order {
-        assert_eq!(order.len(), p_total, "order must be a permutation");
-    }
     let mut stats = OptimizerStats::default();
     let mut state = obj.new_state();
     let mut choices = vec![None; p_total];
-    let natural: Vec<usize>;
-    let order: &[usize] = match options.order {
-        Some(o) => o,
-        None => {
-            natural = (0..p_total).collect();
-            &natural
-        }
-    };
-    for &p in order {
+    for p in 0..p_total {
         let preferred = options.tie_break.and_then(|f| f(&choices, p));
         let n_choices = obj.num_choices(p);
         stats.marginal_calls += n_choices as u64;
@@ -283,22 +268,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn custom_order_changes_nothing_for_modular_parts() {
-        let toy = ToyCoverage::example();
-        let order = [1usize, 0];
-        let sel = locally_greedy(
-            &toy,
-            &GreedyOptions {
-                order: Some(&order),
-                ..GreedyOptions::default()
-            },
-        );
-        // Partition 1 first picks {2} (4.0), then partition 0 picks {0,1}.
-        assert_eq!(sel.choices, vec![Some(0), Some(1)]);
-        assert!((sel.value - 7.0).abs() < 1e-12);
     }
 
     #[test]
