@@ -53,8 +53,11 @@ pub struct InstanceOptions {
     /// (the rescheduling delay `τ` for purely local algorithms; the online
     /// negotiation loop instead handles `τ` by freezing prefixes).
     pub visibility_delay: Option<usize>,
-    /// Chargers with `disabled[i]` get no policies at all — the online
-    /// scheduler uses this to plan around failed chargers.
+    /// Chargers with `disabled[i]` get no policies at all, and
+    /// [`HasteRInstance::materialize_into`] leaves their slots as they
+    /// are — the online scheduler uses this to plan around failed
+    /// chargers and, in localized mode, around the kept plans of the
+    /// chargers that do not replan.
     pub disabled_chargers: Option<Vec<bool>>,
     /// Worker threads for the per-charger dominant-set extraction (`None`
     /// or `Some(1)` = sequential, `Some(0)` = auto-detect via
@@ -90,6 +93,8 @@ pub struct HasteRInstance<'a> {
     partition_family: Vec<u32>,
     /// Per-task energy at the start of the instance.
     initial_energy: Vec<f64>,
+    /// [`InstanceOptions::disabled_chargers`], one flag per charger.
+    disabled: Vec<bool>,
 }
 
 impl<'a> HasteRInstance<'a> {
@@ -123,6 +128,7 @@ impl<'a> HasteRInstance<'a> {
         let visibility_delay = options.visibility_delay.unwrap_or(0);
         let slot_seconds = scenario.grid.slot_seconds;
         let threads = options.threads.map_or(1, haste_parallel::resolve_threads);
+        let disabled = options.disabled_chargers.unwrap_or_else(|| vec![false; n]);
 
         let usable = |task_idx: usize, k: Slot| -> bool {
             let task = &scenario.tasks[task_idx];
@@ -150,7 +156,7 @@ impl<'a> HasteRInstance<'a> {
         // build.
         let per_charger_segments: Vec<Vec<(Slot, Slot, Vec<Policy>)>> =
             haste_parallel::par_map(&charger_ids, threads, |_, &i| {
-                if options.disabled_chargers.as_ref().is_some_and(|d| d[i]) {
+                if disabled[i] {
                     return Vec::new(); // stays on the empty family
                 }
                 let charger = ChargerId(i as u32);
@@ -240,6 +246,7 @@ impl<'a> HasteRInstance<'a> {
             families,
             partition_family,
             initial_energy,
+            disabled,
         }
     }
 
@@ -294,10 +301,14 @@ impl<'a> HasteRInstance<'a> {
     }
 
     /// Writes a selection's orientations into an existing schedule,
-    /// touching only this instance's slot range.
+    /// touching only this instance's slot range and only the chargers it
+    /// did not disable.
     pub fn materialize_into(&self, selection: &Selection, schedule: &mut Schedule) {
         for (p, choice) in selection.choices.iter().enumerate() {
             let (charger, slot) = self.charger_slot(p);
+            if self.disabled[charger.index()] {
+                continue;
+            }
             let theta = choice.map(|x| self.policies(p)[x].orientation);
             schedule.set(charger, slot, theta);
         }
@@ -609,6 +620,14 @@ mod tests {
             assert_eq!(inst.num_choices(p), 0);
         }
         assert_eq!(inst.ground_set_size(), 0);
+        // Materializing leaves a disabled charger's slots as they are.
+        let sel = locally_greedy(&inst, &GreedyOptions::default());
+        let mut schedule = Schedule::empty(1, s.grid.num_slots);
+        let kept = Some(Angle::from_degrees(7.0));
+        schedule.set(ChargerId(0), 1, kept);
+        inst.materialize_into(&sel, &mut schedule);
+        assert_eq!(schedule.get(ChargerId(0), 1), kept);
+        assert_eq!(inst.materialize(&sel), Schedule::empty(1, s.grid.num_slots));
     }
 
     #[test]

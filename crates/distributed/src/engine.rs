@@ -47,7 +47,6 @@ use haste_model::{
 use crate::neighbors::NeighborGraph;
 use crate::online::{replan_event, OnlineConfig, OnlineResult, ReplanEvent};
 use crate::protocol::NegotiationStats;
-use crate::EngineKind;
 
 /// A task submission, as it arrives over the wire: everything a [`Task`]
 /// carries except its id and release slot, which the engine assigns (the
@@ -301,7 +300,6 @@ impl OnlineEngine {
                 .retain_after(&self.scenario, t + self.scenario.tau);
             self.replan_candidates += self.live.len() as u64;
             let arrived_now: Vec<usize> = (self.open_from..self.scenario.num_tasks()).collect();
-            let threads = self.metrics.threads;
             // The prefix the replan freezes holds no dead charger's slots.
             let disabled = self.blank_dead();
             replan_event(
@@ -316,7 +314,6 @@ impl OnlineEngine {
                     disabled: &disabled,
                     arrived_now: &arrived_now,
                     failed_now: &failed_now,
-                    threads,
                 },
                 &mut self.stats,
                 &mut self.metrics,
@@ -493,7 +490,7 @@ impl OnlineEngine {
     /// # haste-service snapshot v1
     /// clock <open_slot>
     /// counters <admitted> <rejected> <pending>
-    /// config <colors> <samples> <seed> <rounds|threaded> <localized> <threads> <max_pending>
+    /// config <colors> <samples> <seed> rounds <localized> <threads> <max_pending>
     /// stats <messages> <rounds> <oracle_marginals> <oracle_commits>
     /// perslot messages <len> <v>...
     /// perslot rounds <len> <v>...
@@ -501,6 +498,12 @@ impl OnlineEngine {
     /// staged <num_tasks>       (followed by one `task` line each)
     /// schedule <num_lines>     (followed by an embedded schedule document)
     /// ```
+    ///
+    /// The fourth `config` field names the negotiation engine and is
+    /// always `rounds`. [`restore`](OnlineEngine::restore) also accepts
+    /// `threaded`: that engine negotiates the same bits (see
+    /// [`negotiate_threaded`](crate::negotiate_threaded)), so the
+    /// restored engine runs rounds either way.
     ///
     /// [`restore`](OnlineEngine::restore) reconstructs an engine that
     /// continues bit-identically (floats use shortest-roundtrip formatting,
@@ -537,17 +540,12 @@ impl OnlineEngine {
             "counters {} {} {}",
             self.admitted, self.rejected, self.pending
         );
-        let engine = match self.config.engine {
-            EngineKind::Rounds => "rounds",
-            EngineKind::Threaded => "threaded",
-        };
         let _ = writeln!(
             out,
-            "config {} {} {} {} {} {} {}",
+            "config {} {} {} rounds {} {} {}",
             self.config.negotiation.colors,
             self.config.negotiation.samples,
             self.config.negotiation.seed,
-            engine,
             self.config.localized as u8,
             self.config.threads,
             self.max_pending
@@ -647,16 +645,14 @@ impl OnlineEngine {
                     reason: format!("bad {what} `{s}`"),
                 })
             };
-            let engine = match fields[3] {
-                "rounds" => EngineKind::Rounds,
-                "threaded" => EngineKind::Threaded,
-                other => {
-                    return Err(SnapshotError {
-                        line: line_no,
-                        reason: format!("unknown engine `{other}`"),
-                    })
-                }
-            };
+            // The threaded engine negotiates the same bits as rounds, so
+            // a snapshot naming it restores to a rounds engine.
+            if !matches!(fields[3], "rounds" | "threaded") {
+                return Err(SnapshotError {
+                    line: line_no,
+                    reason: format!("unknown engine `{}`", fields[3]),
+                });
+            }
             let config = OnlineConfig {
                 negotiation: crate::protocol::NegotiationConfig {
                     colors: uint(fields[0], "colors")?,
@@ -666,7 +662,6 @@ impl OnlineEngine {
                         reason: format!("bad seed `{}`", fields[2]),
                     })?,
                 },
-                engine,
                 failures: Vec::new(),
                 localized: match fields[4] {
                     "0" => false,
@@ -1133,10 +1128,9 @@ mod tests {
     }
 
     #[test]
-    fn streamed_session_equals_batch_replay_localized_threaded() {
+    fn streamed_session_equals_batch_replay_localized() {
         let s = random_scenario(23, 6, 10, 2);
         let config = OnlineConfig {
-            engine: EngineKind::Threaded,
             localized: true,
             ..OnlineConfig::default()
         };
@@ -1193,6 +1187,20 @@ mod tests {
         (10, true, true, 0x3fbfde42e7e5a2a5, 0x3fc0bbefd72627c4, 57, 26, 0xe6c8974cc22a3589),
     ];
 
+    /// Four of ten chargers, picked by `seed`, dying in slots 1, 2, 3
+    /// and 5 when `failing`; none otherwise.
+    fn staggered_failures(seed: u64, failing: bool) -> Vec<crate::ChargerFailure> {
+        if !failing {
+            return Vec::new();
+        }
+        (0..4usize)
+            .map(|i| crate::ChargerFailure {
+                charger: haste_model::ChargerId(((seed as usize + 2 * i) % 10) as u32),
+                slot: [1, 2, 3, 5][i],
+            })
+            .collect()
+    }
+
     #[test]
     fn release_zero_replays_keep_the_batch_loops_bits() {
         // With every task released at slot 0 the engine knows the whole
@@ -1208,19 +1216,9 @@ mod tests {
                 task.end_slot = d;
             }
             s.validate().unwrap();
-            let failures = if failing {
-                (0..4usize)
-                    .map(|i| crate::ChargerFailure {
-                        charger: haste_model::ChargerId(((seed as usize + 2 * i) % 10) as u32),
-                        slot: [1, 2, 3, 5][i],
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
             let config = OnlineConfig {
                 localized,
-                failures,
+                failures: staggered_failures(seed, failing),
                 ..OnlineConfig::default()
             };
             let r = replay_trace(s, config);
@@ -1233,6 +1231,82 @@ mod tests {
                 "{case}"
             );
             assert_eq!(schedule_digest(&r.schedule), digest, "{case}");
+        }
+    }
+
+    /// `(seed, τ, localized, failures, utility bits, relaxed bits,
+    /// messages, rounds, oracle marginals, schedule digest)` of one
+    /// staggered-release run.
+    type StaggeredGolden = (u64, usize, bool, bool, u64, u64, u64, u64, u64, u64);
+
+    /// The engine's bits on `random_scenario`'s staggered releases (tasks
+    /// arriving in slots 0 to 4), pinned before the replan's energy pass
+    /// and kept plans were rewritten. Unlike the release-zero rows, the
+    /// localized replans here keep the plans of the chargers they leave
+    /// out at arrival slots too, not only at failure slots.
+    #[rustfmt::skip]
+    const STAGGERED_GOLDENS: [StaggeredGolden; 36] = [
+        (7, 0, false, false, 0x3fc98826d8966937, 0x3fc997840dc24588, 119, 77, 107, 0xa211e5d7b79c6c46),
+        (7, 0, false, true, 0x3fc1f1dd663f657b, 0x3fc215be99fbfc7b, 84, 81, 82, 0x41caa1fb4c22ee6b),
+        (7, 0, true, false, 0x3fc98826d8966937, 0x3fc997840dc24588, 119, 77, 91, 0xa211e5d7b79c6c46),
+        (7, 0, true, true, 0x3fc1f1dd663f657b, 0x3fc215be99fbfc7b, 67, 58, 52, 0x41caa1fb4c22ee6b),
+        (7, 1, false, false, 0x3fc7d8789c1705f2, 0x3fc84fc7d2e0885a, 99, 68, 84, 0x3e55973f8c26d731),
+        (7, 1, false, true, 0x3fc064dd2413fc02, 0x3fc099bd2a1cb3cd, 66, 69, 60, 0x50966b170609b7c1),
+        (7, 1, true, false, 0x3fc7d8789c1705f2, 0x3fc84fc7d2e0885a, 99, 68, 74, 0x3e55973f8c26d731),
+        (7, 1, true, true, 0x3fc064dd2413fc02, 0x3fc099bd2a1cb3cd, 55, 50, 41, 0x50966b170609b7c1),
+        (7, 2, false, false, 0x3fc50e6ffdc0323e, 0x3fc5a4057322f26a, 119, 50, 87, 0x245514e6215b8ba4),
+        (7, 2, false, true, 0x3fbcbba1105fc8aa, 0x3fbd61ed99a3b3ca, 90, 53, 71, 0x2132476143f479e7),
+        (7, 2, true, false, 0x3fc50e6ffdc0323e, 0x3fc5a4057322f26a, 119, 50, 76, 0x245514e6215b8ba4),
+        (7, 2, true, true, 0x3fbcbba1105fc8aa, 0x3fbd61ed99a3b3ca, 72, 39, 48, 0x2132476143f479e7),
+        (8, 0, false, false, 0x3fce0b6489382cfd, 0x3fceb2a599350c39, 169, 81, 176, 0xd2ef6e851f70ca92),
+        (8, 0, false, true, 0x3fc5b5f17c95d9c1, 0x3fc65182ed4c5ad8, 116, 88, 126, 0xa9a4397b5d46346b),
+        (8, 0, true, false, 0x3fce0b6489382cfd, 0x3fceb2a599350c39, 124, 80, 127, 0x7504c761e6a7fb2d),
+        (8, 0, true, true, 0x3fc5b5f17c95d9c1, 0x3fc65182ed4c5ad8, 64, 70, 77, 0xa9a4397b5d46346b),
+        (8, 1, false, false, 0x3fcb4e602ea08121, 0x3fcbfb4052b5d683, 138, 72, 128, 0x429544f34a625bad),
+        (8, 1, false, true, 0x3fc274647dc470a8, 0x3fc31fe9c199ab51, 84, 72, 90, 0x2f59b8fcb9fff2ef),
+        (8, 1, true, false, 0x3fcb4e602ea08121, 0x3fcbfb4052b5d683, 108, 70, 95, 0xb0aa6150399f914a),
+        (8, 1, true, true, 0x3fc274647dc470a8, 0x3fc31fe9c199ab51, 51, 59, 59, 0x2f59b8fcb9fff2ef),
+        (8, 2, false, false, 0x3fca43bbe74ff9be, 0x3fcb12573d65ee23, 154, 71, 160, 0x2b70858eb7bc16e5),
+        (8, 2, false, true, 0x3fbe9bd8e2666463, 0x3fbfa06b65d243da, 113, 71, 117, 0x6ab9d609f024a0c6),
+        (8, 2, true, false, 0x3fca43bbe74ff9be, 0x3fcb12573d65ee23, 105, 67, 114, 0x2b70858eb7bc16e5),
+        (8, 2, true, true, 0x3fbe9bd8e2666463, 0x3fbfa06b65d243da, 55, 55, 70, 0x6ab9d609f024a0c6),
+        (9, 0, false, false, 0x3fcba60086d0dc71, 0x3fcbef708d5d319c, 83, 81, 141, 0xa3ffe0323b2a91b2),
+        (9, 0, false, true, 0x3fc5744d9a94d775, 0x3fc5a6da7d84d8d3, 101, 88, 148, 0x5c4de81801c7b5fd),
+        (9, 0, true, false, 0x3fcba60086d0dc71, 0x3fcbef708d5d319c, 83, 79, 118, 0xa3ffe0323b2a91b2),
+        (9, 0, true, true, 0x3fc5744d9a94d775, 0x3fc5a6da7d84d8d3, 83, 77, 111, 0x5c4de81801c7b5fd),
+        (9, 1, false, false, 0x3fc9a1e793abcdc0, 0x3fc9eb579a3822eb, 76, 71, 117, 0xbefa43e7ee60969d),
+        (9, 1, false, true, 0x3fc3d0eb92d5b7df, 0x3fc42523509ab186, 92, 79, 121, 0x49ae05669d5aea2b),
+        (9, 1, true, false, 0x3fc9a1e793abcdc0, 0x3fc9eb579a3822eb, 76, 70, 100, 0xbefa43e7ee60969d),
+        (9, 1, true, true, 0x3fc3d0eb92d5b7df, 0x3fc42523509ab186, 76, 69, 94, 0x49ae05669d5aea2b),
+        (9, 2, false, false, 0x3fc721a1d63bf970, 0x3fc791da5fee96a3, 43, 57, 77, 0x7f5c9ce3a6e79f9e),
+        (9, 2, false, true, 0x3fbf6c0242141b5d, 0x3fc0310161f54f5c, 53, 65, 80, 0x0efd6fb4c3381bec),
+        (9, 2, true, false, 0x3fc721a1d63bf970, 0x3fc791da5fee96a3, 43, 56, 59, 0x7f5c9ce3a6e79f9e),
+        (9, 2, true, true, 0x3fbf6c0242141b5d, 0x3fc0310161f54f5c, 43, 55, 55, 0x0efd6fb4c3381bec),
+    ];
+
+    #[test]
+    fn staggered_replays_keep_their_bits() {
+        for golden in STAGGERED_GOLDENS {
+            let (seed, tau, localized, failing, ..) = golden;
+            let config = OnlineConfig {
+                localized,
+                failures: staggered_failures(seed, failing),
+                ..OnlineConfig::default()
+            };
+            let r = replay_trace(random_scenario(seed, 10, 30, tau), config);
+            let got = (
+                seed,
+                tau,
+                localized,
+                failing,
+                r.report.total_utility.to_bits(),
+                r.relaxed_value.to_bits(),
+                r.stats.messages,
+                r.stats.rounds,
+                r.stats.oracle_marginals,
+                schedule_digest(&r.schedule),
+            );
+            assert_eq!(got, golden);
         }
     }
 
@@ -1297,6 +1371,20 @@ mod tests {
         let snap = engine.snapshot();
         let mut restored = OnlineEngine::restore(&snap).unwrap();
         assert_eq!(restored.snapshot(), snap);
+        // A snapshot naming the threaded engine restores to rounds; an
+        // unknown engine is refused.
+        let naming = |engine: &str| -> String {
+            snap.lines()
+                .map(|line| match line.strip_prefix("config ") {
+                    Some(fields) => format!("config {}\n", fields.replace("rounds", engine)),
+                    None => format!("{line}\n"),
+                })
+                .collect()
+        };
+        let mut threaded = OnlineEngine::restore(&naming("threaded")).unwrap();
+        assert_eq!(threaded.snapshot(), snap);
+        let err = OnlineEngine::restore(&naming("gossip")).unwrap_err();
+        assert_eq!(err.reason, "unknown engine `gossip`");
     }
 
     #[test]
@@ -1748,7 +1836,10 @@ mod tests {
             let mut graph = NeighborGraph::build(&coverage);
             let mut schedule = Schedule::empty(scenario.num_chargers(), scenario.grid.num_slots);
             let mut stats = NegotiationStats::new(0);
-            let mut metrics = SolverMetrics::default();
+            let mut metrics = SolverMetrics {
+                threads: 1,
+                ..SolverMetrics::default()
+            };
             let blank_dead = |schedule: &mut Schedule, clock: usize| {
                 let mut dead = vec![false; schedule.num_chargers()];
                 for failure in config.failures.iter().filter(|f| f.slot <= clock) {
@@ -1793,7 +1884,6 @@ mod tests {
                             disabled: &disabled,
                             arrived_now: &arrived_now,
                             failed_now: &failed_now,
-                            threads: 1,
                         },
                         &mut stats,
                         &mut metrics,

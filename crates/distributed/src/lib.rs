@@ -2,9 +2,11 @@
 //!
 //! * [`NeighborGraph`] — chargers sharing a task are neighbors and can talk,
 //! * [`negotiate_rounds`] — the bid/update negotiation protocol, simulated
-//!   in deterministic synchronous rounds with exact message accounting,
+//!   in deterministic synchronous rounds with exact message accounting;
+//!   every replan runs it,
 //! * [`negotiate_threaded`] — the same protocol with one OS thread per
-//!   charger and real crossbeam message passing; bit-identical outcomes,
+//!   charger and real crossbeam message passing: the tested reference
+//!   that the rounds reproduce bit for bit, not a run-time mode,
 //! * [`OnlineEngine`] — the arrival event loop with rescheduling delay `τ`
 //!   and injected charger failures, as a long-lived incremental state
 //!   machine (live task submission, virtual-time ticks, snapshot/restore)
@@ -29,7 +31,7 @@ mod threaded_engine;
 
 pub use engine::{replay_trace, AdmitError, OnlineEngine, SnapshotError, TaskSpec};
 pub use neighbors::NeighborGraph;
-pub use online::{solve_baseline_online, ChargerFailure, EngineKind, OnlineConfig, OnlineResult};
+pub use online::{solve_baseline_online, ChargerFailure, OnlineConfig, OnlineResult};
 pub use protocol::{color_of, final_color_of, NegotiationConfig, NegotiationStats};
 pub use round_engine::negotiate_rounds;
 pub use threaded_engine::negotiate_threaded;

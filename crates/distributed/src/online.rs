@@ -16,25 +16,11 @@ use haste_core::{
     solve_baseline_with_delay, BaselineKind, HasteRInstance, InstanceOptions, SolveResult,
     SolverMetrics,
 };
-use haste_model::{
-    evaluate, CandidateRows, CoverageMap, EvalOptions, EvalReport, Scenario, Schedule,
-};
-use haste_submodular::Selection;
+use haste_model::{delivered_energy, CandidateRows, CoverageMap, EvalReport, Scenario, Schedule};
 
 use crate::neighbors::NeighborGraph;
 use crate::protocol::{NegotiationConfig, NegotiationStats};
 use crate::round_engine::negotiate_rounds;
-use crate::threaded_engine::negotiate_threaded;
-
-/// Which negotiation engine executes each re-planning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Sequential synchronous rounds (fast, exact message accounting).
-    #[default]
-    Rounds,
-    /// One thread per charger with real message passing (identical output).
-    Threaded,
-}
 
 /// A charger failure event: the charger stops emitting (and negotiating)
 /// from `slot` onward. The network detects it at `slot` and, after the
@@ -50,10 +36,10 @@ pub struct ChargerFailure {
 /// Configuration of the online scheduler.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineConfig {
-    /// Negotiation parameters (colors, samples, shared seed).
+    /// Negotiation parameters (colors, samples, shared seed). Every
+    /// replan negotiates by synchronous rounds
+    /// ([`negotiate_rounds`](crate::negotiate_rounds)).
     pub negotiation: NegotiationConfig,
-    /// Engine choice.
-    pub engine: EngineKind,
     /// Injected charger failures (robustness studies / failure testing).
     /// Engine snapshots do not carry them, so the daemons refuse them.
     pub failures: Vec<ChargerFailure>,
@@ -101,24 +87,25 @@ pub(crate) struct ReplanEvent<'a> {
     pub arrived_now: &'a [usize],
     /// Charger indices failing exactly at `slot` (localized scope seeds).
     pub failed_now: &'a [usize],
-    /// Resolved worker-thread count for instance builds.
-    pub threads: usize,
 }
 
 /// Executes one re-negotiation of [`crate::OnlineEngine::tick`]: freezes
 /// the prefix up to `slot + τ`, builds the HASTE-R instance over the rest
 /// of the scenario's active horizon, negotiates, and splices the new plan
 /// into `schedule`. `scenario` holds exactly the arrived tasks, so the
-/// plan sees nothing the network has not been told yet. Returns `false`
-/// when the event is a no-op (past the horizon, or nobody replans).
+/// plan sees nothing the network has not been told yet. The caller has
+/// blanked every disabled charger's slots from its death on, so the
+/// frozen prefix holds none of them. Returns `false` when the event is a
+/// no-op (past the horizon, or nobody replans).
 ///
 /// `coverage` is the full map, read only for the localized scope seeds.
-/// The frozen-prefix and kept-plan evaluations and the instance build
+/// The frozen-prefix and kept-plan energy passes and the instance build
 /// read `rows`: any rows that keep every task ending after `slot + τ`,
 /// and keep or drop each other task in every row alike, give the same
 /// bits as `coverage` itself. A task ending by the effective slot is
 /// never usable at a decision slot, so it never shapes the instance, and
-/// the prefix energy of no such task is ever read.
+/// the prefix energy of no such task is ever read. The instance build
+/// runs on `metrics.threads` workers.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replan_event<R: CandidateRows + ?Sized>(
     scenario: &Scenario,
@@ -174,41 +161,21 @@ pub(crate) fn replan_event<R: CandidateRows + ?Sized>(
     // Energy the frozen prefix already delivered (HASTE-R semantics —
     // the negotiation plans against the relaxed objective, exactly as
     // the analysis of Theorem 6.1 does).
-    let prefix = evaluate(
-        scenario,
-        rows,
-        schedule,
-        EvalOptions {
-            rho: Some(0.0),
-            slot_limit: Some(effective),
-            ..EvalOptions::default()
-        },
-    );
-    let mut initial_energy = prefix.per_task_energy;
+    let mut initial_energy =
+        delivered_energy(scenario, rows, schedule, 0.0, 0..effective, |_| true);
     // In localized mode the kept future plans of non-replanning
     // chargers enter as fixed background energy (utility only depends
     // on each task's total, so the slot structure is irrelevant here).
-    let snapshot = config.localized.then(|| schedule.clone());
     if config.localized {
-        let mut masked = schedule.clone();
-        for (i, &replans) in replanning.iter().enumerate() {
-            if replans {
-                for k in effective..schedule.num_slots() {
-                    masked.set(haste_model::ChargerId(i as u32), k, None);
-                }
-            }
-        }
-        let kept = evaluate(
+        let kept = delivered_energy(
             scenario,
             rows,
-            &masked,
-            EvalOptions {
-                rho: Some(0.0),
-                slot_start: Some(effective),
-                ..EvalOptions::default()
-            },
+            schedule,
+            0.0,
+            effective..schedule.num_slots(),
+            |charger| !replanning[charger.index()],
         );
-        for (total, add) in initial_energy.iter_mut().zip(&kept.per_task_energy) {
+        for (total, add) in initial_energy.iter_mut().zip(&kept) {
             *total += add;
         }
     }
@@ -220,38 +187,23 @@ pub(crate) fn replan_event<R: CandidateRows + ?Sized>(
         InstanceOptions {
             slot_range: Some(effective..horizon),
             initial_energy: Some(initial_energy),
-            disabled_chargers: planning_disabled
-                .iter()
-                .any(|&d| d)
-                .then(|| planning_disabled.clone()),
-            threads: Some(event.threads),
+            disabled_chargers: Some(planning_disabled),
+            threads: Some(metrics.threads),
             ..InstanceOptions::default()
         },
     );
     metrics.instance_build += build_start.elapsed();
     // haste-lint: allow(D2) — phase timing feeds SolverMetrics, not algorithm state
     let negotiate_start = Instant::now();
-    let (selection, run_stats): (Selection, NegotiationStats) = match config.engine {
-        EngineKind::Rounds => negotiate_rounds(&instance, graph, &config.negotiation),
-        EngineKind::Threaded => negotiate_threaded(&instance, graph, &config.negotiation),
-    };
+    let (selection, run_stats) = negotiate_rounds(&instance, graph, &config.negotiation);
     metrics.greedy += negotiate_start.elapsed();
     // haste-lint: allow(D2) — phase timing feeds SolverMetrics, not algorithm state
     let rounding_start = Instant::now();
+    // Only the planning chargers are written: a dead charger's slots are
+    // blank from its death on, and in localized mode the others keep
+    // their plans.
     instance.materialize_into(&selection, schedule);
     metrics.rounding += rounding_start.elapsed();
-    // Localized mode: restore the kept plans of non-replanning chargers
-    // (materialize_into wrote None over their partitions).
-    if let Some(snapshot) = snapshot {
-        for (i, &replans) in replanning.iter().enumerate() {
-            if !replans {
-                let id = haste_model::ChargerId(i as u32);
-                for k in effective..schedule.num_slots() {
-                    schedule.set(id, k, snapshot.get(id, k));
-                }
-            }
-        }
-    }
     // Chargers hold their last orientation through unassigned slots
     // (free top-up at zero switching cost); later renegotiations
     // overwrite the held suffix anyway.
@@ -383,27 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_online() {
-        let s = random_scenario(8, 5, 10, 1);
-        let rounds = replay_trace(
-            s.clone(),
-            OnlineConfig {
-                engine: EngineKind::Rounds,
-                ..OnlineConfig::default()
-            },
-        );
-        let threaded = replay_trace(
-            s.clone(),
-            OnlineConfig {
-                engine: EngineKind::Threaded,
-                ..OnlineConfig::default()
-            },
-        );
-        assert_eq!(rounds.schedule, threaded.schedule);
-        assert_eq!(rounds.stats.messages, threaded.stats.messages);
-    }
-
-    #[test]
     fn report_value_bounded_by_relaxed() {
         let s = random_scenario(13, 5, 10, 1);
         let r = replay_trace(s.clone(), OnlineConfig::default());
@@ -436,25 +367,6 @@ mod tests {
                 global.relaxed_value
             );
         }
-    }
-
-    #[test]
-    fn localized_engines_agree() {
-        let s = random_scenario(44, 6, 14, 1);
-        let cfg = OnlineConfig {
-            localized: true,
-            ..OnlineConfig::default()
-        };
-        let rounds = replay_trace(s.clone(), cfg.clone());
-        let threaded = replay_trace(
-            s.clone(),
-            OnlineConfig {
-                engine: EngineKind::Threaded,
-                ..cfg
-            },
-        );
-        assert_eq!(rounds.schedule, threaded.schedule);
-        assert_eq!(rounds.stats.messages, threaded.stats.messages);
     }
 
     #[test]
@@ -547,19 +459,6 @@ mod tests {
             },
         );
         assert!(one_dead.report.total_utility >= both_dead.report.total_utility - 1e-12);
-        // Engines agree under failures too.
-        let threaded = replay_trace(
-            s.clone(),
-            OnlineConfig {
-                engine: EngineKind::Threaded,
-                failures: vec![ChargerFailure {
-                    charger: haste_model::ChargerId(1),
-                    slot: 2,
-                }],
-                ..OnlineConfig::default()
-            },
-        );
-        assert_eq!(one_dead.schedule, threaded.schedule);
     }
 
     #[test]

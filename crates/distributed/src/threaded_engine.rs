@@ -7,8 +7,13 @@
 //! its neighbors. The protocol is identical to the
 //! [round engine](crate::negotiate_rounds) — synchronous bid/decide rounds
 //! per (slot, color) with the same deterministic winner rule — so both
-//! engines produce bit-identical selections regardless of thread scheduling
-//! (asserted by tests and the `distributed` bench).
+//! engines produce bit-identical selections regardless of thread scheduling.
+//!
+//! It is the tested reference, not a run-time mode: every replan of the
+//! online engine negotiates by rounds. The tests compare the two on full
+//! instances and on the instances a replan builds (decision slots after
+//! 0, a frozen prefix's energy, disabled chargers), selection, message,
+//! round and oracle counters alike.
 //!
 //! Round pacing uses a [`std::sync::Barrier`] plus one shared "anyone fixed
 //! this round?" flag; a deployed system would detect quiescence with its
@@ -300,9 +305,11 @@ fn charger_thread(
 mod tests {
     use super::*;
     use crate::round_engine::negotiate_rounds;
-    use haste_core::DominantScope;
+    use haste_core::{DominantScope, InstanceOptions};
     use haste_geometry::{Angle, Vec2};
-    use haste_model::{Charger, ChargingParams, CoverageMap, Scenario, Task, TimeGrid};
+    use haste_model::{
+        delivered_energy, Charger, ChargingParams, CoverageMap, Scenario, Task, TimeGrid,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -341,28 +348,52 @@ mod tests {
             let s = random_scenario(seed, 6, 12);
             let cov = CoverageMap::build(&s);
             let graph = NeighborGraph::build(&cov);
-            let inst = HasteRInstance::build(&s, &cov, DominantScope::PerSlot);
-            for colors in [1usize, 3] {
-                let cfg = NegotiationConfig {
-                    colors,
-                    samples: 8,
-                    seed: seed * 31 + 7,
-                };
-                let (sel_r, stats_r) = negotiate_rounds(&inst, &graph, &cfg);
-                let (sel_t, stats_t) = negotiate_threaded(&inst, &graph, &cfg);
-                assert_eq!(
-                    sel_r.choices, sel_t.choices,
-                    "seed {seed} C={colors}: selections diverge"
-                );
-                assert!((sel_r.value - sel_t.value).abs() < 1e-12);
-                assert_eq!(stats_r.messages, stats_t.messages, "seed {seed} C={colors}");
-                assert_eq!(stats_r.rounds, stats_t.rounds);
-                assert_eq!(stats_r.per_slot_messages, stats_t.per_slot_messages);
-                // Both engines execute the same protocol, so they pay the
-                // same oracle work.
-                assert_eq!(stats_r.oracle_marginals, stats_t.oracle_marginals);
-                assert_eq!(stats_r.oracle_commits, stats_t.oracle_commits);
-                assert!(stats_r.oracle_marginals > 0);
+            let full = HasteRInstance::build(&s, &cov, DominantScope::PerSlot);
+            // The shape of a replan's instance: decision slots from 2 on,
+            // over the energy the full plan's first two slots delivered,
+            // with two chargers out of the negotiation.
+            let (plan, _) = negotiate_rounds(&full, &graph, &NegotiationConfig::default());
+            let frozen = full.materialize(&plan);
+            let prefix = delivered_energy(&s, &cov, &frozen, 0.0, 0..2, |_| true);
+            assert!(
+                prefix.iter().any(|&e| e > 0.0),
+                "seed {seed}: no prefix energy"
+            );
+            let mut disabled = vec![false; 6];
+            disabled[seed as usize % 6] = true;
+            disabled[(seed as usize + 3) % 6] = true;
+            let replan = HasteRInstance::build_with(
+                &s,
+                &cov,
+                InstanceOptions {
+                    slot_range: Some(2..s.active_horizon()),
+                    initial_energy: Some(prefix),
+                    disabled_chargers: Some(disabled),
+                    ..InstanceOptions::default()
+                },
+            );
+            assert!(replan.ground_set_size() > 0, "seed {seed}: empty replan");
+            for (inst, shape) in [(&full, "full"), (&replan, "replan")] {
+                for colors in [1usize, 3] {
+                    let cfg = NegotiationConfig {
+                        colors,
+                        samples: 8,
+                        seed: seed * 31 + 7,
+                    };
+                    let case = format!("seed {seed} C={colors} {shape}");
+                    let (sel_r, stats_r) = negotiate_rounds(inst, &graph, &cfg);
+                    let (sel_t, stats_t) = negotiate_threaded(inst, &graph, &cfg);
+                    assert_eq!(sel_r.choices, sel_t.choices, "{case}: selections diverge");
+                    assert!((sel_r.value - sel_t.value).abs() < 1e-12, "{case}");
+                    assert_eq!(stats_r.messages, stats_t.messages, "{case}");
+                    assert_eq!(stats_r.rounds, stats_t.rounds, "{case}");
+                    assert_eq!(stats_r.per_slot_messages, stats_t.per_slot_messages);
+                    // Both engines execute the same protocol, so they pay
+                    // the same oracle work.
+                    assert_eq!(stats_r.oracle_marginals, stats_t.oracle_marginals, "{case}");
+                    assert_eq!(stats_r.oracle_commits, stats_t.oracle_commits, "{case}");
+                    assert!(stats_r.oracle_marginals > 0, "{case}");
+                }
             }
         }
     }

@@ -11,8 +11,9 @@
 //! * [`core`] — dominant task set extraction, the HASTE-R submodular
 //!   formulation, the centralized offline algorithm, baselines and the
 //!   brute-force optimum,
-//! * [`distributed`] — the distributed online algorithm with round-based
-//!   and threaded negotiation engines, plus the incremental online engine,
+//! * [`distributed`] — the distributed online algorithm: round-based
+//!   negotiation (checked against a threaded reference engine) and the
+//!   incremental online engine,
 //! * [`service`] — the long-running scheduling daemon (TCP wire protocol,
 //!   snapshot/restore) with its client and load-generator harness,
 //! * [`submodular`] — generic submodular maximization under a partition
@@ -67,7 +68,7 @@ pub mod prelude {
     };
     pub use haste_distributed::{
         negotiate_rounds, negotiate_threaded, replay_trace, solve_baseline_online, ChargerFailure,
-        EngineKind, NegotiationConfig, NeighborGraph, OnlineConfig, OnlineEngine, TaskSpec,
+        NegotiationConfig, NeighborGraph, OnlineConfig, OnlineEngine, TaskSpec,
     };
     pub use haste_geometry::{Angle, Arc, Sector, Vec2};
     pub use haste_model::{

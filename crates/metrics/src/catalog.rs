@@ -92,7 +92,7 @@ pub const CATALOG: &[MetricSpec] = &[
     histogram("haste_shard_batch_rejected_records", "", "Records rejected per batch frame at shard children, merged across shards."),
     histogram("haste_router_tick_replan_duration_us", "cell", "Per-shard TICK replan duration in microseconds, by cell index."),
     histogram("haste_router_join_wait_duration_us", "cell", "Time a finished shard waits at the consistent-cut TICK barrier, by cell index."),
-    counter("haste_router_cell_submits_total", "cell", "Submissions accepted into each cell of the default tenant, by cell index — the elastic-split load trigger."),
+    counter("haste_router_cell_submits_total", "cell", "Submissions accepted into each cell of the default tenant since startup, by cell index at submit time; the --split-threshold trigger does not read it."),
     counter("haste_router_reshards_total", "tenant", "Completed live split/merge migrations, by tenant id."),
     counter("haste_router_tenant_rejected_total", "tenant", "Submissions bounced by a tenant's per-slot admission quota, by tenant id."),
     gauge("haste_router_tenant_shards", "tenant", "Shards currently serving each tenant, by tenant id."),

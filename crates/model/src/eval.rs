@@ -7,22 +7,15 @@
 //! single source of truth for "how good is this schedule" — all algorithms
 //! (offline, online, baselines, exact) are scored through it.
 
-use crate::{power, CandidateRows, CoverageMap, Scenario, Schedule, Slot, UtilityFn};
+use std::ops::Range;
+
+use crate::{power, CandidateRows, ChargerId, CoverageMap, Scenario, Schedule, Slot, UtilityFn};
 
 /// Evaluation options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalOptions {
     /// Switching delay override; `None` uses the scenario's `ρ`.
     pub rho: Option<f64>,
-    /// Only accumulate energy from slots strictly before this limit
-    /// (`None` = all slots). The online scheduler uses this to compute what
-    /// a frozen schedule prefix has already delivered.
-    pub slot_limit: Option<Slot>,
-    /// Only accumulate energy from slots at or after this start (`None` =
-    /// from slot 0). Combined with `slot_limit` this selects a window; the
-    /// localized online scheduler uses it to price the kept future plans of
-    /// unaffected chargers.
-    pub slot_start: Option<Slot>,
 }
 
 /// The result of evaluating a schedule.
@@ -70,77 +63,10 @@ pub fn evaluate<R: CandidateRows + ?Sized>(
     options: EvalOptions,
 ) -> EvalReport {
     let rho = options.rho.unwrap_or(scenario.rho);
-    let m = scenario.num_tasks();
-    let slot_seconds = scenario.grid.slot_seconds;
-    let mut per_task_energy = vec![0.0; m];
-    let mut switches_per_charger = vec![0usize; scenario.num_chargers()];
-
-    for charger in &scenario.chargers {
-        let i = charger.id.index();
-        let candidates = coverage.tasks_of(charger.id);
-        if candidates.is_empty() {
-            // Still count switches for fidelity even if they are futile.
-            switches_per_charger[i] = schedule.switch_count(charger.id);
-            continue;
-        }
-        let mut prev = None;
-        for (k, &orientation) in schedule.row(charger.id).iter().enumerate() {
-            let Some(theta) = orientation else { continue };
-            let switched = prev != Some(theta);
-            if switched {
-                switches_per_charger[i] += 1;
-            }
-            prev = Some(theta);
-            if options.slot_limit.is_some_and(|limit| k >= limit)
-                || options.slot_start.is_some_and(|start| k < start)
-            {
-                continue;
-            }
-            let effective = if switched { 1.0 - rho } else { 1.0 };
-            if effective <= 0.0 {
-                continue;
-            }
-            let half = scenario.params.charging_angle / 2.0;
-            for cand in candidates {
-                let task = &scenario.tasks[cand.task.index()];
-                if !task.active_at(k) {
-                    continue;
-                }
-                if cand.azimuth.within(theta, half) {
-                    per_task_energy[cand.task.index()] += cand.power * slot_seconds * effective;
-                }
-            }
-        }
-    }
-
-    finish_report(scenario, per_task_energy, switches_per_charger)
-}
-
-/// Evaluates under **HASTE-R** semantics: switching delay ignored (`ρ = 0`).
-/// This is the objective the submodular machinery optimizes.
-pub fn evaluate_relaxed(
-    scenario: &Scenario,
-    coverage: &CoverageMap,
-    schedule: &Schedule,
-) -> EvalReport {
-    evaluate(
-        scenario,
-        coverage,
-        schedule,
-        EvalOptions {
-            rho: Some(0.0),
-            ..EvalOptions::default()
-        },
-    )
-}
-
-fn finish_report(
-    scenario: &Scenario,
-    per_task_energy: Vec<f64>,
-    switches_per_charger: Vec<usize>,
-) -> EvalReport {
+    let slots = 0..schedule.num_slots();
+    let per_task_energy = delivered_energy(scenario, coverage, schedule, rho, slots, |_| true);
     let mut total_utility = 0.0;
-    let per_task_utility: Vec<f64> = scenario
+    let per_task_utility = scenario
         .tasks
         .iter()
         .zip(&per_task_energy)
@@ -154,8 +80,66 @@ fn finish_report(
         per_task_energy,
         per_task_utility,
         total_utility,
-        switches_per_charger,
+        switches_per_charger: scenario
+            .chargers
+            .iter()
+            .map(|charger| schedule.switch_count(charger.id))
+            .collect(),
     }
+}
+
+/// The energy each task receives from the `chargers` the predicate
+/// admits during `slots` of `schedule`: [`evaluate`]'s energy loop, with
+/// switching delay `rho`. A charger's orientation before `slots.start`
+/// still decides whether its first slot in the window pays the delay.
+///
+/// Each task's energy is added charger by charger, slot by slot. The
+/// online scheduler runs it over what a replan freezes: the prefix
+/// (`0..t + τ`, every charger) and, in localized mode, the kept plans of
+/// the chargers that do not replan (`t + τ..`).
+pub fn delivered_energy<R: CandidateRows + ?Sized>(
+    scenario: &Scenario,
+    rows: &R,
+    schedule: &Schedule,
+    rho: f64,
+    slots: Range<Slot>,
+    chargers: impl Fn(ChargerId) -> bool,
+) -> Vec<f64> {
+    let slot_seconds = scenario.grid.slot_seconds;
+    let half = scenario.params.charging_angle / 2.0;
+    let mut energy = vec![0.0; scenario.num_tasks()];
+    for charger in scenario.chargers.iter().filter(|c| chargers(c.id)) {
+        let candidates = rows.tasks_of(charger.id);
+        let row = schedule.row(charger.id);
+        let window = slots.start.min(row.len())..slots.end.min(row.len());
+        let mut prev = row[..window.start].iter().rev().find_map(|&o| o);
+        for (k, &orientation) in window.clone().zip(&row[window]) {
+            let Some(theta) = orientation else { continue };
+            let switched = prev != Some(theta);
+            prev = Some(theta);
+            let effective = if switched { 1.0 - rho } else { 1.0 };
+            if effective <= 0.0 {
+                continue;
+            }
+            for cand in candidates {
+                let j = cand.task.index();
+                if scenario.tasks[j].active_at(k) && cand.azimuth.within(theta, half) {
+                    energy[j] += cand.power * slot_seconds * effective;
+                }
+            }
+        }
+    }
+    energy
+}
+
+/// Evaluates under **HASTE-R** semantics: switching delay ignored (`ρ = 0`).
+/// This is the objective the submodular machinery optimizes.
+pub fn evaluate_relaxed(
+    scenario: &Scenario,
+    coverage: &CoverageMap,
+    schedule: &Schedule,
+) -> EvalReport {
+    evaluate(scenario, coverage, schedule, EvalOptions { rho: Some(0.0) })
 }
 
 /// Convenience: the power a single charger delivers to a single task per
@@ -284,19 +268,19 @@ mod tests {
 
     #[test]
     fn slot_limit_truncates_energy_but_not_switches() {
-        let s = scenario(0.0);
+        // A prefix window delivers only its own slots; the switch into
+        // the aimed orientation is paid once, at slot 0, and the window
+        // after it does not pay it again.
+        let rho = 0.5;
+        let s = scenario(rho);
         let cov = CoverageMap::build(&s);
-        let report = evaluate(
-            &s,
-            &cov,
-            &aimed_schedule(&s),
-            EvalOptions {
-                rho: Some(0.0),
-                slot_limit: Some(4),
-                ..EvalOptions::default()
-            },
-        );
-        assert!((report.per_task_energy[0] - 4.0 * 240.0).abs() < 1e-6);
+        let sched = aimed_schedule(&s);
+        let prefix = delivered_energy(&s, &cov, &sched, rho, 0..4, |_| true);
+        assert!((prefix[0] - (120.0 + 3.0 * 240.0)).abs() < 1e-6);
+        let rest = delivered_energy(&s, &cov, &sched, rho, 4..10, |_| true);
+        assert!((rest[0] - 6.0 * 240.0).abs() < 1e-6);
+        let report = evaluate(&s, &cov, &sched, EvalOptions::default());
+        assert!((report.per_task_energy[0] - (prefix[0] + rest[0])).abs() < 1e-9);
         assert_eq!(report.total_switches(), 1);
     }
 
@@ -304,17 +288,21 @@ mod tests {
     fn slot_window_selects_energy_range() {
         let s = scenario(0.0);
         let cov = CoverageMap::build(&s);
-        let report = evaluate(
-            &s,
-            &cov,
-            &aimed_schedule(&s),
-            EvalOptions {
-                rho: Some(0.0),
-                slot_limit: Some(7),
-                slot_start: Some(3),
-            },
+        let sched = aimed_schedule(&s);
+        let window = delivered_energy(&s, &cov, &sched, 0.0, 3..7, |_| true);
+        assert!((window[0] - 4.0 * 240.0).abs() < 1e-6);
+        // A window reaching past the grid stops at its end; one wholly
+        // past it, or one the predicate empties, delivers nothing.
+        let tail = delivered_energy(&s, &cov, &sched, 0.0, 8..20, |_| true);
+        assert!((tail[0] - 2.0 * 240.0).abs() < 1e-6);
+        assert_eq!(
+            delivered_energy(&s, &cov, &sched, 0.0, 12..20, |_| true)[0],
+            0.0
         );
-        assert!((report.per_task_energy[0] - 4.0 * 240.0).abs() < 1e-6);
+        assert_eq!(
+            delivered_energy(&s, &cov, &sched, 0.0, 0..10, |_| false)[0],
+            0.0
+        );
     }
 
     #[test]

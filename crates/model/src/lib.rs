@@ -41,7 +41,9 @@ pub mod power;
 
 pub use coverage::{CandidateRows, CandidateTask, CoverageMap};
 pub use error::ModelError;
-pub use eval::{evaluate, evaluate_relaxed, slot_energy, EvalOptions, EvalReport};
+pub use eval::{
+    delivered_energy, evaluate, evaluate_relaxed, slot_energy, EvalOptions, EvalReport,
+};
 pub use params::{ChargingParams, ReceiverGain};
 pub use partition::{CellAssignment, CellRect, Partition, PartitionError};
 pub use scenario::{Scenario, UtilityModel};

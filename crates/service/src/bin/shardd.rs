@@ -12,9 +12,12 @@
 //!   holds the write end of that pipe, so a dead or exiting supervisor
 //!   releases the child automatically — no orphan processes to leak.
 //!
-//! The scheduling flags mirror [`haste_distributed::OnlineConfig`] field
-//! for field: the supervisor forwards the router's configuration so a
-//! child engine is bit-identical to the in-process shard it replaces.
+//! The scheduling flags mirror the [`haste_distributed::OnlineConfig`]
+//! fields a daemon accepts (the negotiation parameters, `localized` and
+//! `threads`; every replan negotiates by rounds, and the daemons refuse
+//! injected failures): the supervisor forwards the router's
+//! configuration so a child engine is bit-identical to the in-process
+//! shard it replaces.
 //!
 //! Being a full [`haste_service::serve`] daemon, a child speaks every
 //! protocol revision, including v3 binary framing — but its supervisor
@@ -26,13 +29,12 @@
 //!
 //! ```text
 //! haste-shardd [--addr 127.0.0.1:0] [--workers 4] [--max-pending 4096] \
-//!     [--colors C] [--samples S] [--seed SEED] [--engine rounds|threaded] \
-//!     [--localized 0|1] [--threads N]
+//!     [--colors C] [--samples S] [--seed SEED] [--localized 0|1] \
+//!     [--threads N]
 //! ```
 
 use std::io::Write;
 
-use haste_distributed::EngineKind;
 use haste_service::{serve, ServerConfig};
 
 fn main() {
@@ -56,13 +58,6 @@ fn main() {
                 config.scheduling.negotiation.samples = single(&value(&args, i, flag), flag)
             }
             "--seed" => config.scheduling.negotiation.seed = single(&value(&args, i, flag), flag),
-            "--engine" => {
-                config.scheduling.engine = match value(&args, i, flag).as_str() {
-                    "rounds" => EngineKind::Rounds,
-                    "threaded" => EngineKind::Threaded,
-                    other => fail(&format!("--engine: bad value `{other}`")),
-                }
-            }
             "--localized" => {
                 config.scheduling.localized = single::<u8>(&value(&args, i, flag), flag) != 0
             }
@@ -70,8 +65,8 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: haste-shardd [--addr HOST:PORT] [--workers N] [--max-pending N] \
-                     [--colors C] [--samples S] [--seed SEED] [--engine rounds|threaded] \
-                     [--localized 0|1] [--threads N]"
+                     [--colors C] [--samples S] [--seed SEED] [--localized 0|1] \
+                     [--threads N]"
                 );
                 return;
             }

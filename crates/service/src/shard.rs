@@ -173,16 +173,6 @@ impl Shard {
         }
     }
 
-    /// The scheduling configuration engines of this shard are created with.
-    pub fn scheduling(&self) -> &OnlineConfig {
-        &self.scheduling
-    }
-
-    /// The admission bound (submissions per open slot).
-    pub fn max_pending(&self) -> usize {
-        self.max_pending
-    }
-
     /// Parses a scenario document and installs a fresh engine.
     pub fn load_text(&self, payload: &str) -> Result<LoadInfo, ShardError> {
         match haste_model::io::read_scenario(payload) {

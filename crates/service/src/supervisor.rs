@@ -376,10 +376,6 @@ impl Launcher {
         max_pending: usize,
         deadline: Duration,
     ) -> Launcher {
-        let engine = match scheduling.engine {
-            haste_distributed::EngineKind::Rounds => "rounds",
-            haste_distributed::EngineKind::Threaded => "threaded",
-        };
         let args = vec![
             "--addr".to_string(),
             "127.0.0.1:0".to_string(),
@@ -393,8 +389,6 @@ impl Launcher {
             scheduling.negotiation.samples.to_string(),
             "--seed".to_string(),
             scheduling.negotiation.seed.to_string(),
-            "--engine".to_string(),
-            engine.to_string(),
             "--localized".to_string(),
             u8::from(scheduling.localized).to_string(),
             "--threads".to_string(),

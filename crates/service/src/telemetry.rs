@@ -286,8 +286,10 @@ impl WalTelemetry {
     }
 }
 
-/// Counts one accepted submission against its cell's arrival-rate series
-/// (`haste_router_cell_submits_total`, the auto-split load trigger).
+/// Counts one accepted default-tenant submission in
+/// `haste_router_cell_submits_total`, by the cell index at submit time:
+/// an all-time count that the `--split-threshold` trigger does not read
+/// (it reads the tenant's open slot).
 pub(crate) fn count_cell_submit(registry: &Registry, cell: usize) {
     registry
         .counter_with("haste_router_cell_submits_total", "cell", &cell.to_string())

@@ -31,26 +31,14 @@ fn main() {
         scenario.rho
     );
 
-    // Distributed online HASTE with both engines; they agree exactly.
+    // Distributed online HASTE: every renegotiation runs the round engine.
     let rounds = replay_trace(scenario.clone(), OnlineConfig::default());
-    let threaded = replay_trace(
-        scenario.clone(),
-        OnlineConfig {
-            engine: EngineKind::Threaded,
-            ..OnlineConfig::default()
-        },
-    );
-    assert_eq!(rounds.schedule, threaded.schedule);
     println!(
         "\nHASTE online (C=1): utility {:.4}, {} messages / {} rounds across {} renegotiations' slots",
         rounds.report.total_utility,
         rounds.stats.messages,
         rounds.stats.rounds,
         rounds.stats.per_slot_messages.len(),
-    );
-    println!(
-        "  threaded engine reproduces the round engine bit-for-bit ({} messages)",
-        threaded.stats.messages
     );
 
     // More colors buy utility at negotiation cost.
